@@ -120,7 +120,7 @@ void ablate_easy_fraction() {
 
 void ablate_tnode_spacing() {
   std::cout << "randomized T-node spacing b at Delta = 16:\n";
-  const std::vector<int> spacings = {0, 1, 2};
+  const std::vector<int> spacings = {0, 1, 2, 3};
   SweepDriver driver(sweep_options_from_env());
   const auto rows = driver.run<RandomizedResult>(
       spacings.size(), [&](std::size_t i, CellContext& ctx) {

@@ -142,4 +142,13 @@ ScopedPhaseTimer::~ScopedPhaseTimer() {
                                   1e6);
 }
 
+PhaseLaps::PhaseLaps(RoundLedger& ledger)
+    : ledger_(ledger), start_ns_(now_ns()) {}
+
+void PhaseLaps::lap(std::string_view phase) {
+  const std::int64_t now = now_ns();
+  ledger_.charge_time(phase, static_cast<double>(now - start_ns_) / 1e6);
+  start_ns_ = now;
+}
+
 }  // namespace deltacolor

@@ -117,4 +117,17 @@ class ScopedPhaseTimer {
   std::int64_t start_ns_;
 };
 
+/// Charges back-to-back stretches of wall-clock to phases, for pipelines
+/// written as one straight sequence of phases: lap(p) charges the time
+/// since construction (or the previous lap) to p and restarts the clock.
+class PhaseLaps {
+ public:
+  explicit PhaseLaps(RoundLedger& ledger);
+  void lap(std::string_view phase);
+
+ private:
+  RoundLedger& ledger_;
+  std::int64_t start_ns_;
+};
+
 }  // namespace deltacolor

@@ -1,7 +1,6 @@
 #include "randomized/randomized_coloring.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <queue>
@@ -15,40 +14,9 @@
 #include "graph/subgraph.hpp"
 #include "local/oracle.hpp"
 #include "primitives/list_coloring.hpp"
+#include "randomized/tnode_placement.hpp"
 
 namespace deltacolor {
-
-namespace {
-
-/// Reserved same-color for all T-node slack pairs (Section 4 uses "the
-/// first color").
-constexpr Color kTnodeColor = 0;
-
-struct Triad {
-  NodeId slack = kNoNode;
-  NodeId pair_in = kNoNode;
-  NodeId pair_out = kNoNode;
-};
-
-// Marks all vertices within `radius` of v.
-void mark_ball(const Graph& g, NodeId v, int radius, NodeMask& mark) {
-  std::queue<std::pair<NodeId, int>> q;
-  q.emplace(v, 0);
-  mark[v] = 1;
-  while (!q.empty()) {
-    const auto [x, d] = q.front();
-    q.pop();
-    if (d == radius) continue;
-    for (const NodeId y : g.neighbors(x)) {
-      if (!mark[y]) {
-        mark[y] = 1;
-        q.emplace(y, d + 1);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 RandomizedOptions scaled_randomized_options(int delta, std::uint64_t seed) {
   RandomizedOptions opt;
@@ -70,7 +38,6 @@ RandomizedResult randomized_delta_color(const Graph& g,
   DC_CHECK_MSG(res.delta >= 3, "randomized_delta_color requires Delta >= 3");
   const int delta = res.delta;
   LocalContext lctx(res.ledger, options.engine, options.seed);
-  Rng rng(options.seed);
 
   // Algorithm 4 line 1 guard: Delta = omega(log^21 n) would delegate to
   // the O(log* n) algorithm of [FHM23]; at any simulable scale the branch
@@ -99,74 +66,24 @@ RandomizedResult randomized_delta_color(const Graph& g,
 
   // ------------------------------------------------------ Pre-shattering
   // Randomized T-node placement with O(log Delta) retry rounds; accepted
-  // pairs are colored kTnodeColor, accepted triads keep distance >=
-  // `spacing` from each other.
-  std::vector<Triad> triad_of_clique(acd.cliques.size());
-  NodeMask placed(acd.cliques.size(), 0);
-  // Slack vertices must stay uncolored and unshared; future *pair*
-  // vertices keep distance `spacing` from accepted pairs (the paper's b,
-  // limiting useless vertices per clique). Blocking whole balls around all
-  // three triad vertices would forbid neighboring cliques entirely.
-  NodeMask slack_used(g.num_nodes(), 0);
-  NodeMask pair_blocked(g.num_nodes(), 0);
-  auto phase_t0 = std::chrono::steady_clock::now();
-  const auto end_phase = [&](const char* phase) {
-    res.ledger.charge_time(
-        phase, std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - phase_t0)
-                   .count());
-    phase_t0 = std::chrono::steady_clock::now();
-  };
-  for (int round = 0; round < options.placement_rounds; ++round) {
-    // Random processing priority simulates the local conflict resolution.
-    std::vector<std::pair<std::uint64_t, int>> order;
-    for (const int c : hard_acs)
-      if (!placed[static_cast<std::size_t>(c)])
-        order.emplace_back(hash_mix(options.seed, c, round), c);
-    std::sort(order.begin(), order.end());
-    for (const auto& [prio, c] : order) {
-      const auto& members = acd.cliques[static_cast<std::size_t>(c)];
-      for (int attempt = 0; attempt < 20; ++attempt) {
-        const NodeId u = members[rng.below(members.size())];
-        if (slack_used[u] || res.color[u] != kNoColor) continue;
-        // External neighbor of u, not a loophole member (its easy clique
-        // must keep its loophole intact), unblocked, uncolored.
-        std::vector<NodeId> ext;
-        for (const NodeId x : g.neighbors(u))
-          if (acd.clique_of[x] != c && !pair_blocked[x] && !slack_used[x] &&
-              res.color[x] == kNoColor && !loopholes.vertex_in_loophole(x))
-            ext.push_back(x);
-        if (ext.empty()) continue;
-        const NodeId w = ext[rng.below(ext.size())];
-        // Pair partner inside the clique, non-adjacent to w.
-        std::vector<NodeId> inner;
-        for (const NodeId x : members)
-          if (x != u && !pair_blocked[x] && !slack_used[x] &&
-              res.color[x] == kNoColor && g.has_edge(u, x) &&
-              !g.has_edge(x, w))
-            inner.push_back(x);
-        if (inner.empty()) continue;
-        const NodeId v = inner[rng.below(inner.size())];
-        // Pair independence: all pairs share kTnodeColor, so neither v nor
-        // w may touch an existing pair vertex.
-        bool clash = false;
-        for (const NodeId x : {v, w})
-          for (const NodeId y : g.neighbors(x))
-            if (res.color[y] == kTnodeColor) clash = true;
-        if (clash) continue;
-        res.color[v] = kTnodeColor;
-        res.color[w] = kTnodeColor;
-        triad_of_clique[static_cast<std::size_t>(c)] = Triad{u, v, w};
-        placed[static_cast<std::size_t>(c)] = 1;
-        slack_used[u] = 1;
-        mark_ball(g, v, options.spacing, pair_blocked);
-        mark_ball(g, w, options.spacing, pair_blocked);
-        break;
-      }
-    }
-    res.ledger.charge("rand-preshattering", 2 * options.spacing + 3);
+  // pairs are colored kTnodeColor, and future *pair* vertices keep
+  // distance `spacing` from accepted pairs (the paper's b, limiting
+  // useless vertices per clique). Blocking whole balls around all three
+  // triad vertices would forbid neighboring cliques entirely.
+  PhaseLaps laps(res.ledger);
+  std::vector<TnodeTriad> triad_of_clique;
+  NodeMask placed;
+  {
+    Rng rng(options.seed);
+    TnodePlacement placement =
+        place_tnodes(g, acd, loopholes, hard_acs, options.placement_rounds,
+                     options.spacing, options.seed, rng, res.color);
+    triad_of_clique = std::move(placement.triad_of_clique);
+    placed = std::move(placement.placed);
   }
-  end_phase("rand-preshattering");
+  for (int round = 0; round < options.placement_rounds; ++round)
+    res.ledger.charge("rand-preshattering", 2 * options.spacing + 3);
+  laps.lap("rand-preshattering");
   validate_partial_coloring(g, res.color, "rand-preshattering",
                             options.validate);
   for (const int c : hard_acs)
@@ -201,7 +118,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
       }
     }
     res.ledger.charge("rand-layering", options.layer_depth + 1);
-    end_phase("rand-layering");
+    laps.lap("rand-layering");
   }
 
   // ----------------------------------------------------- Post-shattering
@@ -369,7 +286,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
     }
     res.stats.max_component_rounds = static_cast<int>(max_comp_rounds);
     res.ledger.charge("rand-postshattering", max_comp_rounds);
-    end_phase("rand-postshattering");
+    laps.lap("rand-postshattering");
     validate_partial_coloring(g, res.color, "rand-postshattering",
                               options.validate);
   }
@@ -394,11 +311,19 @@ RandomizedResult randomized_delta_color(const Graph& g,
     ScopedPhase phase(lctx, "rand-postprocessing");
     deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
   }
-  end_phase("rand-postprocessing");
+  laps.lap("rand-postprocessing");
   validate_partial_coloring(g, res.color, "rand-postprocessing",
                             options.validate);
-  color_easy_and_loopholes(g, loopholes, res.color, lctx, "rand-easy");
-  end_phase("rand-easy");
+  {
+    // The easy layer times its own sub-phases; here it is one "rand-easy"
+    // stretch, so only its rounds are carried over.
+    RoundLedger easy_ledger;
+    LocalContext easy_ctx(easy_ledger, options.engine, options.seed);
+    color_easy_and_loopholes(g, loopholes, res.color, easy_ctx, "rand-easy");
+    for (const auto& [phase, rounds] : easy_ledger.phases())
+      res.ledger.charge(phase, rounds);
+  }
+  laps.lap("rand-easy");
   validate_partial_coloring(g, res.color, "rand-easy", options.validate);
 
   if (options.verify || options.validate != ValidateMode::kOff) {

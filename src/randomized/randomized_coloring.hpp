@@ -9,8 +9,9 @@
 //   3. Pre-shattering: every hard clique repeatedly (O(log Delta) retry
 //      rounds with fresh randomness) attempts to place a T-node — a slack
 //      triad whose pair is colored with the reserved color 0. Accepted
-//      pairs are pairwise non-adjacent and triads keep distance >= b from
-//      each other, bounding the "useless" vertices per clique (Section 4).
+//      pairs are pairwise non-adjacent, and a later pair vertex lies at
+//      distance > b from every earlier one, bounding the "useless"
+//      vertices per clique (Section 4). See tnode_placement.hpp.
 //   4. Post-shattering: cliques that failed all retries form components in
 //      the clique-adjacency graph; each component is colored by the
 //      modified deterministic pipeline (extended pseudo-loopholes =
@@ -44,8 +45,8 @@ struct RandomizedOptions {
   /// settings.
   EngineOptions engine;
   std::uint64_t seed = 1;
-  /// T-node spacing parameter b (Section 4): future pair vertices keep
-  /// this distance from accepted pairs, bounding useless vertices per
+  /// T-node spacing parameter b (Section 4): future pair vertices lie at
+  /// distance > b from accepted pairs, bounding useless vertices per
   /// clique. Constant, adjustable.
   int spacing = 0;
   /// Retry rounds for T-node placement; failure probability decays
