@@ -19,7 +19,9 @@
 // Each elimination round is one SyncRunner round; since holders of the
 // eliminated color form an independent set, double-buffered reads equal
 // the sequential in-place update, so results match the pre-engine code
-// bit for bit at any worker count.
+// bit for bit at any worker count. A node acts at most once per stage — in
+// the round that eliminates its offset — so stages run as keyed rounds
+// (SyncRunner::run_keyed) that step only that round's holders.
 #pragma once
 
 #include <atomic>
@@ -51,13 +53,9 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   DC_CHECK(target <= 1024);  // fixed scratch bound in the step below
   LinialResult res;
 
-  // The transition is keyed on the round number (which color is being
-  // eliminated), so quiet nodes must still step on their slot: frontier off.
   SyncRunner<Color, ViewT> runner(view, std::move(color),
                                   ctx.round_indexed_engine());
   std::atomic<bool> failed{false};
-  // Shared-plane cell standing in for &failed inside pool workers.
-  const ShardFlag fail_flag = runner.ship_flag(failed);
 
   int k = num_colors;
   while (k > target) {
@@ -65,9 +63,14 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
     const int hi = std::min(group_size, k);  // offsets >= k are held nowhere
     // Eliminate group-local colors [target, hi), top first, one round each
     // (lockstep across groups): engine round r handles offset hi - 1 - r.
-    // Captures are all values, so the stage ships to the shard pool.
+    // A moved node's new offset is below target, so the round of its entry
+    // offset is the only one in which it acts.
+    const auto key = [hi, group_size, target](NodeId, Color c) {
+      const int offset = c % group_size;
+      return offset >= target && offset < hi ? hi - 1 - offset : -1;
+    };
     const auto step = [hi, group_size, target,
-                       fail_flag](const auto& v) -> Color {
+                       &failed](const auto& v) -> Color {
       const Color c = v.self();
       const int offset = hi - 1 - v.round();
       if (c % group_size != offset) return c;
@@ -92,13 +95,13 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
         if (free_mask != 0)
           return group_base + w * 64 + __builtin_ctzll(free_mask);
       }
-      // Workers must not throw (neither ThreadPool nor a pool worker
-      // propagates); flag and re-check on the main thread after the stage.
-      fail_flag.set();
+      // Workers must not throw (ThreadPool does not propagate); flag and
+      // re-check on the main thread after the stage.
+      failed.store(true, std::memory_order_relaxed);
       return c;
     };
     const int stage_rounds = hi - target;
-    runner.run_rounds(stage_rounds, shard_safe(step));
+    runner.run_keyed(stage_rounds, key, step);
     DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                  "KW: no free color during elimination");
     res.rounds += stage_rounds;

@@ -31,40 +31,33 @@ PaletteSet& taken_set() {
   return taken;
 }
 
-// Colors of already-colored neighbors of v removed from v's list
-// (precondition checking only; the engine sweeps use the PaletteSet).
-std::vector<Color> effective_list(const Graph& g, NodeId v,
-                                  std::span<const Color> list,
-                                  const std::vector<Color>& color) {
-  std::vector<Color> taken;
-  taken.reserve(g.degree(v));
-  for (const NodeId u : g.neighbors(v))
-    if (color[u] != kNoColor) taken.push_back(color[u]);
-  std::sort(taken.begin(), taken.end());
-  std::vector<Color> eff;
-  eff.reserve(list.size());
-  for (const Color c : list)
-    if (!std::binary_search(taken.begin(), taken.end(), c)) eff.push_back(c);
-  return eff;
-}
-
+// Checks the deg+1 instance: every active node is uncolored and its list,
+// minus the colors of already-colored neighbors, counted with repetition,
+// exceeds its active degree. The exclusions go into the calling thread's
+// sweep PaletteSet, so the check allocates nothing once warm.
 void check_precondition(const Graph& g, const NodeMask& active,
                         const ColorLists& lists,
-                        const std::vector<Color>& color) {
+                        const std::vector<Color>& color, int width) {
   DC_CHECK(active.size() == g.num_nodes());
   DC_CHECK(lists.size() == g.num_nodes());
   DC_CHECK(color.size() == g.num_nodes());
+  PaletteSet& taken = taken_set();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (!active[v]) continue;
     DC_CHECK_MSG(color[v] == kNoColor,
                  "active node " << v << " is already colored");
+    taken.reset(width);
     int active_deg = 0;
-    for (const NodeId u : g.neighbors(v))
+    for (const NodeId u : g.neighbors(v)) {
       if (active[u]) ++active_deg;
-    const auto eff = effective_list(g, v, lists[v], color);
-    DC_CHECK_MSG(static_cast<int>(eff.size()) >= active_deg + 1,
+      if (color[u] != kNoColor) taken.insert(color[u]);
+    }
+    int effective = 0;
+    for (const Color c : lists[v])
+      if (!taken.contains(c)) ++effective;
+    DC_CHECK_MSG(effective >= active_deg + 1,
                  "deg+1 precondition violated at node "
-                     << v << ": effective list " << eff.size()
+                     << v << ": effective list " << effective
                      << " <= active degree " << active_deg);
   }
 }
@@ -75,7 +68,8 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
                             const ColorLists& lists,
                             std::vector<Color>& color, LocalContext& ctx) {
   DefaultPhase scope(ctx, "deg+1-list");
-  check_precondition(g, active, lists, color);
+  const int width = palette_width(lists, color);
+  check_precondition(g, active, lists, color, width);
 
   std::vector<NodeId> active_nodes;
   for (NodeId v = 0; v < g.num_nodes(); ++v)
@@ -88,43 +82,41 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   // Nodes of the same class are non-adjacent, so their simultaneous
   // choices cannot conflict.
   const InducedSubgraphView sub(g, active_nodes);
+  // The view holds its own copy of the node list; release ours before the
+  // schedule, the sweep's memory peak.
+  active_nodes.clear();
+  active_nodes.shrink_to_fit();
   RoundLedger sub_ledger;  // schedule rounds are re-charged below
   LocalContext sub_ctx(sub_ledger, ctx.engine(), ctx.seed());
   const LinialResult lin = schedule_coloring(sub, sub_ctx);
 
   // Class sweep on the *host* graph (exclusions come from all neighbors,
-  // active or not): engine round t colors schedule class t. The exclusion
-  // set is a word-parallel bitset; scanning the node's list in *its own
-  // order* against it picks the same color the old sort+binary_search code
-  // did, for sorted and unsorted lists alike.
-  const int width = palette_width(lists, color);
+  // active or not): engine round t colors schedule class t, so the sweep
+  // runs as keyed rounds that step only class t in round t (inactive nodes
+  // never act). The exclusion set is a word-parallel bitset; scanning the
+  // node's list in *its own order* against it picks the same color the old
+  // sort+binary_search code did, for sorted and unsorted lists alike.
   std::vector<Color> class_of(g.num_nodes(), -1);
   for (NodeId i = 0; i < sub.num_nodes(); ++i)
     class_of[sub.orig_of(i)] = lin.color[i];
   SyncRunner<Color> runner(g, color, ctx.round_indexed_engine());
   std::atomic<bool> failed{false};
-  // Side data shipped into the plane so the class sweep can dispatch to
-  // pool workers: the schedule, the CSR color lists, and the failure flag.
-  // The thread_local PaletteSet works unchanged inside a worker process.
-  const ShardSpan<Color> class_of_s = runner.ship(class_of);
-  const ColorListsRef lists_ref{runner.ship(lists.raw_offsets()).data,
-                                runner.ship(lists.raw_flat()).data};
-  const ShardFlag fail_flag = runner.ship_flag(failed);
-  const auto step = shard_safe(
-      [class_of_s, lists_ref, width, fail_flag](const auto& v) -> Color {
-        if (class_of_s[v.node()] != v.round()) return v.self();
-        PaletteSet& taken = taken_set();
-        taken.reset(width);
-        v.for_each_neighbor([&](NodeId u) {
-          const Color cu = v.neighbor(u);
-          if (cu != kNoColor) taken.insert(cu);
-        });
-        for (const Color c : lists_ref[v.node()])
-          if (!taken.contains(c)) return c;
-        fail_flag.set();
-        return v.self();
-      });
-  runner.run_rounds(lin.num_colors, step);
+  const auto key = [&class_of](NodeId v, Color) { return class_of[v]; };
+  const auto step = [&class_of, &lists, width,
+                     &failed](const auto& v) -> Color {
+    if (class_of[v.node()] != v.round()) return v.self();
+    PaletteSet& taken = taken_set();
+    taken.reset(width);
+    v.for_each_neighbor([&](NodeId u) {
+      const Color cu = v.neighbor(u);
+      if (cu != kNoColor) taken.insert(cu);
+    });
+    for (const Color c : lists[v.node()])
+      if (!taken.contains(c)) return c;
+    failed.store(true, std::memory_order_relaxed);
+    return v.self();
+  };
+  runner.run_keyed(lin.num_colors, key, step);
   DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                "class-greedy ran out of colors");
   color = runner.take_states();
@@ -151,9 +143,9 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
                                        std::vector<Color>& color,
                                        LocalContext& ctx) {
   DefaultPhase scope(ctx, "deg+1-list-rand");
-  check_precondition(g, active, lists, color);
-  const std::uint64_t seed = ctx.seed();
   const int width = palette_width(lists, color);
+  check_precondition(g, active, lists, color, width);
+  const std::uint64_t seed = ctx.seed();
   const int max_iterations = 64 * (32 - __builtin_clz(g.num_nodes() + 2));
 
   // One iteration = 2 engine rounds: trial (2t) then commit (2t+1). A

@@ -470,6 +470,32 @@ TEST(SteadyState, EngineRoundsAreAllocationFree) {
       << "warm engine rounds must not touch the heap";
 }
 
+// Keyed sparse rounds: once a runner's bucket buffers are warm, a whole
+// run_keyed call — bucketing, every round, the write-back — performs zero
+// heap allocations, so no round allocates.
+TEST(SteadyState, KeyedRoundsAreAllocationFree) {
+  const Graph g = random_regular(256, 6, 2);
+  constexpr int kRounds = 40;
+  std::vector<int> init(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    init[v] = static_cast<int>(hash_mix(3, v) % kRounds);
+  SyncRunner<int> runner(g, init, EngineOptions{.num_threads = 1});
+  // Acting adds a multiple of kRounds, so every node keeps its key and
+  // acts again in the next call.
+  const auto key = [](NodeId, int s) { return s % kRounds; };
+  const auto step = [](const SyncRunner<int>::View& view) {
+    if (view.self() % kRounds != view.round()) return view.self();
+    int acc = view.self();
+    for (const NodeId u : view.neighbors()) acc ^= view.neighbor(u);
+    return view.self() + kRounds * (1 + (acc & 7));
+  };
+  runner.run_keyed(kRounds, key, step);  // warm-up: buffers reach size
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int call = 0; call < 8; ++call) runner.run_keyed(kRounds, key, step);
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "warm keyed rounds must not touch the heap";
+}
+
 // End-to-end: repeated warm runs of the deg+1 list-coloring engine allocate
 // a flat amount (setup only — state buffers, result vector), i.e. the
 // per-round path adds nothing. Asserting run2 == run3 avoids counting the

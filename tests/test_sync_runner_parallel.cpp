@@ -4,7 +4,10 @@
 //      Luby MIS and color-trial workloads;
 //  (b) frontier mode reaches the same fixpoint in the same number of
 //      rounds as full sweeps (odd cycle, clique blow-up);
-//  (c) RoundLedger wall-clock totals are monotone and merge per phase.
+//  (c) RoundLedger wall-clock totals are monotone and merge per phase;
+//  (d) keyed sparse rounds (run_keyed) equal run_rounds for schedule-driven
+//      steps, and the keyed primitives (KW reduction, the deg+1 class
+//      sweep) are bit-identical across worker counts and frontier mode.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -14,8 +17,12 @@
 #include "common/thread_pool.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
+#include "graph/graph_view.hpp"
+#include "local/context.hpp"
 #include "local/message_passing.hpp"
 #include "local/sync_runner.hpp"
+#include "primitives/color_reduction.hpp"
+#include "primitives/list_coloring.hpp"
 
 namespace deltacolor {
 namespace {
@@ -272,6 +279,114 @@ TEST(SyncRunnerFrontier, SameFixpointAndRoundsOnCliqueBlowup) {
       mis_message_passing(g, 4, msparse, "mis", EngineOptions{4, true});
   EXPECT_EQ(m_full, m_sparse);
   EXPECT_EQ(mfull.total(), msparse.total());
+}
+
+// ---------------------------------------------------------------------------
+// Keyed sparse rounds.
+
+/// A schedule-driven state: `slot` is the round in which the node acts (or
+/// -1), and acting folds the neighbors' values into `value` and clears the
+/// slot — so the node acts at most once, as run_keyed's contract demands.
+struct Slotted {
+  std::uint64_t value = 0;
+  int slot = -1;
+  bool operator==(const Slotted&) const = default;
+};
+
+std::vector<Slotted> slotted_initial(const Graph& g, int rounds,
+                                     std::uint64_t seed) {
+  std::vector<Slotted> init(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    init[v].value = hash_mix(seed, v);
+    // Some nodes never act (-1), and some keys fall past the last round,
+    // which also means never.
+    const std::uint64_t r = hash_mix(seed, v, 1) % (rounds + rounds / 4 + 2);
+    init[v].slot = r < static_cast<std::uint64_t>(rounds + 1)
+                       ? static_cast<int>(r) - 1
+                       : static_cast<int>(r);
+  }
+  return init;
+}
+
+TEST(SyncRunnerKeyed, MatchesRunRoundsOnRandomGraphs) {
+  constexpr int kRounds = 23;
+  const auto step = [](const SyncRunner<Slotted>::View& view) {
+    Slotted s = view.self();
+    if (s.slot != view.round()) return s;
+    std::uint64_t mix = s.value ^ static_cast<std::uint64_t>(view.round());
+    for (const NodeId u : view.neighbors())
+      mix = splitmix64(mix) ^ view.neighbor(u).value;
+    s.value = mix;
+    s.slot = -1;
+    return s;
+  };
+  const auto key = [](NodeId, const Slotted& s) { return s.slot; };
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const Graph g = random_graph(400, 0.02 * static_cast<double>(seed), seed);
+    const std::vector<Slotted> init = slotted_initial(g, kRounds, seed);
+    SyncRunner<Slotted> reference(g, init, EngineOptions{1, false});
+    reference.run_rounds(kRounds, step);
+    for (const int workers : {1, 2, 8}) {
+      SyncRunner<Slotted> keyed(g, init, EngineOptions{workers, false});
+      EXPECT_EQ(keyed.run_keyed(kRounds, key, step), kRounds);
+      EXPECT_EQ(keyed.states(), reference.states())
+          << "seed=" << seed << " workers=" << workers;
+      // A second keyed call on the same runner reuses its buckets: every
+      // slot is now -1, so nothing acts.
+      const std::vector<Slotted> settled = keyed.states();
+      keyed.run_keyed(kRounds, key, step);
+      EXPECT_EQ(keyed.states(), settled);
+    }
+  }
+}
+
+TEST(SyncRunnerKeyed, KwAndDegPlusOneBitIdenticalAcrossEngines) {
+  const EngineOptions engines[] = {
+      {1, false}, {2, false}, {8, false}, {1, true}, {8, true}};
+  for (const std::uint64_t seed : {4, 5}) {
+    const Graph g = random_graph(600, 0.02, seed);
+    // KW from Linial's palette to Delta + 1, on the host graph and on a
+    // lazy induced view.
+    std::vector<NodeId> half;
+    for (NodeId v = 0; v < g.num_nodes(); v += 2) half.push_back(v);
+    const InducedSubgraphView view(g, half);
+    // deg+1 on a random active set with the full (Delta+1) lists.
+    NodeMask active(g.num_nodes(), 0);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      active[v] = hash_mix(seed, v, 9) % 3 != 0;
+    const ColorLists lists = uniform_lists(g, g.max_degree() + 1);
+
+    std::vector<Color> kw_host0, kw_view0, dp0;
+    for (const EngineOptions& engine : engines) {
+      RoundLedger ledger;
+      LocalContext ctx(ledger, engine, seed);
+      const LinialResult lin = linial_coloring(g, ctx);
+      const LinialResult kw_host = kw_reduce(g, lin.color, lin.num_colors,
+                                             g.max_degree() + 1, ctx);
+      EXPECT_TRUE(is_proper_coloring(g, kw_host.color, g.max_degree() + 1));
+      const LinialResult lin_view = linial_coloring(view, ctx);
+      const LinialResult kw_view =
+          kw_reduce(view, lin_view.color, lin_view.num_colors,
+                    view.max_degree() + 1, ctx);
+      std::vector<Color> color(g.num_nodes(), kNoColor);
+      deg_plus_one_list_color(g, active, lists, color, ctx);
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        EXPECT_EQ(color[v] != kNoColor, active[v] != 0) << v;
+      EXPECT_FALSE(find_partial_conflict(g, color).has_value());
+      const std::string tag = "seed=" + std::to_string(seed) +
+                              " workers=" + std::to_string(engine.num_threads) +
+                              " frontier=" + std::to_string(engine.frontier);
+      if (kw_host0.empty()) {
+        kw_host0 = kw_host.color;
+        kw_view0 = kw_view.color;
+        dp0 = color;
+        continue;
+      }
+      EXPECT_EQ(kw_host.color, kw_host0) << tag;
+      EXPECT_EQ(kw_view.color, kw_view0) << tag;
+      EXPECT_EQ(color, dp0) << tag;
+    }
+  }
 }
 
 TEST(LedgerTime, TotalsAreMonotoneAndPhaseMerged) {
