@@ -43,7 +43,10 @@ DeltaColoringResult delta_color_dense(const Graph& g,
   LocalContext lctx(res.ledger, options.engine, options.hard.seed);
 
   // Step 1: almost-clique decomposition (Lemma 2).
-  const Acd acd = compute_acd(g, res.ledger, options.acd);
+  const Acd acd = [&] {
+    ScopedPhaseTimer timer(res.ledger, "acd");
+    return compute_acd(g, res.ledger, options.acd);
+  }();
   res.dense = acd.is_dense();
   res.num_cliques = acd.num_cliques();
   DC_CHECK_MSG(res.dense,
@@ -53,7 +56,10 @@ DeltaColoringResult delta_color_dense(const Graph& g,
 
   // Loophole detection and hard/easy classification (Definitions 6, 8),
   // with constructive demotion retries.
-  LoopholeSet loopholes = find_loopholes_dense(g, acd, res.ledger);
+  LoopholeSet loopholes = [&] {
+    ScopedPhaseTimer timer(res.ledger, "loopholes");
+    return find_loopholes_dense(g, acd, res.ledger);
+  }();
   for (int attempt = 0;; ++attempt) {
     const Hardness hardness = classify_hardness(g, acd, loopholes);
     res.num_hard = hardness.num_hard;

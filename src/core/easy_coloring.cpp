@@ -185,6 +185,8 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   if (!anything_uncolored) return stats;
   DC_CHECK_MSG(!live.empty(),
                "uncolored vertices remain but no loophole is available");
+  // Wall-clock per sub-phase, charged under the sub-phases' round labels.
+  PhaseLaps laps(ledger);
 
   // Virtual graph G_L: one node per live loophole; edges between loopholes
   // that intersect or touch via a graph edge.
@@ -235,6 +237,7 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   const RulingSetResult rs = ruling_set(gl, gl_ctx);
   ledger.charge(phase + "-ruling", gl_ledger.total(), 7);
   stats.ruling_domination_radius = rs.domination_radius;
+  laps.lap(phase + "-ruling");
 
   NodeMask in_chosen_loophole(n, 0);
   for (std::size_t k = 0; k < live.size(); ++k) {
@@ -270,6 +273,7 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
                                      << " unreachable from any loophole");
   stats.layers = max_layer;
   ledger.charge(phase + "-bfs", max_layer + 1);
+  laps.lap(phase + "-bfs");
 
   // Color layers outside-in; each layer-i vertex has an uncolored
   // layer-(i-1) neighbor, so each layer is a deg+1-list instance.
@@ -281,12 +285,14 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
     ScopedPhase layer_phase(lctx, phase + "-layers");
     deg_plus_one_list_color(g, active, lists, color, lctx);
   }
+  laps.lap(phase + "-layers");
 
   // Finally the chosen loopholes, by brute force (Lemma 7). They are
   // pairwise non-adjacent, so all complete in parallel in O(1) rounds.
   for (std::size_t k = 0; k < live.size(); ++k)
     if (rs.in_set[k]) color_loophole(g, loopholes.loopholes[live[k]], color);
   ledger.charge(phase + "-loopholes", 3);
+  laps.lap(phase + "-loopholes");
   return stats;
 }
 

@@ -46,6 +46,8 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
   HardColoringStats& st = out.stats;
   st.num_hard = hardness.num_hard;
   if (hardness.num_hard == 0) return out;
+  // Wall-clock per phase, charged under the phases' round labels.
+  PhaseLaps laps(ledger);
 
   Context ctx{g,
               acd,
@@ -106,6 +108,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
   }
   st.f1_edges = static_cast<int>(f1.size());
   if (params.trace != nullptr) params.trace->f1 = f1;
+  laps.lap("phase1-matching");
 
   // C_HEG: hard cliques where every member has a neighbor in another hard
   // clique.
@@ -201,7 +204,10 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
       }
     }
   }
-  if (!out.demotions.empty()) return out;
+  if (!out.demotions.empty()) {
+    laps.lap("phase1-heg");
+    return out;
+  }
 
   // Hypergraph H: one vertex per sub-clique, one hyperedge per requested F1
   // edge (Section 3.3).
@@ -324,6 +330,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
         static_cast<int>(outgoing_f2[static_cast<std::size_t>(rank)].size()));
   }
   if (st.num_heg_cliques == 0) st.min_outgoing_f2 = 0;
+  laps.lap("phase1-heg");
 
   // ---------------------------------------------------------------- Phase 2
   // Degree splitting on the virtual multigraph G_Q (Q+ and Q- per hard
@@ -399,6 +406,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
   st.lemma13_ok =
       st.max_incoming_f3 <
       0.5 * (ctx.delta - 2 * params.epsilon * ctx.delta - 1) + 1e-9;
+  laps.lap("phase2-split");
 
   // ---------------------------------------------------------------- Phase 3
   // Slack triads (Definition 14, Lemma 15).
@@ -444,6 +452,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
     for (const int k : pairs_per_clique)
       st.max_slack_pairs_per_clique = std::max(st.max_slack_pairs_per_clique, k);
   }
+  laps.lap("phase3-triads");
 
   // --------------------------------------------------------------- Phase 4A
   // Virtual conflict graph G_V over slack pairs; deg+1-list coloring with
@@ -569,6 +578,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
       params.trace->triads.push_back(rec);
     }
   }
+  laps.lap("phase4a-pairs");
 
   // --------------------------------------------------------------- Phase 4B
   // Two deg+1-list instances (Lemma 17).
@@ -620,6 +630,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
   }
   for (const NodeId v : hard_nodes)
     DC_CHECK_MSG(color[v] != kNoColor, "hard vertex " << v << " uncolored");
+  laps.lap("phase4b-rest");
   return out;
 }
 

@@ -79,6 +79,46 @@ TEST(RoundAccounting, LedgerTotalsMatchPhaseSums) {
   EXPECT_GT(res.ledger.phase_total("acd"), 0);
 }
 
+TEST(RoundAccounting, DeterministicChargesWallClockToEveryPhase) {
+  // det times acd, loopholes, each Algorithm 2 phase and the easy layers
+  // under their round labels, so every phase that charges rounds also
+  // charges milliseconds. The per-phase rounds are pinned: timing must not
+  // move them.
+  struct Case {
+    CliqueInstance inst;
+    std::vector<std::pair<std::string, std::int64_t>> rounds;
+  };
+  const Case cases[] = {
+      {bench::hard_instance(32, 16, 7),
+       {{"acd", 45},
+        {"loopholes", 6},
+        {"phase1-matching", 16},
+        {"phase1-heg", 6},
+        {"phase2-split", 315},
+        {"phase3-triads", 2},
+        {"phase4a-pairs", 192},
+        {"phase4b-rest", 109}}},
+      {bench::mixed_instance(24, 16, 0.2, 9),
+       {{"acd", 45},
+        {"loopholes", 6},
+        {"phase1-matching", 16},
+        {"phase3-triads", 2},
+        {"phase4a-pairs", 0},
+        {"phase4b-rest", 100},
+        {"easy-ruling", 35},
+        {"easy-bfs", 2},
+        {"easy-layers", 105},
+        {"easy-loopholes", 3}}},
+  };
+  for (const Case& c : cases) {
+    const auto res = delta_color_dense(c.inst.graph, scaled_options(16));
+    ASSERT_TRUE(res.valid);
+    EXPECT_EQ(res.ledger.phases(), c.rounds);
+    for (const auto& [phase, rounds] : res.ledger.phases())
+      if (rounds > 0) EXPECT_GT(res.ledger.phase_time(phase), 0.0) << phase;
+  }
+}
+
 TEST(RoundAccounting, RandomizedAdversarialIds) {
   CliqueInstance inst = bench::hard_instance(24, 16, 5);
   std::vector<std::uint64_t> ids(inst.graph.num_nodes());
