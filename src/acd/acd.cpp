@@ -10,26 +10,6 @@ namespace deltacolor {
 
 namespace {
 
-// |N(u) ∩ N(v)| for adjacent u, v via sorted-adjacency intersection.
-int common_neighbors(const Graph& g, NodeId u, NodeId v) {
-  const auto a = g.neighbors(u);
-  const auto b = g.neighbors(v);
-  int count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
 int neighbors_in(const Graph& g, NodeId v, const std::vector<int>& clique_of,
                  int c) {
   int count = 0;
@@ -59,10 +39,23 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
   const double dense_threshold = (1.0 - eta) * delta;
 
   // Round 1: mark friend edges; round 2: count friend neighbors.
+  // |N(u) ∩ N(v)| per edge (u, v), u < v: N(u) is stamped once per u, and
+  // each higher neighbor's list is counted against the stamp.
   std::vector<bool> friendly(g.num_edges(), false);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    friendly[e] = common_neighbors(g, u, v) >= friend_threshold;
+  {
+    std::vector<NodeId> stamp(n, kNoNode);
+    for (NodeId u = 0; u < n; ++u) {
+      const auto nbrs = g.neighbors(u);
+      const auto inc = g.incident_edges(u);
+      for (const NodeId w : nbrs) stamp[w] = u;
+      const std::size_t first_higher = static_cast<std::size_t>(
+          std::upper_bound(nbrs.begin(), nbrs.end(), u) - nbrs.begin());
+      for (std::size_t i = first_higher; i < nbrs.size(); ++i) {
+        int common = 0;
+        for (const NodeId w : g.neighbors(nbrs[i])) common += stamp[w] == u;
+        friendly[inc[i]] = common >= friend_threshold;
+      }
+    }
   }
   std::vector<bool> dense(n, false);
   for (NodeId v = 0; v < n; ++v) {

@@ -1,7 +1,10 @@
 #include "core/loopholes.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -110,6 +113,20 @@ LoopholeSet find_loopholes_bruteforce(const Graph& g, int max_vertices) {
 
 namespace {
 
+// One AC pair {lo, hi}, lo < hi, joined by at least one cross edge, with
+// its first two cross edges by edge id (edges[1] is kNoEdge for one edge).
+struct AcPair {
+  int lo = 0;
+  int hi = 0;
+  std::array<EdgeId, 2> edges{kNoEdge, kNoEdge};
+};
+
+// Sort key of the AC pair {a, b}: the lower AC in the high word.
+std::uint64_t pair_key(int a, int b) {
+  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) |
+         static_cast<std::uint64_t>(std::max(a, b));
+}
+
 // Common neighbors of u1, u2 restricted to clique `members`, excluding the
 // given vertices; returns up to `want`.
 std::vector<NodeId> common_in(const Graph& g, const std::vector<NodeId>& pool,
@@ -175,9 +192,10 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
 
   // (c) outsiders with two neighbors in a foreign AC:
   // witness 4-cycle w-u1-c1-u2 with c1 in the AC non-adjacent to w.
+  std::vector<std::pair<int, NodeId>> by_ac;
   for (NodeId w = 0; w < n; ++w) {
     // Group neighbors by foreign AC.
-    std::vector<std::pair<int, NodeId>> by_ac;
+    by_ac.clear();
     for (const NodeId u : g.neighbors(w)) {
       const int c = acd.clique_of[u];
       if (c == -1 || c == acd.clique_of[w]) continue;
@@ -202,25 +220,45 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
     }
   }
 
-  // Cross-edge bookkeeping for (d), (e), (f): up to two witnesses per AC
-  // pair.
-  std::map<std::pair<int, int>, std::vector<EdgeId>> pair_edges;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    const int cu = acd.clique_of[u], cv = acd.clique_of[v];
-    if (cu == -1 || cv == -1 || cu == cv) continue;
-    auto& lst = pair_edges[{std::min(cu, cv), std::max(cu, cv)}];
-    if (lst.size() < 2) lst.push_back(e);
+  // Cross-edge bookkeeping for (d), (e), (f): the AC-pair index holds one
+  // entry per linked AC pair in key order, with the pair's first two cross
+  // edges by edge id as witnesses; sorting the cross edges once builds it.
+  // The largest cross degree decides whether (f) has anything to search.
+  std::vector<std::pair<std::uint64_t, EdgeId>> cross;  // (pair key, edge)
+  int max_cross_degree = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const int cu = acd.clique_of[u];
+    if (cu == -1) continue;
+    const auto nbrs = g.neighbors(u);
+    const auto inc = g.incident_edges(u);
+    int cross_degree = 0;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const int cv = acd.clique_of[nbrs[i]];
+      if (cv == -1 || cv == cu) continue;
+      ++cross_degree;
+      if (nbrs[i] > u) cross.emplace_back(pair_key(cu, cv), inc[i]);
+    }
+    max_cross_degree = std::max(max_cross_degree, cross_degree);
+  }
+  std::sort(cross.begin(), cross.end());
+  std::vector<AcPair> pairs;
+  for (const auto& [key, e] : cross) {
+    if (pairs.empty() || pair_key(pairs.back().lo, pairs.back().hi) != key) {
+      pairs.push_back({static_cast<int>(key >> 32),
+                       static_cast<int>(key & 0xffffffffu), {e, kNoEdge}});
+    } else if (pairs.back().edges[1] == kNoEdge) {
+      pairs.back().edges[1] = e;
+    }
   }
 
   // (d) doubly-linked AC pairs: 4-cycle across the two cross edges.
-  for (const auto& [key, lst] : pair_edges) {
-    if (lst.size() < 2) continue;
-    auto [a1, b1] = g.endpoints(lst[0]);
-    auto [a2, b2] = g.endpoints(lst[1]);
-    // Normalize sides: a* in key.first's AC.
-    if (acd.clique_of[a1] != key.first) std::swap(a1, b1);
-    if (acd.clique_of[a2] != key.first) std::swap(a2, b2);
+  for (const AcPair& p : pairs) {
+    if (p.edges[1] == kNoEdge) continue;
+    auto [a1, b1] = g.endpoints(p.edges[0]);
+    auto [a2, b2] = g.endpoints(p.edges[1]);
+    // Normalize sides: a* in the lower AC.
+    if (acd.clique_of[a1] != p.lo) std::swap(a1, b1);
+    if (acd.clique_of[a2] != p.lo) std::swap(a2, b2);
     if (a1 == a2 || b1 == b2) continue;            // case (c) territory
     if (!g.has_edge(a1, a2) || !g.has_edge(b1, b2)) continue;
     if (g.has_edge(a1, b2) || g.has_edge(a2, b1)) continue;  // (c) catches
@@ -231,100 +269,129 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
   // edges if the connector parity works out (always does when every vertex
   // has a single cross edge).
   {
-    // AC adjacency lists.
-    std::vector<std::vector<int>> ac_nbrs(acd.cliques.size());
-    for (const auto& [key, lst] : pair_edges) {
-      (void)lst;
-      ac_nbrs[static_cast<std::size_t>(key.first)].push_back(key.second);
-      ac_nbrs[static_cast<std::size_t>(key.second)].push_back(key.first);
+    // Per-AC neighbor lists in CSR form, each entry (neighbor AC, pair
+    // index). Filling in key order leaves every list ascending: the pairs
+    // (y, c) with y < c precede the pairs (c, x).
+    const std::size_t num_ac = acd.cliques.size();
+    std::vector<std::size_t> off(num_ac + 1, 0);
+    for (const AcPair& p : pairs) {
+      ++off[static_cast<std::size_t>(p.lo) + 1];
+      ++off[static_cast<std::size_t>(p.hi) + 1];
     }
-    auto linked = [&](int x, int y) {
-      return pair_edges.count({std::min(x, y), std::max(x, y)}) > 0;
+    for (std::size_t c = 0; c < num_ac; ++c) off[c + 1] += off[c];
+    std::vector<std::pair<int, std::size_t>> ac_nbrs(off[num_ac]);
+    {
+      std::vector<std::size_t> fill(off.begin(), off.end() - 1);
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        ac_nbrs[fill[static_cast<std::size_t>(pairs[k].lo)]++] = {
+            pairs[k].hi, k};
+        ac_nbrs[fill[static_cast<std::size_t>(pairs[k].hi)]++] = {
+            pairs[k].lo, k};
+      }
+    }
+    const auto nbrs_of = [&](int c) {
+      return std::span<const std::pair<int, std::size_t>>(
+          ac_nbrs.data() + off[static_cast<std::size_t>(c)],
+          ac_nbrs.data() + off[static_cast<std::size_t>(c) + 1]);
     };
-    for (std::size_t c1 = 0; c1 < acd.cliques.size(); ++c1) {
-      const auto& nb = ac_nbrs[c1];
-      for (std::size_t i = 0; i < nb.size(); ++i) {
-        for (std::size_t j = i + 1; j < nb.size(); ++j) {
-          const int c2 = std::min(nb[i], nb[j]), c3 = std::max(nb[i], nb[j]);
-          if (static_cast<int>(c1) > c2) continue;  // canonical: c1 < c2 < c3
-          if (!linked(c2, c3)) continue;
+    // Pair index of {x, y}, x < y, by binary search in x's list; -1 if the
+    // two ACs share no cross edge.
+    const auto find_pair = [&](int x, int y) -> std::ptrdiff_t {
+      const auto nb = nbrs_of(x);
+      const auto it = std::lower_bound(
+          nb.begin(), nb.end(), y,
+          [](const std::pair<int, std::size_t>& a, int b) {
+            return a.first < b;
+          });
+      if (it == nb.end() || it->first != y) return -1;
+      return static_cast<std::ptrdiff_t>(it->second);
+    };
+    for (std::size_t c1 = 0; c1 < num_ac; ++c1) {
+      const auto nb = nbrs_of(static_cast<int>(c1));
+      // Canonical c1 < c2 < c3: skip the neighbors below c1.
+      const auto lower = std::upper_bound(
+          nb.begin(), nb.end(), static_cast<int>(c1),
+          [](int a, const std::pair<int, std::size_t>& b) {
+            return a < b.first;
+          });
+      for (auto i = lower; i != nb.end(); ++i) {
+        for (auto j = i + 1; j != nb.end(); ++j) {
+          const int c2 = i->first, c3 = j->first;
+          const std::ptrdiff_t k23 = find_pair(c2, c3);
+          if (k23 < 0) continue;
           // Try the stored witness combinations for an even assembly.
-          const auto& e12 =
-              pair_edges[{std::min<int>(c1, c2), std::max<int>(c1, c2)}];
-          const auto& e23 = pair_edges[{c2, c3}];
-          const auto& e31 =
-              pair_edges[{std::min<int>(c1, c3), std::max<int>(c1, c3)}];
-          bool added = false;
-          for (const EdgeId f12 : e12) {
-            for (const EdgeId f23 : e23) {
-              for (const EdgeId f31 : e31) {
-                if (added) break;
-                auto [a, b] = g.endpoints(f12);  // a in C1, b in C2
-                if (acd.clique_of[a] != static_cast<int>(c1))
-                  std::swap(a, b);
-                auto [cc, d] = g.endpoints(f23);  // cc in C2, d in C3
-                if (acd.clique_of[cc] != c2) std::swap(cc, d);
-                auto [x, y] = g.endpoints(f31);  // x in C3, y in C1
-                if (acd.clique_of[x] != c3) std::swap(x, y);
-                std::vector<NodeId> cyc{a, b};
-                if (cc != b) cyc.push_back(cc);
-                cyc.push_back(d);
-                if (x != d) cyc.push_back(x);
-                if (y != a) cyc.push_back(y);
-                if (cyc.size() % 2 != 0) continue;
-                Loophole cand{cyc};
-                if (is_valid_loophole(g, cand)) {
-                  acc.add(std::move(cand));
-                  added = true;
+          const auto& e12 = pairs[i->second].edges;
+          const auto& e23 = pairs[static_cast<std::size_t>(k23)].edges;
+          const auto& e31 = pairs[j->second].edges;
+          const auto try_assemble = [&]() {
+            for (const EdgeId f12 : e12) {
+              if (f12 == kNoEdge) break;
+              for (const EdgeId f23 : e23) {
+                if (f23 == kNoEdge) break;
+                for (const EdgeId f31 : e31) {
+                  if (f31 == kNoEdge) break;
+                  auto [a, b] = g.endpoints(f12);  // a in C1, b in C2
+                  if (acd.clique_of[a] != static_cast<int>(c1))
+                    std::swap(a, b);
+                  auto [cc, d] = g.endpoints(f23);  // cc in C2, d in C3
+                  if (acd.clique_of[cc] != c2) std::swap(cc, d);
+                  auto [x, y] = g.endpoints(f31);  // x in C3, y in C1
+                  if (acd.clique_of[x] != c3) std::swap(x, y);
+                  std::vector<NodeId> cyc{a, b};
+                  if (cc != b) cyc.push_back(cc);
+                  cyc.push_back(d);
+                  if (x != d) cyc.push_back(x);
+                  if (y != a) cyc.push_back(y);
+                  if (cyc.size() % 2 != 0) continue;
+                  Loophole cand{cyc};
+                  if (is_valid_loophole(g, cand)) {
+                    acc.add(std::move(cand));
+                    return;
+                  }
                 }
               }
-              if (added) break;
             }
-            if (added) break;
-          }
+          };
+          try_assemble();
         }
       }
     }
   }
 
   // (f) short cycles of the cross-edge subgraph (only possible when
-  // vertices carry two or more cross edges).
-  {
-    std::vector<std::pair<NodeId, NodeId>> cross;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto [u, v] = g.endpoints(e);
-      const int cu = acd.clique_of[u], cv = acd.clique_of[v];
-      if (cu != -1 && cv != -1 && cu != cv) cross.emplace_back(u, v);
-    }
-    const Graph cross_graph(n, std::move(cross));
-    if (cross_graph.max_degree() >= 2) {
-      std::vector<NodeId> path;
-      for (NodeId v = 0; v < n; ++v) {
-        if (res.vote_of[v] != -1) continue;
-        path.assign(1, v);
-        bool found = false;
-        auto dfs = [&](auto&& self, NodeId x) -> void {
+  // vertices carry two or more cross edges, so the subgraph is built only
+  // then).
+  if (max_cross_degree >= 2) {
+    std::vector<std::pair<NodeId, NodeId>> cross_edges;
+    cross_edges.reserve(cross.size());
+    for (const auto& [key, e] : cross) cross_edges.push_back(g.endpoints(e));
+    const Graph cross_graph(n, std::move(cross_edges));
+    std::vector<NodeId> path;
+    for (NodeId v = 0; v < n; ++v) {
+      if (res.vote_of[v] != -1) continue;
+      path.assign(1, v);
+      bool found = false;
+      auto dfs = [&](auto&& self, NodeId x) -> void {
+        if (found) return;
+        for (const NodeId y : cross_graph.neighbors(x)) {
           if (found) return;
-          for (const NodeId y : cross_graph.neighbors(x)) {
-            if (found) return;
-            if (y == v && path.size() >= 4 && path.size() % 2 == 0) {
-              Loophole cand{path};
-              if (is_valid_loophole(g, cand)) {
-                acc.add(cand);
-                found = true;
-                return;
-              }
+          if (y == v && path.size() >= 4 && path.size() % 2 == 0) {
+            Loophole cand{path};
+            if (is_valid_loophole(g, cand)) {
+              acc.add(cand);
+              found = true;
+              return;
             }
-            if (y == v || static_cast<int>(path.size()) >= 6) continue;
-            if (std::find(path.begin(), path.end(), y) != path.end())
-              continue;
-            path.push_back(y);
-            self(self, y);
-            path.pop_back();
           }
-        };
-        dfs(dfs, v);
-      }
+          if (y == v || static_cast<int>(path.size()) >= 6) continue;
+          if (std::find(path.begin(), path.end(), y) != path.end())
+            continue;
+          path.push_back(y);
+          self(self, y);
+          path.pop_back();
+        }
+      };
+      dfs(dfs, v);
     }
   }
 

@@ -40,7 +40,9 @@ bool parse_int(std::string_view v, std::int64_t* out) {
   if (v.empty()) return false;
   errno = 0;
   char* rest = nullptr;
-  const long long n = std::strtoll(std::string(v).c_str(), &rest, 10);
+  // `rest` points into `text`, so the string outlives the check.
+  const std::string text(v);
+  const long long n = std::strtoll(text.c_str(), &rest, 10);
   if (errno != 0 || rest == nullptr || *rest != '\0') return false;
   *out = n;
   return true;
@@ -50,7 +52,8 @@ bool parse_double(std::string_view v, double* out) {
   if (v.empty()) return false;
   errno = 0;
   char* rest = nullptr;
-  const double x = std::strtod(std::string(v).c_str(), &rest);
+  const std::string text(v);
+  const double x = std::strtod(text.c_str(), &rest);
   if (errno != 0 || rest == nullptr || *rest != '\0') return false;
   *out = x;
   return true;

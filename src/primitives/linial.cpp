@@ -18,9 +18,15 @@ std::uint64_t linial_pow_sat(std::uint64_t q, int e) {
 }
 
 int linial_degree_for(std::uint64_t q, std::uint64_t max_val) {
+  // A saturated power stands for a true power above 2^64 - 1 (which is no
+  // perfect power), so it exceeds every max_val, 2^64 - 1 included.
+  constexpr std::uint64_t kSaturated = ~std::uint64_t{0};
   int d = 0;
-  while (linial_pow_sat(q, d + 1) <= max_val) ++d;
-  return d;
+  for (;;) {
+    const std::uint64_t p = linial_pow_sat(q, d + 1);
+    if (p == kSaturated || p > max_val) return d;
+    ++d;
+  }
 }
 
 std::pair<std::uint64_t, int> linial_choose_field(int delta,

@@ -45,6 +45,41 @@ int linial_degree_for(std::uint64_t q, std::uint64_t max_val);
 std::pair<std::uint64_t, int> linial_choose_field(int delta,
                                                   std::uint64_t max_val);
 
+/// Exact division by a fixed q >= 2 through a precomputed reciprocal
+/// (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation"):
+/// with M = ceil(2^128 / q), floor(n / q) = floor(M * n / 2^128) for every
+/// 64-bit n. Writing M * q = 2^128 + e with 0 <= e < q, the error term
+/// n * e / 2^128 stays below 1 because n < 2^64 and e < q < 2^64, so one
+/// form covers the 64-bit LOCAL ids of the first stage and every Horner
+/// intermediate (< q^2) alike. Two 64x64->128 multiplies per quotient and
+/// one more per remainder replace the hardware divide.
+class LinialReciprocal {
+ public:
+  explicit LinialReciprocal(std::uint64_t q) : q_(q) {
+    DC_DCHECK(q >= 2);
+    using u128 = unsigned __int128;
+    const u128 m = ~u128{0} / q + 1;  // ceil(2^128 / q) for q >= 2
+    m_lo_ = static_cast<std::uint64_t>(m);
+    m_hi_ = static_cast<std::uint64_t>(m >> 64);
+  }
+
+  std::uint64_t divisor() const { return q_; }
+
+  std::uint64_t div(std::uint64_t n) const {
+    using u128 = unsigned __int128;
+    const u128 lo = static_cast<u128>(m_lo_) * n;
+    const u128 hi = static_cast<u128>(m_hi_) * n + (lo >> 64);
+    return static_cast<std::uint64_t>(hi >> 64);
+  }
+
+  std::uint64_t mod(std::uint64_t n) const { return n - div(n) * q_; }
+
+ private:
+  std::uint64_t q_;
+  std::uint64_t m_lo_ = 0;
+  std::uint64_t m_hi_ = 0;
+};
+
 }  // namespace detail
 
 /// Generic reduction over any GraphView. `initial` must be a proper
@@ -80,11 +115,23 @@ LinialResult linial_reduce(const ViewT& view,
   const ShardFlag fail_flag = runner.ship_flag(failed);
 
   // One stage = one engine round with stage-specific (q, d); the step
-  // closure is rebuilt per stage with those scalars captured by value, so
-  // its byte image is self-contained and the stage is dispatchable to the
-  // persistent shard pool (shard_safe below).
+  // closure is rebuilt per stage with those scalars (and q's reciprocal)
+  // captured by value, so its byte image is self-contained and the stage
+  // is dispatchable to the persistent shard pool (shard_safe below). The
+  // step allocates nothing beyond its arena frame and keeps no per-node
+  // state between rounds.
   const auto make_step = [&](std::uint64_t q, int d) {
-    return shard_safe([q, d, fail_flag](const auto& v) -> std::uint64_t {
+    return shard_safe([rq = detail::LinialReciprocal(q), q, d,
+                       fail_flag](const auto& v) -> std::uint64_t {
+    // Point x = 0 first: every polynomial evaluates there to its constant
+    // digit c mod q, so one reduction per neighbor settles the node unless
+    // some neighbor shares that digit.
+    const std::uint64_t mine0 = rq.mod(v.self());
+    bool collides = false;
+    v.for_each_neighbor([&](NodeId u) {
+      if (u != v.node() && rq.mod(v.neighbor(u)) == mine0) collides = true;
+    });
+    if (!collides) return mine0;  // x * q + p(x) at x = 0
     // Decompose the closed neighborhood's colors into base-q coefficient
     // vectors (the "message" each neighbor publishes is its polynomial).
     // Scratch lives in the worker's round-local arena (one frame per
@@ -96,32 +143,29 @@ LinialResult linial_reduce(const ViewT& view,
     std::uint32_t* self_coeff = frame.alloc<std::uint32_t>(terms);
     std::uint32_t* nbr_coeff = frame.alloc<std::uint32_t>(
         (static_cast<std::size_t>(v.degree()) + 1) * terms);
-    {
-      std::uint64_t c = v.self();
+    const auto decompose = [&](std::uint64_t c, std::uint32_t* out) {
       for (std::size_t i = 0; i < terms; ++i) {
-        self_coeff[i] = static_cast<std::uint32_t>(c % q);
-        c /= q;
+        const std::uint64_t next = rq.div(c);
+        out[i] = static_cast<std::uint32_t>(c - next * q);
+        c = next;
       }
-    }
+    };
+    decompose(v.self(), self_coeff);
     std::size_t nbrs = 0;
     v.for_each_neighbor([&](NodeId u) {
       if (u == v.node()) return;
-      std::uint64_t c = v.neighbor(u);
-      std::uint32_t* out = nbr_coeff + nbrs * terms;
-      for (std::size_t i = 0; i < terms; ++i) {
-        out[i] = static_cast<std::uint32_t>(c % q);
-        c /= q;
-      }
+      decompose(v.neighbor(u), nbr_coeff + nbrs * terms);
       ++nbrs;
     });
     const auto eval = [&](const std::uint32_t* a, std::uint64_t x) {
       std::uint64_t acc = 0;
-      for (int i = d; i >= 0; --i) acc = (acc * x + a[i]) % q;
+      for (int i = d; i >= 0; --i) acc = rq.mod(acc * x + a[i]);
       return acc;
     };
-    // Scan evaluation points until one separates this node from every
-    // neighbor; guaranteed to exist since bad points number <= Delta*d < q.
-    for (std::uint64_t x = 0; x < q; ++x) {
+    // Scan the remaining evaluation points until one separates this node
+    // from every neighbor; guaranteed to exist since bad points number
+    // <= Delta*d < q.
+    for (std::uint64_t x = 1; x < q; ++x) {
       const std::uint64_t mine = eval(self_coeff, x);
       bool ok = true;
       for (std::size_t j = 0; j < nbrs && ok; ++j) {

@@ -72,6 +72,23 @@ TEST(FaultSpecGrammar, ParsesCoordinatesAndPayloads) {
   EXPECT_FALSE(parse_fault_spec("engine-exception@cell=", &out));
 }
 
+// The numeric parsers inspect the end pointer strtoll/strtod leave behind;
+// it must still point into live text when it is read (ASan flags a
+// temporary string here as stack-use-after-scope).
+TEST(FaultSpecGrammar, NumbersRejectTrailingTextAndOverflow) {
+  FaultSpec out;
+  EXPECT_TRUE(parse_fault_spec("engine-exception@cell=12,round=345", &out));
+  EXPECT_EQ(out.cell, 12);
+  EXPECT_EQ(out.round, 345);
+  EXPECT_FALSE(parse_fault_spec("engine-exception@cell=3x", &out));
+  EXPECT_FALSE(parse_fault_spec("engine-exception@round=7 ", &out));
+  EXPECT_FALSE(
+      parse_fault_spec("engine-exception@cell=99999999999999999999", &out));
+  EXPECT_TRUE(parse_fault_spec("wall-clock-timeout@sleep_ms=2.25", &out));
+  EXPECT_DOUBLE_EQ(out.sleep_ms, 2.25);
+  EXPECT_FALSE(parse_fault_spec("wall-clock-timeout@sleep_ms=1.5ms", &out));
+}
+
 TEST(FaultMatrix, EngineExceptionIsCaughtAndQuarantined) {
   ArmedScope armed({spec_of("engine-exception@cell=2,attempts=0")});
   SweepOptions opt;

@@ -456,9 +456,11 @@ TEST(SteadyState, EngineRoundsAreAllocationFree) {
     std::size_t i = 0;
     scratch[i++] = view.self();
     for (const NodeId u : view.neighbors()) scratch[i++] = view.neighbor(u);
-    int acc = view.round();
-    for (std::size_t j = 0; j < i; ++j) acc ^= scratch[j] * 31;
-    return acc;
+    // Unsigned, so the fold wraps instead of overflowing a signed int.
+    unsigned acc = static_cast<unsigned>(view.round());
+    for (std::size_t j = 0; j < i; ++j)
+      acc ^= static_cast<unsigned>(scratch[j]) * 31u;
+    return static_cast<int>(acc);
   };
   auto never = [](const std::vector<int>&) { return false; };
   runner.run(4, step, never);  // warm-up: arena reaches high water
