@@ -368,7 +368,7 @@ class SweepDriver {
       // One pool slot per sweep worker; inside a slot, cells are claimed
       // off a shared counter so a slow cell does not idle the other
       // workers. Cell i only ever writes rows[i] / ledgers[i] / errors[i].
-      EngineOptions serial = options_.cell_engine;  // keeps backend etc.
+      EngineOptions serial = options_.cell_engine;  // keeps frontier
       serial.num_threads = 1;
       std::vector<std::exception_ptr> errors(num_cells);
       std::atomic<std::size_t> next{0};

@@ -25,17 +25,9 @@
 
 namespace deltacolor {
 
-/// Failure taxonomy. kProcessKill, kWorkerHang and kTornSlab never appear
-/// in a CellError — they are FaultInjector-only actions (simulating a
-/// SIGKILL mid-sweep for the journal/--resume round-trip tests, killing or
-/// hanging one shard worker when the spec carries round/shard coordinates,
-/// or publishing a deliberately corrupt halo slab). A shard worker that
-/// dies under the proc backend surfaces in the *coordinator* as
-/// kWorkerDeath (control-channel EOF) or kWorkerStall (live process whose
-/// barrier epoch stopped advancing past the watchdog deadline); both flow
-/// through the pool's respawn/replay recovery first and only reach the
-/// retry/quarantine policy once the respawn budget is exhausted with
-/// degradation disabled.
+/// Failure taxonomy. kProcessKill never appears in a CellError — it is a
+/// FaultInjector-only action (simulating a SIGKILL mid-sweep for the
+/// journal/--resume round-trip tests).
 enum class FaultCategory {
   kInvariantViolation,   ///< oracle found an improper partial/final coloring
   kRoundBudgetExceeded,  ///< cell consumed more simulated rounds than allowed
@@ -43,10 +35,6 @@ enum class FaultCategory {
   kAllocationLimit,      ///< scratch arena byte budget exhausted
   kEngineException,      ///< any other exception escaping the cell
   kProcessKill,          ///< injector-only: hard process exit (resume tests)
-  kWorkerDeath,          ///< a shard worker process died mid-stage (EOF)
-  kWorkerStall,          ///< a live shard worker stopped advancing its epoch
-  kWorkerHang,           ///< injector-only: spin a shard worker forever
-  kTornSlab,             ///< injector-only: publish a corrupt halo slab
 };
 
 constexpr std::string_view to_string(FaultCategory c) {
@@ -57,10 +45,6 @@ constexpr std::string_view to_string(FaultCategory c) {
     case FaultCategory::kAllocationLimit: return "allocation-limit";
     case FaultCategory::kEngineException: return "engine-exception";
     case FaultCategory::kProcessKill: return "process-kill";
-    case FaultCategory::kWorkerDeath: return "worker-death";
-    case FaultCategory::kWorkerStall: return "worker-stall";
-    case FaultCategory::kWorkerHang: return "worker-hang";
-    case FaultCategory::kTornSlab: return "torn-slab";
   }
   return "unknown";
 }
@@ -71,9 +55,7 @@ inline bool parse_fault_category(std::string_view name, FaultCategory* out) {
   for (const FaultCategory c :
        {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,
         FaultCategory::kWallClockTimeout, FaultCategory::kAllocationLimit,
-        FaultCategory::kEngineException, FaultCategory::kProcessKill,
-        FaultCategory::kWorkerDeath, FaultCategory::kWorkerStall,
-        FaultCategory::kWorkerHang, FaultCategory::kTornSlab}) {
+        FaultCategory::kEngineException, FaultCategory::kProcessKill}) {
     if (name == to_string(c)) {
       *out = c;
       return true;

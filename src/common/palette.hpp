@@ -256,27 +256,10 @@ class ColorLists {
   /// the PaletteSet width bound for these lists is max_color() + 1.
   Color max_color() const { return max_color_; }
 
-  /// Raw storage accessors for shipping the lists into a shared-memory
-  /// plane (local/sync_runner.hpp): offsets (size() + 1 entries, leading 0)
-  /// and the flat color array they index.
-  const std::vector<std::uint32_t>& raw_offsets() const { return offsets_; }
-  const std::vector<Color>& raw_flat() const { return flat_; }
-
  private:
   std::vector<std::uint32_t> offsets_{0};
   std::vector<Color> flat_;
   Color max_color_ = kNoColor;
-};
-
-/// Non-owning trivially-copyable view of a ColorLists, suitable for
-/// capture-by-value in closures shipped to shard pool workers (the two
-/// pointers target plane-resident copies made by SyncRunner::ship).
-struct ColorListsRef {
-  const std::uint32_t* offsets = nullptr;  ///< size() + 1 entries, [0] == 0
-  const Color* flat = nullptr;
-  std::span<const Color> operator[](std::size_t v) const {
-    return {flat + offsets[v], flat + offsets[v + 1]};
-  }
 };
 
 }  // namespace deltacolor

@@ -268,6 +268,13 @@ std::vector<NodeId> short_cycle_pivots(const Graph& g, int cap) {
 
 }  // namespace
 
+int min_blowup_cliques(int delta, int clique_size) {
+  DC_CHECK(clique_size >= 3 && clique_size <= delta);
+  const int e = delta - clique_size + 1;
+  // A request for no cliques comes back at the supergraph's minimum side.
+  return 2 * make_supergraph(0, clique_size * e, /*need_sidon=*/e > 1).side;
+}
+
 CliqueInstance clique_blowup_instance(const CliqueInstanceOptions& options) {
   const int s = options.clique_size;
   const int delta = options.delta;

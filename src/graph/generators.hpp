@@ -72,6 +72,12 @@ struct CliqueInstance {
 /// easified cliques). With easy_fraction == 0 every clique is hard.
 CliqueInstance clique_blowup_instance(const CliqueInstanceOptions& options);
 
+/// Smallest clique count clique_blowup_instance produces for (delta,
+/// clique_size): its bipartite supergraph needs a minimum side (Sidon
+/// shifts when clique_size < delta), and smaller num_cliques requests are
+/// rounded up to it. Requires 3 <= clique_size <= delta.
+int min_blowup_cliques(int delta, int clique_size);
+
 /// Ring of t s-cliques where only two designated vertices per clique carry a
 /// cross edge (to the previous/next clique). Delta equals s; vertices with
 /// no cross edge have degree s - 1 < Delta, so every clique is easy.

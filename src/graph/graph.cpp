@@ -230,55 +230,6 @@ Graph::ExternalCsr Graph::external_view() const {
   return csr;
 }
 
-Graph Graph::legacy_build(NodeId num_nodes,
-                          std::vector<std::pair<NodeId, NodeId>> edges) {
-  Graph g;
-  for (auto& [u, v] : edges) {
-    DC_CHECK_MSG(u != v, "self loop at node " << u);
-    DC_CHECK_MSG(u < num_nodes && v < num_nodes,
-                 "edge (" << u << "," << v << ") out of range n=" << num_nodes);
-    if (u > v) std::swap(u, v);
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  g.edges_ = std::move(edges);
-
-  g.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (const auto& [u, v] : g.edges_) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
-  }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
-
-  g.adjacency_.resize(g.edges_.size() * 2);
-  g.arc_edge_.resize(g.edges_.size() * 2);
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (EdgeId e = 0; e < g.edges_.size(); ++e) {
-    const auto [u, v] = g.edges_[e];
-    g.adjacency_[cursor[u]] = v;
-    g.arc_edge_[cursor[u]++] = e;
-    g.adjacency_[cursor[v]] = u;
-    g.arc_edge_[cursor[v]++] = e;
-  }
-  // Sort each node's arcs by neighbor index, keeping arc_edge_ aligned.
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    const std::size_t lo = g.offsets_[v], hi = g.offsets_[v + 1];
-    std::vector<std::pair<NodeId, EdgeId>> arcs;
-    arcs.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i)
-      arcs.emplace_back(g.adjacency_[i], g.arc_edge_[i]);
-    std::sort(arcs.begin(), arcs.end());
-    for (std::size_t i = lo; i < hi; ++i) {
-      g.adjacency_[i] = arcs[i - lo].first;
-      g.arc_edge_[i] = arcs[i - lo].second;
-    }
-    g.max_degree_ = std::max(g.max_degree_, static_cast<int>(hi - lo));
-  }
-  g.ids_ = identity_ids(num_nodes);
-  g.rebind_owned();
-  return g;
-}
-
 EdgeId Graph::edge_between(NodeId u, NodeId v) const {
   const auto nbrs = neighbors(u);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);

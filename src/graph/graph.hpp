@@ -65,9 +65,9 @@ class Graph {
   /// degree histogram → prefix offsets → scatter) buckets the edges, each
   /// node's small bucket is sorted and deduplicated independently, and the
   /// CSR arcs are materialized per node — no global comparison sort ever
-  /// runs. The result is bit-identical to the legacy sort+unique builder
-  /// (`legacy_build`, kept as the test oracle): same edge ids, offsets,
-  /// adjacency order, and arc/edge alignment.
+  /// runs. The result is bit-identical to the sort+unique builder it
+  /// replaced (kept as the oracle in tests/test_csr_builder.cpp): same edge
+  /// ids, offsets, adjacency order, and arc/edge alignment.
   Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 
   /// Same, with caller-declared structure (see EdgeListHints) and an
@@ -77,12 +77,6 @@ class Graph {
   /// the CSR is bit-identical to the serial build for any worker count.
   Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges,
         EdgeListHints hints, ThreadPool* pool = nullptr);
-
-  /// The pre-PR-4 sort+unique builder (global std::sort of the edge list,
-  /// then a per-node arc sort). Kept only as the equivalence oracle for
-  /// the counting-sort builder; do not use on hot paths.
-  static Graph legacy_build(NodeId num_nodes,
-                            std::vector<std::pair<NodeId, NodeId>> edges);
 
   /// Zero-copy adoption of externally owned CSR arrays (the mmap load
   /// path). `storage` is an opaque keep-alive: the Graph holds it for its

@@ -1,29 +1,13 @@
-// Vertex partitioner and shard manifest for the sharded execution backend.
+// Degree-balanced contiguous split of a graph's nodes.
 //
-// A shard split assigns every node to exactly one of `parts` contiguous
-// ranges whose (deg + 1)-weight sums are balanced — the same weighting the
-// engine's stable worker chunks use (sync_runner.hpp), shared here so one
-// definition serves both. On top of the ranges, ShardManifest precomputes
-// the halo-exchange tables a multi-process run needs at every round
-// barrier:
-//
-//   boundary[s]  owned nodes of shard s with at least one neighbor owned
-//                elsewhere — the only nodes whose state anyone else ever
-//                needs (ascending, so workers can emit changed-state
-//                records in a single ordered boundary scan);
-//   ghosts[s]    nodes owned elsewhere that some node of shard s reads —
-//                the slots a worker refreshes from incoming records each
-//                barrier (ascending, deduplicated);
-//   subscriber CSR  for boundary[s][i], the sorted shard ids that ghost
-//                that node; the coordinator routes a changed-state record
-//                to exactly these shards, so exchange volume is the cut,
-//                not the graph.
-//
-// Everything is a pure function of (degree sequence, adjacency, parts):
-// manifests are deterministic, and a 1-shard manifest has empty boundary /
-// ghost tables (the whole graph is interior).
+// degree_balanced_bounds assigns every node to exactly one of `parts`
+// contiguous ranges whose (deg + 1)-weight sums are balanced. The engine's
+// stable worker chunks (sync_runner.hpp) use it, so skewed-degree graphs
+// do not leave one worker as every round's straggler. The bounds are a
+// pure function of (degree sequence, parts, align).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -37,9 +21,8 @@ namespace deltacolor {
 /// Degree-balanced contiguous bounds over [0, n): part p owns nodes
 /// [bounds[p], bounds[p+1]) whose (deg + 1)-weight sums to ~1/parts of the
 /// total (2m + n). Boundaries round up to `align`-node groups (the engine
-/// uses 64 so a cache line of word-sized state never straddles workers;
-/// shard manifests use 1 — pure balance). Parts may exceed n; trailing
-/// parts are then empty. O(n).
+/// uses 64 so a cache line of word-sized state never straddles workers).
+/// Parts may exceed n; trailing parts are then empty. O(n).
 template <typename GraphT>
 std::vector<std::size_t> degree_balanced_bounds(const GraphT& g, int parts,
                                                 std::size_t align = 1) {
@@ -67,73 +50,5 @@ std::vector<std::size_t> degree_balanced_bounds(const GraphT& g, int parts,
   }
   return bounds;
 }
-
-/// A maximal contiguous range of nodes, [begin, end). ShardManifest uses
-/// runs to describe each shard's interior (owned nodes with no off-shard
-/// neighbor) so workers can schedule boundary nodes first and sweep the
-/// interior as a handful of dense ranges afterwards.
-struct NodeRun {
-  NodeId begin = 0;
-  NodeId end = 0;
-};
-
-/// A maximal run of one shard's ghost list owned by a single peer shard:
-/// ghosts[s][begin..end) all live in `peer`'s contiguous ownership range.
-/// Because ownership ranges are contiguous and ascending, a sorted ghost
-/// list splits into at most one run per peer — each run is one slab a
-/// worker reads from the shared halo plane per round.
-struct GhostRun {
-  int peer = 0;
-  std::uint32_t begin = 0;
-  std::uint32_t end = 0;
-};
-
-/// The static halo-exchange tables for one (graph, shard count) pair. Host
-/// graphs only: lazy views have no cheap global edge scan, and the proc
-/// backend runs host-graph stages anyway (everything else stays in-process).
-struct ShardManifest {
-  /// Contiguous ownership ranges: shard s owns [bounds[s], bounds[s+1]).
-  std::vector<std::size_t> bounds;
-  /// Per shard: owned nodes with an off-shard neighbor, ascending.
-  std::vector<std::vector<NodeId>> boundary;
-  /// Per shard: maximal contiguous runs of owned non-boundary nodes,
-  /// ascending and disjoint. boundary[s] and interior_runs[s] together
-  /// cover exactly [bounds[s], bounds[s+1]) — the boundary-first schedule:
-  /// a worker steps boundary[s], publishes its halo slab, then sweeps the
-  /// interior runs while peers already consume the slab.
-  std::vector<std::vector<NodeRun>> interior_runs;
-  /// Per shard: off-shard nodes read by this shard, ascending, unique.
-  std::vector<std::vector<NodeId>> ghosts;
-  /// Per shard: ghosts[s] partitioned into per-owner runs, ascending by
-  /// peer — a worker's per-round read set over the peers' halo slabs.
-  std::vector<std::vector<GhostRun>> ghost_runs;
-  /// Subscriber CSR aligned with boundary[s]: the shards ghosting
-  /// boundary[s][i] are sub_targets[s][sub_offsets[s][i] ..
-  /// sub_offsets[s][i+1]), sorted ascending.
-  std::vector<std::vector<std::uint32_t>> sub_offsets;
-  std::vector<std::vector<std::uint32_t>> sub_targets;
-  /// Per shard: edges with exactly one endpoint in the shard. Sums to
-  /// 2 * cut_edges across shards.
-  std::vector<std::uint64_t> boundary_edges;
-  /// Edges whose endpoints live in different shards, each counted once.
-  std::uint64_t cut_edges = 0;
-
-  int num_shards() const { return static_cast<int>(bounds.size()) - 1; }
-  std::size_t shard_size(int s) const {
-    return bounds[static_cast<std::size_t>(s) + 1] -
-           bounds[static_cast<std::size_t>(s)];
-  }
-  /// Owning shard of `v` (binary search over the contiguous bounds).
-  int owner(NodeId v) const;
-
-  /// Builds the manifest for `shards` degree-balanced contiguous ranges.
-  static ShardManifest build(const Graph& g, int shards);
-};
-
-/// Largest shard count <= `requested` for which every shard owns at least
-/// one node of `g` under degree-balanced bounds. Forking workers for empty
-/// shards wastes processes and skews accounting, so callers clamp before
-/// building a manifest. Always >= 1 (an empty graph still gets one shard).
-int effective_shard_count(const Graph& g, int requested);
 
 }  // namespace deltacolor

@@ -1,13 +1,12 @@
 #include "local/faults.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 
 #include "common/arena.hpp"
 #include "common/rng.hpp"
@@ -96,17 +95,15 @@ std::vector<std::string_view> category_names() {
   for (const FaultCategory c :
        {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,
         FaultCategory::kWallClockTimeout, FaultCategory::kAllocationLimit,
-        FaultCategory::kEngineException, FaultCategory::kProcessKill,
-        FaultCategory::kWorkerDeath, FaultCategory::kWorkerStall,
-        FaultCategory::kWorkerHang, FaultCategory::kTornSlab})
+        FaultCategory::kEngineException, FaultCategory::kProcessKill})
     names.push_back(to_string(c));
   return names;
 }
 
 const std::vector<std::string_view>& spec_keys() {
   static const std::vector<std::string_view> keys = {
-      "cell",     "round",        "node",    "shard",
-      "attempts", "extra_rounds", "sleep_ms", "phase"};
+      "cell", "round", "node", "attempts", "extra_rounds", "sleep_ms",
+      "phase"};
   return keys;
 }
 
@@ -152,7 +149,6 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out,
     if (key == "cell" && parse_int(value, &spec.cell)) continue;
     if (key == "round" && parse_int(value, &spec.round)) continue;
     if (key == "node" && parse_int(value, &spec.node)) continue;
-    if (key == "shard" && parse_int(value, &spec.shard)) continue;
     if (key == "phase" && !value.empty()) {
       spec.phase = std::string(value);
       continue;
@@ -177,109 +173,20 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out,
     }
     return false;
   }
+  // process-kill fires only at cell start, which probes with no round: a
+  // round coordinate would parse and then never fire.
+  if (spec.category == FaultCategory::kProcessKill && spec.round >= 0) {
+    if (error != nullptr)
+      *error = "process-kill takes no round= coordinate (it fires at cell "
+               "start)";
+    return false;
+  }
   *out = spec;
   return true;
 }
 
 bool parse_fault_spec(std::string_view text, FaultSpec* out) {
   return parse_fault_spec(text, out, nullptr);
-}
-
-void FaultInjector::snapshot(std::vector<FaultSpec>* specs,
-                             std::uint64_t* seed) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  specs->clear();
-  for (const ArmedSpec& armed : plan_) specs->push_back(armed.spec);
-  *seed = seed_;
-}
-
-FaultWire snapshot_fault_wire() {
-  FaultWire w;
-  w.armed = FaultInjector::armed();
-  w.cell = FaultInjector::current_cell();
-  w.attempt = FaultInjector::current_attempt();
-  if (w.armed) FaultInjector::global().snapshot(&w.specs, &w.seed);
-  return w;
-}
-
-namespace {
-
-template <typename T>
-void put_raw(const T& v, std::vector<std::uint8_t>* out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out->insert(out->end(), p, p + sizeof(T));
-}
-
-struct WireReader {
-  const std::uint8_t* p;
-  std::size_t left;
-  template <typename T>
-  T take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (left < sizeof(T))
-      throw std::runtime_error("torn fault wire in STAGE_BEGIN frame");
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    left -= sizeof(T);
-    return v;
-  }
-};
-
-}  // namespace
-
-void encode_fault_wire(const FaultWire& w, std::vector<std::uint8_t>* out) {
-  put_raw<std::uint8_t>(w.armed ? 1 : 0, out);
-  if (!w.armed) return;
-  put_raw(w.seed, out);
-  put_raw(w.cell, out);
-  put_raw<std::int32_t>(w.attempt, out);
-  put_raw<std::uint32_t>(static_cast<std::uint32_t>(w.specs.size()), out);
-  for (const FaultSpec& s : w.specs) {
-    put_raw<std::uint32_t>(static_cast<std::uint32_t>(s.category), out);
-    put_raw(s.cell, out);
-    put_raw(s.round, out);
-    put_raw(s.node, out);
-    put_raw(s.shard, out);
-    put_raw<std::int32_t>(s.attempts, out);
-    put_raw(s.extra_rounds, out);
-    put_raw(s.sleep_ms, out);
-    put_raw<std::uint32_t>(static_cast<std::uint32_t>(s.phase.size()), out);
-    out->insert(out->end(), s.phase.begin(), s.phase.end());
-  }
-}
-
-std::size_t decode_fault_wire(const std::uint8_t* data, std::size_t size,
-                              FaultWire* out) {
-  WireReader r{data, size};
-  *out = FaultWire{};
-  out->armed = r.take<std::uint8_t>() != 0;
-  if (!out->armed) return size - r.left;
-  out->seed = r.take<std::uint64_t>();
-  out->cell = r.take<std::int64_t>();
-  out->attempt = r.take<std::int32_t>();
-  const std::uint32_t count = r.take<std::uint32_t>();
-  out->specs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    FaultSpec s;
-    s.category = static_cast<FaultCategory>(r.take<std::uint32_t>());
-    s.cell = r.take<std::int64_t>();
-    s.round = r.take<std::int64_t>();
-    s.node = r.take<std::int64_t>();
-    s.shard = r.take<std::int64_t>();
-    s.attempts = r.take<std::int32_t>();
-    s.extra_rounds = r.take<std::int64_t>();
-    s.sleep_ms = r.take<double>();
-    const std::uint32_t phase_len = r.take<std::uint32_t>();
-    if (r.left < phase_len)
-      throw std::runtime_error("torn fault wire in STAGE_BEGIN frame");
-    s.phase.assign(reinterpret_cast<const char*>(r.p), phase_len);
-    r.p += phase_len;
-    r.left -= phase_len;
-    out->specs.push_back(std::move(s));
-  }
-  return size - r.left;
 }
 
 FaultInjector& FaultInjector::global() {
@@ -363,15 +270,13 @@ std::int64_t FaultInjector::current_cell() { return tls_cell; }
 int FaultInjector::current_attempt() { return tls_attempt; }
 
 bool FaultInjector::claim(FaultCategory category, std::int64_t round,
-                          std::string_view phase, FaultSpec* out,
-                          std::int64_t shard) {
+                          std::string_view phase, FaultSpec* out) {
   std::lock_guard<std::mutex> lock(mu_);
   for (ArmedSpec& armed : plan_) {
     const FaultSpec& s = armed.spec;
     if (s.category != category) continue;
     if (s.cell >= 0 && s.cell != tls_cell) continue;
     if (s.round >= 0 && s.round != round) continue;
-    if (s.shard >= 0 && s.shard != shard) continue;
     if (!s.phase.empty() && s.phase != phase) continue;
     if (s.attempts > 0 && tls_attempt >= s.attempts) continue;
     if (armed.fired_cell == tls_cell && armed.fired_attempt == tls_attempt)
@@ -420,30 +325,6 @@ void FaultInjector::on_engine_round(int round) {
   if (claim(FaultCategory::kEngineException, round, {}, &spec))
     throw std::runtime_error("injected engine exception (round " +
                              std::to_string(round) + ")");
-}
-
-void FaultInjector::on_shard_round(int shard, int round) {
-  FaultSpec spec;
-  // Round-coordinate process kills target the worker loop: the cell-start
-  // site never matches them (it probes with round = -1), and a spec
-  // *without* a round fires at cell start in the coordinator before any
-  // worker exists. A spec without shard= kills every matching worker — the
-  // injector state is per process, and each forked worker owns a copy.
-  if (claim(FaultCategory::kProcessKill, round, {}, &spec, shard))
-    std::_Exit(137);
-  // A hang keeps the process alive but silent: its barrier epoch cell
-  // stops advancing and its control channel stays open, which is exactly
-  // the failure mode the coordinator's stall watchdog exists to catch.
-  // Sleeping in 1ms slices burns no CPU and dies instantly to SIGKILL.
-  if (claim(FaultCategory::kWorkerHang, round, {}, &spec, shard)) {
-    for (;;)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-bool FaultInjector::on_slab_publish(int shard, int round) {
-  FaultSpec spec;
-  return claim(FaultCategory::kTornSlab, round, {}, &spec, shard);
 }
 
 void FaultInjector::on_alloc_growth(std::size_t bytes) {

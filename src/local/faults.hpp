@@ -17,25 +17,9 @@
 //                         oracle site so the --validate checker detects a
 //                         genuine monochromatic edge
 //   kProcessKill        — std::_Exit(137) at cell start, simulating a
-//                         SIGKILL mid-sweep for journal/--resume round-trips;
-//                         with round= (and optionally shard=) coordinates it
-//                         instead fires inside a proc-backend shard worker's
-//                         round loop, killing that worker process — the
-//                         coordinator detects the control-channel EOF and
-//                         runs the respawn/replay recovery (round=-1 specs
-//                         never match worker sites, and round>=0 specs never
-//                         match cell start)
-//   kWorkerHang         — spin a proc-backend shard worker forever at the
-//                         matched (round, shard) coordinate: the process
-//                         stays alive but its barrier epoch stops advancing,
-//                         exercising the coordinator's stall watchdog (the
-//                         spin sleeps in 1ms slices so it burns no CPU and
-//                         dies instantly to the watchdog's SIGKILL)
-//   kTornSlab           — publish a deliberately corrupt halo slab (bogus
-//                         record count) at the matched (round, shard), so a
-//                         peer's seqlock open() detects the tear and the
-//                         structured TransportError path is exercised end
-//                         to end
+//                         SIGKILL mid-sweep for journal/--resume round-trips
+//                         (cell start has no round, so a round= coordinate
+//                         is a parse error for this category)
 //
 // Determinism: a spec fires iff its coordinates match the thread-local
 // (cell, attempt) installed by the SweepDriver plus the probe-site (round,
@@ -54,15 +38,15 @@
 // per-binary wiring. Spec grammar:
 //   category@key=value,key=value,...
 // with category one of the to_string(FaultCategory) names and keys
-//   cell= round= phase= node= shard= attempts= extra_rounds= sleep_ms=
+//   cell= round= phase= node= attempts= extra_rounds= sleep_ms=
 // (attempts=N fires on the first N attempts of a cell, default 1, so a
 // retried cell succeeds; attempts=0 means every attempt, forcing
-// quarantine — or, for worker faults, exhausting the respawn budget).
-// A malformed DELTACOLOR_FAULTS value — unknown category, unknown key,
-// or a bad pair — is a hard error: the injector prints the offending
-// spec with a did-you-mean suggestion to stderr and exits with status 2,
-// because an armed fault plan that silently half-parses is worse than no
-// plan at all (the chaos test believes it is injecting and isn't).
+// quarantine). A malformed DELTACOLOR_FAULTS value — unknown category,
+// unknown key, a bad pair, or a coordinate the category can never match —
+// is a hard error: the injector prints the offending spec with a
+// did-you-mean suggestion to stderr and exits with status 2, because an
+// armed fault plan that silently half-parses is worse than no plan at all
+// (the chaos test believes it is injecting and isn't).
 #pragma once
 
 #include <atomic>
@@ -86,7 +70,6 @@ struct FaultSpec {
   std::int64_t round = -1;  ///< exact engine round (engine-round site only)
   std::string phase;        ///< ledger phase label (charge/oracle sites)
   std::int64_t node = -1;   ///< corruption target (invariant faults)
-  std::int64_t shard = -1;  ///< proc-backend shard id (worker-round site)
   /// Fire while the cell's attempt index is < attempts (0 = every attempt).
   int attempts = 1;
   // Payloads.
@@ -95,7 +78,8 @@ struct FaultSpec {
 };
 
 /// Parses one spec string ("category@k=v,..."). Returns false on grammar
-/// errors (unknown category / key, malformed pair).
+/// errors (unknown category / key, malformed pair, process-kill with a
+/// round= coordinate).
 bool parse_fault_spec(std::string_view text, FaultSpec* out);
 
 /// As above, but on failure fills `error` with a one-line description of
@@ -104,29 +88,6 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out);
 /// algorithm registry's suggestion behavior).
 bool parse_fault_spec(std::string_view text, FaultSpec* out,
                       std::string* error);
-
-/// Wire image of the injector's armed state plus the calling thread's
-/// (cell, attempt) coordinates. Persistent shard workers are forked once
-/// per plan, so an arm() that happens after the fork (every sweep-driver
-/// arming does) reaches them only as this snapshot inside each STAGE_BEGIN
-/// frame; the worker re-arms from it per stage, which also resets the
-/// fire-once markers exactly like the old fork-per-stage inheritance did.
-struct FaultWire {
-  bool armed = false;
-  std::uint64_t seed = 1;
-  std::int64_t cell = -1;
-  int attempt = 0;
-  std::vector<FaultSpec> specs;
-};
-
-/// Captures the global injector's plan and the calling thread's cell scope.
-FaultWire snapshot_fault_wire();
-/// Appends the byte encoding of `w` to `out`.
-void encode_fault_wire(const FaultWire& w, std::vector<std::uint8_t>* out);
-/// Decodes one FaultWire from `data`, returning bytes consumed; throws
-/// std::runtime_error on a torn or truncated buffer.
-std::size_t decode_fault_wire(const std::uint8_t* data, std::size_t size,
-                              FaultWire* out);
 
 class FaultInjector {
  public:
@@ -179,21 +140,6 @@ class FaultInjector {
   /// timeout stalls.
   void on_engine_round(int round);
 
-  /// Proc-backend shard worker round loop (runs in the pool worker, which
-  /// re-armed from the FaultWire shipped in its STAGE_BEGIN frame): fires
-  /// process-kill specs with round (and optionally shard) coordinates via
-  /// std::_Exit(137), so the coordinator's worker-death detection is
-  /// exercised against a genuinely dead process; fires worker-hang specs
-  /// as an infinite 1ms-sleep loop, so the stall watchdog is exercised
-  /// against a genuinely live-but-stuck process.
-  void on_shard_round(int shard, int round);
-
-  /// Proc-backend halo publish site (runs in the pool worker just before
-  /// it publishes its round-`round` boundary slab): returns true when a
-  /// torn-slab spec matches, telling the caller to publish a deliberately
-  /// corrupt slab (bogus record count) so a peer's seqlock open() trips.
-  bool on_slab_publish(int shard, int round);
-
   /// ScratchArena growth (installed as the arena's alloc probe while
   /// armed): throws an allocation-limit CellError on match.
   void on_alloc_growth(std::size_t bytes);
@@ -203,9 +149,6 @@ class FaultInjector {
   /// oracle detects a genuine violation.
   void maybe_corrupt_coloring(std::string_view phase, const Graph& g,
                               std::vector<Color>& color);
-
-  /// The armed plan and seed, for shipping to pool workers (FaultWire).
-  void snapshot(std::vector<FaultSpec>* specs, std::uint64_t* seed) const;
 
  private:
   FaultInjector();
@@ -223,8 +166,7 @@ class FaultInjector {
   /// current (cell, attempt) and the given site coordinates, marking it
   /// fired. nullptr when none. Caller holds no lock.
   bool claim(FaultCategory category, std::int64_t round,
-             std::string_view phase, FaultSpec* out,
-             std::int64_t shard = -1);
+             std::string_view phase, FaultSpec* out);
 
   mutable std::mutex mu_;
   std::vector<ArmedSpec> plan_;

@@ -28,10 +28,7 @@ std::vector<bool> mis_message_passing(const Graph& g, std::uint64_t seed,
   SyncRunner<MisState> runner(g, std::vector<MisState>(n), engine);
   const int max_rounds = 128 * (32 - __builtin_clz(n + 2));
 
-  // Value seed + pre-prepare host graph reference: dispatchable to the
-  // persistent shard pool.
-  const auto step = shard_safe([seed, &g](const SyncRunner<MisState>::View&
-                                              view) {
+  const auto step = [seed, &g](const SyncRunner<MisState>::View& view) {
     MisState s = view.self();
     if (s.status == MisStatus::kIn || s.status == MisStatus::kOut) return s;
     if (view.round() % 2 == 0) {
@@ -61,10 +58,9 @@ std::vector<bool> mis_message_passing(const Graph& g, std::uint64_t seed,
       s.status = MisStatus::kUndecided;
     }
     return s;
-  });
+  };
   // A candidate may still need its resolution round, so halting requires
-  // every node In or Out. Node-decomposed (run_until) so the proc backend
-  // can evaluate it with one AND-bit per shard.
+  // every node In or Out.
   const auto done_node = [](NodeId, const MisState& s) {
     return s.status == MisStatus::kIn || s.status == MisStatus::kOut;
   };
@@ -104,8 +100,8 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
   SyncRunner<TrialState> runner(g, std::vector<TrialState>(n), engine);
   const int max_rounds = 128 * (32 - __builtin_clz(n + 2));
 
-  const auto step = shard_safe([seed, palette](
-                                   const SyncRunner<TrialState>::View& view) {
+  const auto step = [seed,
+                     palette](const SyncRunner<TrialState>::View& view) {
     TrialState s = view.self();
     if (s.color != kNoColor) return s;
     if (view.round() % 2 == 0) {
@@ -157,7 +153,7 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
     if (!clash) s.color = s.trial;
     s.trial = kNoColor;
     return s;
-  });
+  };
   const auto done_node = [](NodeId, const TrialState& s) {
     return s.color != kNoColor;
   };

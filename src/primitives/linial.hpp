@@ -110,19 +110,14 @@ LinialResult linial_reduce(const ViewT& view,
   SyncRunner<std::uint64_t, ViewT> runner(view, initial,
                                           ctx.round_indexed_engine());
   std::atomic<bool> failed{false};
-  // The flag cell (unlike &failed, a stack address) survives shipping into
-  // pool workers; each run_* ORs it back into `failed`.
-  const ShardFlag fail_flag = runner.ship_flag(failed);
 
   // One stage = one engine round with stage-specific (q, d); the step
   // closure is rebuilt per stage with those scalars (and q's reciprocal)
-  // captured by value, so its byte image is self-contained and the stage
-  // is dispatchable to the persistent shard pool (shard_safe below). The
-  // step allocates nothing beyond its arena frame and keeps no per-node
-  // state between rounds.
+  // captured by value. The step allocates nothing beyond its arena frame
+  // and keeps no per-node state between rounds.
   const auto make_step = [&](std::uint64_t q, int d) {
-    return shard_safe([rq = detail::LinialReciprocal(q), q, d,
-                       fail_flag](const auto& v) -> std::uint64_t {
+    return [rq = detail::LinialReciprocal(q), q, d,
+            &failed](const auto& v) -> std::uint64_t {
     // Point x = 0 first: every polynomial evaluates there to its constant
     // digit c mod q, so one reduction per neighbor settles the node unless
     // some neighbor shares that digit.
@@ -173,9 +168,9 @@ LinialResult linial_reduce(const ViewT& view,
       }
       if (ok) return x * q + mine;
     }
-    fail_flag.set();
+    failed.store(true, std::memory_order_relaxed);
     return v.self();
-    });
+    };
   };
   for (;;) {
     const auto [q, d] = detail::linial_choose_field(max_degree, max_val);

@@ -156,13 +156,9 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
   for (NodeId v = 0; v < g.num_nodes(); ++v) initial[v].color = color[v];
   SyncRunner<TrialState> runner(g, std::move(initial), ctx.engine());
   std::atomic<bool> failed{false};
-  // Shipped side data (see the deterministic sweep above).
-  const ShardSpan<std::uint8_t> active_s = runner.ship(active);
-  const ColorListsRef lists_ref{runner.ship(lists.raw_offsets()).data,
-                                runner.ship(lists.raw_flat()).data};
-  const ShardFlag fail_flag = runner.ship_flag(failed);
-  const auto step = shard_safe([active_s, lists_ref, width, seed,
-                                fail_flag](const auto& v) -> TrialState {
+  const std::span<const std::uint8_t> active_s(active);
+  const auto step = [active_s, &lists, width, seed,
+                     &failed](const auto& v) -> TrialState {
     TrialState s = v.self();
     if (!active_s[v.node()] || s.color != kNoColor) return s;
     if (v.round() % 2 == 0) {
@@ -177,12 +173,12 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
         const Color cu = v.neighbor(u).color;
         if (cu != kNoColor) taken.insert(cu);
       });
-      const std::span<const Color> list = lists_ref[v.node()];
+      const std::span<const Color> list = lists[v.node()];
       std::size_t eff = 0;
       for (const Color c : list)
         if (!taken.contains(c)) ++eff;
       if (eff == 0) {
-        fail_flag.set();
+        failed.store(true, std::memory_order_relaxed);
         return s;
       }
       std::size_t k = hash_mix(seed, v.node(),
@@ -207,11 +203,10 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
     if (ok) s.color = s.trial;
     s.trial = kNoColor;
     return s;
-  });
-  const auto done_node = shard_safe([active_s](NodeId v,
-                                               const TrialState& s) {
+  };
+  const auto done_node = [active_s](NodeId v, const TrialState& s) {
     return !active_s[v] || s.color != kNoColor;
-  });
+  };
   const int engine_rounds =
       runner.run_until(2 * max_iterations, step, done_node);
   DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),

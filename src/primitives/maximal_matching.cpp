@@ -46,8 +46,6 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   SyncRunner<std::uint8_t, LineGraphView> runner(
       line, std::vector<std::uint8_t>(g.num_edges(), 0),
       ctx.round_indexed_engine());
-  // View runners never shard (the gate is host-graph-only), so a plain
-  // reference capture is fine here.
   const auto step = [&](const auto& e) -> std::uint8_t {
     if (e.self()) return 1;
     if (ec.color[e.node()] != e.round()) return 0;
@@ -131,26 +129,8 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
   // is round-indexed, so frontier mode is off.
   SyncRunner<PrState> runner(g, std::vector<PrState>(g.num_nodes()),
                              ctx.round_indexed_engine());
-  // Flatten the per-forest tables to delta x n arrays ([f*n + v]) so they
-  // ship into the halo plane as three contiguous spans; the proposal stage
-  // is then dispatchable to pool workers.
-  const std::size_t n = g.num_nodes();
-  std::vector<NodeId> parent_in_flat(static_cast<std::size_t>(delta) * n);
-  std::vector<EdgeId> parent_edge_flat(static_cast<std::size_t>(delta) * n);
-  std::vector<Color> forest_color_flat(static_cast<std::size_t>(delta) * n);
-  for (std::size_t f = 0; f < static_cast<std::size_t>(delta); ++f) {
-    std::copy(parent_in[f].begin(), parent_in[f].end(),
-              parent_in_flat.begin() + static_cast<std::ptrdiff_t>(f * n));
-    std::copy(parent_edge[f].begin(), parent_edge[f].end(),
-              parent_edge_flat.begin() + static_cast<std::ptrdiff_t>(f * n));
-    std::copy(forest_color[f].begin(), forest_color[f].end(),
-              forest_color_flat.begin() + static_cast<std::ptrdiff_t>(f * n));
-  }
-  const ShardSpan<NodeId> parent_in_s = runner.ship(parent_in_flat);
-  const ShardSpan<EdgeId> parent_edge_s = runner.ship(parent_edge_flat);
-  const ShardSpan<Color> forest_color_s = runner.ship(forest_color_flat);
-  const auto step = shard_safe([parent_in_s, parent_edge_s, forest_color_s,
-                                n, &g](const auto& v) -> PrState {
+  const auto step = [&parent_in, &parent_edge, &forest_color,
+                     &g](const auto& v) -> PrState {
     PrState s = v.self();
     const int slot = v.round() / 3;
     const std::size_t f = static_cast<std::size_t>(slot / 3);
@@ -158,15 +138,15 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
     switch (v.round() % 3) {
       case 0: {  // propose
         s.proposal = kNoNode;
-        if (s.matched || forest_color_s[f * n + v.node()] != cls) return s;
-        const NodeId p = parent_in_s[f * n + v.node()];
+        if (s.matched || forest_color[f][v.node()] != cls) return s;
+        const NodeId p = parent_in[f][v.node()];
         if (p != kNoNode && !v.neighbor(p).matched) s.proposal = p;
         return s;
       }
       case 1: {  // accept the smallest-identifier proposer
         s.accepted = kNoNode;
         v.for_each_neighbor([&](NodeId u) {
-          if (parent_in_s[f * n + u] != v.node()) return;
+          if (parent_in[f][u] != v.node()) return;
           if (v.neighbor(u).proposal != v.node()) return;
           if (s.accepted == kNoNode || g.id(u) < g.id(s.accepted))
             s.accepted = u;
@@ -183,14 +163,14 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
         if (s.proposal != kNoNode) {  // child side: did the parent accept?
           if (v.neighbor(s.proposal).accepted == v.node()) {
             s.matched = 1;
-            s.matched_edge = parent_edge_s[f * n + v.node()];
+            s.matched_edge = parent_edge[f][v.node()];
           }
           s.proposal = kNoNode;
         }
         return s;
       }
     }
-  });
+  };
   runner.run_rounds(3 * 3 * delta, step);
   const auto& states = runner.states();
   for (NodeId v = 0; v < g.num_nodes(); ++v)

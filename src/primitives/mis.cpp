@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -20,9 +21,8 @@ std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx) {
   SyncRunner<std::uint8_t> runner(
       g, std::vector<std::uint8_t>(g.num_nodes(), 0),
       ctx.round_indexed_engine());
-  // Ship the schedule so the stage can dispatch to pool workers.
-  const ShardSpan<Color> color = runner.ship(lin.color);
-  const auto step = shard_safe([color](const auto& v) -> std::uint8_t {
+  const std::span<const Color> color(lin.color);
+  const auto step = [color](const auto& v) -> std::uint8_t {
     if (v.self()) return 1;
     if (color[v.node()] != v.round()) return 0;
     bool blocked = false;
@@ -30,7 +30,7 @@ std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx) {
       if (v.neighbor(u)) blocked = true;
     });
     return blocked ? 0 : 1;
-  });
+  };
   runner.run_rounds(lin.num_colors, step);
   const auto& states = runner.states();
   std::vector<bool> in_set(g.num_nodes(), false);
@@ -69,9 +69,7 @@ std::vector<bool> mis_luby(const Graph& g, LocalContext& ctx) {
   // its elimination round).
   SyncRunner<LubyState> runner(g, std::vector<LubyState>(n),
                                ctx.round_indexed_engine());
-  // Captures: seed by value, the pre-prepare host graph by reference —
-  // both valid inside forked pool workers, so the stage is shard-safe.
-  const auto step = shard_safe([seed, &g](const auto& v) -> LubyState {
+  const auto step = [seed, &g](const auto& v) -> LubyState {
     LubyState s = v.self();
     if (s.status == kLubyIn || s.status == kLubyOut) return s;
     switch (v.round() % 3) {
@@ -106,7 +104,7 @@ std::vector<bool> mis_luby(const Graph& g, LocalContext& ctx) {
         return s;
       }
     }
-  });
+  };
   const auto done_node = [](NodeId, const LubyState& s) {
     return s.status == kLubyIn || s.status == kLubyOut;
   };

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,8 @@ RulingSetResult ruling_set(const ViewT& view, LocalContext& ctx) {
   // Engine round r peels bit (bits - 1 - r): round-indexed, frontier off.
   SyncRunner<std::uint8_t, ViewT> runner(
       view, std::vector<std::uint8_t>(n, 1), ctx.round_indexed_engine());
-  // The Linial labels are read-only side data; shipping them places a copy
-  // in the halo plane so pool workers see them (in-process runs alias the
-  // vector directly).
-  const ShardSpan<Color> label = runner.ship(lin.color);
-  const auto step = shard_safe([bits, label](const auto& v) -> std::uint8_t {
+  const std::span<const Color> label(lin.color);
+  const auto step = [bits, label](const auto& v) -> std::uint8_t {
     if (!v.self()) return 0;
     const int b = bits - 1 - v.round();
     if (((label[v.node()] >> b) & 1) == 1) return 1;
@@ -68,7 +66,7 @@ RulingSetResult ruling_set(const ViewT& view, LocalContext& ctx) {
         survives = 0;  // a bit-1 candidate neighbor dominates v
     });
     return survives;
-  });
+  };
   runner.run_rounds(bits, step);
   // Survivors are independent: adjacent survivors would agree on every bit,
   // i.e. share a Linial color — impossible for a proper coloring.

@@ -208,9 +208,17 @@ const AlgorithmEntry* find_algorithm(std::string_view name) {
 
 std::vector<std::string_view> suggest_algorithms(std::string_view name,
                                                  std::size_t max_results) {
+  std::vector<std::string_view> names;
+  for (const AlgorithmEntry& e : kRegistry) names.push_back(e.name);
+  return suggest_names(name, names, max_results);
+}
+
+std::vector<std::string_view> suggest_names(
+    std::string_view name, std::span<const std::string_view> candidates,
+    std::size_t max_results) {
   std::vector<std::pair<std::size_t, std::string_view>> scored;
-  for (const AlgorithmEntry& e : kRegistry)
-    scored.emplace_back(edit_distance(name, e.name), e.name);
+  for (const std::string_view c : candidates)
+    scored.emplace_back(edit_distance(name, c), c);
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& x, const auto& y) {
                      return x.first < y.first;

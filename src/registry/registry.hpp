@@ -63,4 +63,11 @@ const AlgorithmEntry* find_algorithm(std::string_view name);
 std::vector<std::string_view> suggest_algorithms(std::string_view name,
                                                  std::size_t max_results = 3);
 
+/// Closest of `candidates` to `name` by edit distance, best first, keeping
+/// only plausible typos — the rule suggest_algorithms applies to the
+/// registry, for any other vocabulary (e.g. the CLI's flag names).
+std::vector<std::string_view> suggest_names(
+    std::string_view name, std::span<const std::string_view> candidates,
+    std::size_t max_results = 3);
+
 }  // namespace deltacolor

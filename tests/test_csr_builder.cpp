@@ -1,15 +1,19 @@
 // Equivalence suite for the sort-free CSR builder: the counting-sort
 // constructor (serial and pool-parallel, with every hint combination) must
-// reproduce the legacy sort+unique builder (`Graph::legacy_build`, kept as
-// the oracle) bit for bit — same edge list, neighbor order, arc/edge
+// reproduce the sort+unique builder it replaced (`legacy_build` below, the
+// oracle) bit for bit — same edge list, neighbor order, arc/edge
 // alignment, offsets, and max degree — on random edge soups and on every
 // generator family.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
@@ -19,6 +23,74 @@ namespace deltacolor {
 namespace {
 
 using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
+// The sort+unique builder: a global std::sort of the edge list, then a
+// per-node arc sort. Its arrays reach a Graph through from_external, so
+// the oracle needs no access to Graph's internals.
+Graph legacy_build(NodeId num_nodes, EdgeList edges) {
+  struct Arrays {
+    std::vector<std::uint64_t> offsets;
+    std::vector<NodeId> adjacency;
+    std::vector<EdgeId> arc_edge;
+    EdgeList edges;
+    std::vector<std::uint64_t> ids;
+  };
+  auto a = std::make_shared<Arrays>();
+  for (auto& [u, v] : edges) {
+    DC_CHECK_MSG(u != v, "self loop at node " << u);
+    DC_CHECK_MSG(u < num_nodes && v < num_nodes,
+                 "edge (" << u << "," << v << ") out of range n=" << num_nodes);
+    if (u > v) std::swap(u, v);
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  a->edges = std::move(edges);
+
+  a->offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for (const auto& [u, v] : a->edges) {
+    ++a->offsets[u + 1];
+    ++a->offsets[v + 1];
+  }
+  std::partial_sum(a->offsets.begin(), a->offsets.end(), a->offsets.begin());
+
+  a->adjacency.resize(a->edges.size() * 2);
+  a->arc_edge.resize(a->edges.size() * 2);
+  std::vector<std::size_t> cursor(a->offsets.begin(), a->offsets.end() - 1);
+  for (EdgeId e = 0; e < a->edges.size(); ++e) {
+    const auto [u, v] = a->edges[e];
+    a->adjacency[cursor[u]] = v;
+    a->arc_edge[cursor[u]++] = e;
+    a->adjacency[cursor[v]] = u;
+    a->arc_edge[cursor[v]++] = e;
+  }
+  // Sort each node's arcs by neighbor index, keeping arc_edge aligned.
+  int max_degree = 0;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const std::size_t lo = a->offsets[v], hi = a->offsets[v + 1];
+    std::vector<std::pair<NodeId, EdgeId>> arcs;
+    arcs.reserve(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i)
+      arcs.emplace_back(a->adjacency[i], a->arc_edge[i]);
+    std::sort(arcs.begin(), arcs.end());
+    for (std::size_t i = lo; i < hi; ++i) {
+      a->adjacency[i] = arcs[i - lo].first;
+      a->arc_edge[i] = arcs[i - lo].second;
+    }
+    max_degree = std::max(max_degree, static_cast<int>(hi - lo));
+  }
+  a->ids = identity_ids(num_nodes);
+
+  Graph::ExternalCsr csr;
+  csr.offsets = a->offsets.data();
+  csr.adjacency = a->adjacency.data();
+  csr.arc_edge = a->arc_edge.data();
+  csr.edges = a->edges.data();
+  csr.ids = a->ids.data();
+  csr.num_nodes = num_nodes;
+  csr.num_edges = static_cast<EdgeId>(a->edges.size());
+  csr.max_degree = max_degree;
+  return Graph::from_external(csr, std::move(a));
+}
 
 // Exact structural equality through the public API: edges() pins edge ids,
 // neighbors()/incident_edges() pin the CSR arrays, and the per-node spans
@@ -75,7 +147,7 @@ TEST(CsrBuilder, MatchesLegacyOnRandomSoup) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     const NodeId n = 200 + 50 * static_cast<NodeId>(seed);
     const EdgeList soup = random_soup(n, 8 * n, seed);
-    const Graph want = Graph::legacy_build(n, soup);
+    const Graph want = legacy_build(n, soup);
     expect_identical(Graph(n, soup), want);
     expect_identical(Graph(n, soup, kUnsortedEdges), want);
   }
@@ -84,7 +156,7 @@ TEST(CsrBuilder, MatchesLegacyOnRandomSoup) {
 TEST(CsrBuilder, HintedPathsMatchLegacy) {
   const NodeId n = 300;
   const EdgeList soup = random_soup(n, 6 * n, 7);
-  const Graph want = Graph::legacy_build(n, soup);
+  const Graph want = legacy_build(n, soup);
   const EdgeList clean = normalized_unique(soup);
   expect_identical(Graph(n, clean, kSortedUniqueEdges), want);
   expect_identical(Graph(n, clean, kNormalizedUniqueEdges), want);
@@ -101,7 +173,7 @@ TEST(CsrBuilder, HintedPathsMatchLegacy) {
 TEST(CsrBuilder, ParallelBuildIsBitIdentical) {
   const NodeId n = 500;
   const EdgeList soup = random_soup(n, 10 * n, 11);
-  const Graph want = Graph::legacy_build(n, soup);
+  const Graph want = legacy_build(n, soup);
   for (const int workers : {2, 3, 8}) {
     ThreadPool& pool = ThreadPool::shared(workers);
     expect_identical(Graph(n, soup, kUnsortedEdges, &pool), want);
@@ -114,14 +186,14 @@ TEST(CsrBuilder, RejectsSelfLoopsAndOutOfRange) {
   EXPECT_THROW(Graph(4, {{2, 2}}), std::logic_error);
   EXPECT_THROW(Graph(4, {{0, 1}, {3, 3}}, kUnsortedEdges), std::logic_error);
   EXPECT_THROW(Graph(3, {{0, 7}}), std::logic_error);
-  EXPECT_THROW(Graph::legacy_build(4, {{2, 2}}), std::logic_error);
+  EXPECT_THROW(legacy_build(4, {{2, 2}}), std::logic_error);
 }
 
 TEST(CsrBuilder, IsolatedNodesAndEmptyGraphs) {
-  expect_identical(Graph(0, {}), Graph::legacy_build(0, {}));
-  expect_identical(Graph(9, {}), Graph::legacy_build(9, {}));
+  expect_identical(Graph(0, {}), legacy_build(0, {}));
+  expect_identical(Graph(9, {}), legacy_build(9, {}));
   const EdgeList one = {{7, 3}};
-  expect_identical(Graph(9, one), Graph::legacy_build(9, one));
+  expect_identical(Graph(9, one), legacy_build(9, one));
 }
 
 // Every generator family must survive its declared hints: the generators
@@ -129,9 +201,8 @@ TEST(CsrBuilder, IsolatedNodesAndEmptyGraphs) {
 // surface here as a mismatch against rebuilding from the raw edge pairs.
 TEST(CsrBuilder, GeneratorFamiliesMatchRebuild) {
   const auto check = [](const Graph& g) {
-    expect_identical(g, Graph::legacy_build(
-                            g.num_nodes(),
-                            EdgeList(g.edges().begin(), g.edges().end())));
+    expect_identical(g, legacy_build(g.num_nodes(), EdgeList(g.edges().begin(),
+                                                             g.edges().end())));
   };
   check(path_graph(17));
   check(cycle_graph(12));

@@ -89,6 +89,49 @@ TEST(FaultSpecGrammar, NumbersRejectTrailingTextAndOverflow) {
   EXPECT_FALSE(parse_fault_spec("wall-clock-timeout@sleep_ms=1.5ms", &out));
 }
 
+TEST(FaultGrammar, UnknownCategoryGetsADidYouMean) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("process-kil@cell=1", &spec, &error));
+  EXPECT_NE(error.find("process-kill"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(parse_fault_spec("engine-exeption@round=1", &spec, &error));
+  EXPECT_NE(error.find("engine-exception"), std::string::npos) << error;
+}
+
+TEST(FaultGrammar, UnknownKeyGetsADidYouMean) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("engine-exception@rond=1", &spec, &error));
+  EXPECT_NE(error.find("round"), std::string::npos) << error;
+}
+
+TEST(FaultGrammar, MalformedPairsAndValuesAreRejected) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("engine-exception@round", &spec, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(parse_fault_spec("engine-exception@round=abc", &spec, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(parse_fault_spec("", &spec, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+// process-kill fires only at cell start, which probes with no round; a
+// round= coordinate would parse and then never fire.
+TEST(FaultGrammar, ProcessKillRejectsARoundCoordinate) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("process-kill@round=1", &spec, &error));
+  EXPECT_NE(error.find("round"), std::string::npos) << error;
+  EXPECT_TRUE(parse_fault_spec("process-kill@cell=2", &spec, &error))
+      << error;
+  EXPECT_EQ(spec.category, FaultCategory::kProcessKill);
+  EXPECT_EQ(spec.cell, 2);
+}
+
 TEST(FaultMatrix, EngineExceptionIsCaughtAndQuarantined) {
   ArmedScope armed({spec_of("engine-exception@cell=2,attempts=0")});
   SweepOptions opt;

@@ -2,6 +2,8 @@
 // instances that realize the paper's workloads.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 
@@ -184,6 +186,26 @@ TEST(Blowup, IdsShuffledByDefault) {
   for (NodeId v = 0; v < inst.graph.num_nodes(); ++v)
     if (inst.graph.id(v) != v) any_moved = true;
   EXPECT_TRUE(any_moved);
+}
+
+// min_blowup_cliques is the floor the generator rounds requests up to:
+// asking for fewer cliques yields exactly that many, and it grows with the
+// Sidon shift set once clique_size < delta.
+TEST(Blowup, MinCliquesIsTheRoundUpFloor) {
+  EXPECT_EQ(min_blowup_cliques(16, 16), 32);
+  EXPECT_EQ(min_blowup_cliques(16, 12), 28810);
+  for (const auto& [delta, size] : {std::pair{8, 8}, std::pair{4, 3}}) {
+    const int floor = min_blowup_cliques(delta, size);
+    CliqueInstanceOptions opt;
+    opt.num_cliques = 1;
+    opt.delta = delta;
+    opt.clique_size = size;
+    EXPECT_EQ(clique_blowup_instance(opt).cliques.size(),
+              static_cast<std::size_t>(floor));
+    opt.num_cliques = floor + 2;
+    EXPECT_EQ(clique_blowup_instance(opt).cliques.size(),
+              static_cast<std::size_t>(floor + 2));
+  }
 }
 
 TEST(CliqueRing, EveryCliqueEasyAndDeltaIsCliqueSize) {

@@ -1,16 +1,11 @@
-// Unit tests for the degree-balanced vertex partitioner and the shard
-// manifest that the multi-process execution backend runs on: contiguity
-// and coverage of the bounds, boundary/ghost/subscriber consistency
-// against the graph's actual cut edges, and ownership lookup.
+// Unit tests for the degree-balanced vertex partitioner behind the engine's
+// stable worker chunks: contiguity and coverage of the bounds, weighting
+// by degree, alignment, and more parts than nodes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <numeric>
-#include <set>
+#include <utility>
 #include <vector>
 
-#include "bench_support/workloads.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
@@ -66,159 +61,6 @@ TEST(DegreeBalancedBounds, MorePartsThanNodes) {
   EXPECT_EQ(bounds.back(), 3u);
   for (std::size_t p = 0; p + 1 < bounds.size(); ++p)
     EXPECT_LE(bounds[p], bounds[p + 1]);
-}
-
-TEST(ShardManifest, OwnerMatchesBounds) {
-  const Graph g = random_regular(500, 6, 1);
-  const ShardManifest mf = ShardManifest::build(g, 4);
-  ASSERT_EQ(mf.num_shards(), 4);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const int s = mf.owner(v);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 4);
-    EXPECT_GE(v, mf.bounds[s]);
-    EXPECT_LT(v, mf.bounds[s + 1]);
-  }
-}
-
-TEST(ShardManifest, BoundaryAndGhostsMatchCutEdges) {
-  const Graph g = bench::hard_instance(16, 10, 5).graph;
-  for (int shards : {1, 2, 4}) {
-    const ShardManifest mf = ShardManifest::build(g, shards);
-    std::uint64_t incident = 0;
-    for (int s = 0; s < shards; ++s) {
-      // Recompute this shard's cut structure from scratch.
-      std::set<NodeId> boundary, ghosts;
-      std::uint64_t cut = 0;
-      for (NodeId v = mf.bounds[s]; v < mf.bounds[s + 1]; ++v) {
-        for (const NodeId u : g.neighbors(v)) {
-          if (u >= mf.bounds[s] && u < mf.bounds[s + 1]) continue;
-          boundary.insert(v);
-          ghosts.insert(u);
-          ++cut;
-        }
-      }
-      EXPECT_EQ(std::vector<NodeId>(boundary.begin(), boundary.end()),
-                mf.boundary[s])
-          << "shard " << s << " of " << shards;
-      EXPECT_EQ(std::vector<NodeId>(ghosts.begin(), ghosts.end()),
-                mf.ghosts[s])
-          << "shard " << s << " of " << shards;
-      EXPECT_EQ(mf.boundary_edges[s], cut);
-      incident += cut;
-      // Subscriber CSR is aligned with the boundary list and names only
-      // other shards.
-      ASSERT_EQ(mf.sub_offsets[s].size(), mf.boundary[s].size() + 1);
-      for (std::size_t i = 0; i < mf.boundary[s].size(); ++i) {
-        ASSERT_LE(mf.sub_offsets[s][i], mf.sub_offsets[s][i + 1]);
-        for (std::uint32_t j = mf.sub_offsets[s][i];
-             j < mf.sub_offsets[s][i + 1]; ++j) {
-          const int t = static_cast<int>(mf.sub_targets[s][j]);
-          EXPECT_NE(t, s);
-          // The subscriber must actually ghost this boundary node.
-          EXPECT_TRUE(std::binary_search(mf.ghosts[t].begin(),
-                                         mf.ghosts[t].end(),
-                                         mf.boundary[s][i]));
-        }
-      }
-    }
-    EXPECT_EQ(mf.cut_edges, incident / 2);
-  }
-}
-
-TEST(ShardManifest, SingleShardHasNoCut) {
-  const Graph g = random_regular(200, 4, 9);
-  const ShardManifest mf = ShardManifest::build(g, 1);
-  EXPECT_EQ(mf.num_shards(), 1);
-  EXPECT_TRUE(mf.boundary[0].empty());
-  EXPECT_TRUE(mf.ghosts[0].empty());
-  EXPECT_EQ(mf.cut_edges, 0u);
-}
-
-TEST(ShardManifest, InteriorRunsAndBoundaryTileEachShardExactly) {
-  // The boundary-first schedule steps boundary[s] then sweeps
-  // interior_runs[s]; together they must cover every owned node exactly
-  // once, the runs must be ascending, disjoint, maximal, and contain no
-  // boundary node.
-  const Graph g = bench::hard_instance(16, 10, 5).graph;
-  for (int shards : {1, 2, 3, 4}) {
-    const ShardManifest mf = ShardManifest::build(g, shards);
-    ASSERT_EQ(mf.interior_runs.size(), static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      std::vector<NodeId> covered(mf.boundary[s]);
-      NodeId prev_end = static_cast<NodeId>(mf.bounds[s]);
-      for (const NodeRun& run : mf.interior_runs[s]) {
-        ASSERT_LT(run.begin, run.end) << "empty run, shard " << s;
-        ASSERT_GE(run.begin, prev_end) << "overlapping runs, shard " << s;
-        EXPECT_GE(run.begin, mf.bounds[s]);
-        EXPECT_LE(run.end, mf.bounds[s + 1]);
-        for (NodeId v = run.begin; v < run.end; ++v) {
-          covered.push_back(v);
-          EXPECT_FALSE(std::binary_search(mf.boundary[s].begin(),
-                                          mf.boundary[s].end(), v))
-              << "boundary node " << v << " inside an interior run";
-        }
-        prev_end = run.end;
-      }
-      // Maximality: adjacent runs would have been merged.
-      for (std::size_t i = 0; i + 1 < mf.interior_runs[s].size(); ++i)
-        EXPECT_LT(mf.interior_runs[s][i].end,
-                  mf.interior_runs[s][i + 1].begin);
-      std::sort(covered.begin(), covered.end());
-      ASSERT_EQ(covered.size(), mf.shard_size(s)) << "shard " << s;
-      for (std::size_t i = 0; i < covered.size(); ++i)
-        ASSERT_EQ(covered[i], static_cast<NodeId>(mf.bounds[s] + i));
-    }
-  }
-}
-
-TEST(EffectiveShardCount, ClampsToNonEmptyShards) {
-  // More shards than nodes must clamp so no worker owns an empty range.
-  const Graph tiny = path_graph(3);
-  EXPECT_EQ(effective_shard_count(tiny, 8), 3);
-  EXPECT_EQ(effective_shard_count(tiny, 3), 3);
-  EXPECT_EQ(effective_shard_count(tiny, 2), 2);
-  EXPECT_EQ(effective_shard_count(tiny, 1), 1);
-  // An empty graph still gets one (vacuous) shard.
-  const Graph empty(0, std::vector<std::pair<NodeId, NodeId>>{});
-  EXPECT_EQ(effective_shard_count(empty, 4), 1);
-  // A star's weight concentrates on the center: degree-balanced bounds can
-  // leave high shard counts with empty trailing parts, and the clamp must
-  // land on a count whose every shard is non-empty.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId v = 1; v < 20; ++v) edges.push_back({0, v});
-  const Graph star(20, std::move(edges));
-  for (int requested : {1, 2, 4, 8, 32}) {
-    const int k = effective_shard_count(star, requested);
-    ASSERT_GE(k, 1);
-    ASSERT_LE(k, requested);
-    const auto bounds = degree_balanced_bounds(star, k);
-    for (int p = 0; p < k; ++p)
-      EXPECT_LT(bounds[p], bounds[p + 1])
-          << "empty shard " << p << " at requested=" << requested;
-  }
-}
-
-TEST(ShardManifest, EverySubscriberEdgeIsDelivered) {
-  // For every shard t and every ghost u it reads, the owner of u must list
-  // t as a subscriber of u — otherwise a halo update would be dropped.
-  const Graph g = bench::hard_instance(8, 8, 5).graph;
-  const ShardManifest mf = ShardManifest::build(g, 3);
-  for (int t = 0; t < mf.num_shards(); ++t) {
-    for (const NodeId u : mf.ghosts[t]) {
-      const int s = mf.owner(u);
-      const auto it = std::lower_bound(mf.boundary[s].begin(),
-                                       mf.boundary[s].end(), u);
-      ASSERT_TRUE(it != mf.boundary[s].end() && *it == u);
-      const std::size_t i =
-          static_cast<std::size_t>(it - mf.boundary[s].begin());
-      bool subscribed = false;
-      for (std::uint32_t j = mf.sub_offsets[s][i];
-           j < mf.sub_offsets[s][i + 1]; ++j)
-        subscribed |= static_cast<int>(mf.sub_targets[s][j]) == t;
-      EXPECT_TRUE(subscribed) << "ghost " << u << " shard " << t;
-    }
-  }
 }
 
 }  // namespace

@@ -24,19 +24,6 @@
 //                  the DELTACOLOR_THREADS env var; default: all cores)
 //   --frontier     sparse activation: re-step only nodes whose closed
 //                  neighborhood changed last round (engine algorithms)
-//   --backend=M    M in {inproc, proc}: execution backend. proc shards the
-//                  loaded instance across forked worker processes that
-//                  exchange boundary state at round barriers; results are
-//                  bit-identical to inproc. Prints a per-shard SHARDS
-//                  accounting block next to the ledger / SWEEP line
-//   --shards=N     proc backend: number of worker processes (default 2;
-//                  clamped, with a warning, when shards would be empty)
-//   --barrier=M    proc backend round barrier, M in {shm, frames}: shm
-//                  (default) synchronizes rounds through shared-memory
-//                  epoch cells with zero per-round syscalls; frames is the
-//                  coordinator socketpair barrier — the escape hatch when
-//                  diagnosing a stuck barrier (DELTACOLOR_BARRIER=frames
-//                  is the env equivalent)
 //   --repeat=N     color only: run N seeds (seed, seed+1, ...) of the
 //                  algorithm over the shared instance as concurrent sweep
 //                  cells; print per-seed rounds and aggregate wall-clock
@@ -50,10 +37,14 @@
 //   --journal=P    color --repeat: JSONL checkpoint journal at path P
 //   --resume       with --journal: skip seeds already completed in P
 //
+// Any other `--` argument is an unknown flag: it exits 2 with the closest
+// known flag names, never becoming a positional (an output path, say).
+//
 // Exit codes: 0 success; 1 runtime failure (invalid result, quarantined
-// cells, engine error); 2 usage error / invalid flag combination;
-// 3 unreadable or malformed input file; 4 unknown algorithm or generator
-// family. Documented here and in `--help`.
+// cells, engine error); 2 usage error (unknown flag, extra argument,
+// invalid flag combination, infeasible `gen` sizes); 3 unreadable or
+// malformed input file; 4 unknown algorithm or generator family.
+// Documented here and in `--help`.
 //
 // Graphs are plain edge lists ("n m" header then "u v" per line) or binary
 // .dcsr containers (see graph/csr_file.hpp) — the format is sniffed from
@@ -105,26 +96,36 @@ int usage() {
          "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
          "--list (registered algorithms), --threads=N (engine "
          "workers, 0 = auto; env DELTACOLOR_THREADS), --frontier (sparse "
-         "activation), --backend=inproc|proc (proc = multi-process sharded "
-         "execution with halo exchange; bit-identical results), --shards=N "
-         "(proc backend: worker processes, default 2, 0 = one per hardware "
-         "core), --barrier=shm|frames (proc backend round barrier: "
-         "shared-memory epoch cells (default) or coordinator frames; env "
-         "DELTACOLOR_BARRIER), --shard-stall-ms=N (proc backend: watchdog "
-         "deadline before a silent worker is declared hung and its stage "
-         "replayed; 0 = off, default 10000; env DELTACOLOR_SHARD_STALL_MS; "
-         "respawn budget / in-process degradation via env "
-         "DELTACOLOR_SHARD_RESPAWNS and DELTACOLOR_SHARD_DEGRADE), "
-         "--repeat=N (color: N seeds as sweep cells, "
+         "activation), --repeat=N (color: N seeds as sweep cells, "
          "aggregate stats), --validate=off|end|phase (oracle mode: check "
          "the final coloring / every pipeline phase boundary), --retries=N "
          "(repeat: attempts per seed before quarantine), --journal=PATH "
          "(repeat: JSONL checkpoint), --resume (skip seeds completed in "
          "the journal)\n"
          "exit codes: 0 success; 1 runtime failure (invalid result, "
-         "quarantined cells); 2 usage error or invalid flag combination; "
-         "3 unreadable or malformed input file; 4 unknown algorithm or "
-         "generator family\n";
+         "quarantined cells); 2 usage error (unknown flag, extra argument, "
+         "invalid flag combination, infeasible gen sizes); 3 unreadable or "
+         "malformed input file; 4 unknown algorithm or generator family\n";
+  return kExitUsage;
+}
+
+/// An unrecognized `--` argument: exit 2 naming the closest known flags
+/// (the registry's edit-distance rule), so a stale or misspelled flag is
+/// never taken for a positional such as the output path.
+int unknown_flag(const std::string& arg) {
+  static constexpr std::string_view kFlags[] = {
+      "list",     "load",    "ids",     "threads", "frontier", "repeat",
+      "validate", "retries", "journal", "resume",  "help"};
+  const std::string name = arg.substr(2, arg.find('=') - 2);
+  std::cerr << "dcolor: unknown flag '" << arg << "'";
+  const auto suggestions = suggest_names(name, kFlags);
+  if (!suggestions.empty()) {
+    std::cerr << " — did you mean";
+    for (std::size_t i = 0; i < suggestions.size(); ++i)
+      std::cerr << (i == 0 ? " " : ", ") << "'--" << suggestions[i] << "'";
+    std::cerr << "?";
+  }
+  std::cerr << " (see dcolor --help)\n";
   return kExitUsage;
 }
 
@@ -137,16 +138,12 @@ int list_algorithms() {
 }
 
 EngineOptions g_engine;  // from --threads / --frontier
-bool g_proc_backend = false;  // from --backend=proc
-int g_shards = 2;             // from --shards=N
-BarrierMode g_barrier = BarrierMode::kAuto;  // from --barrier=M
-int g_repeat = 1;             // from --repeat=N
+int g_repeat = 1;        // from --repeat=N
 ValidateMode g_validate = ValidateMode::kOff;  // from --validate=M
 int g_retries = 1;                             // from --retries=N
 std::string g_journal_path;                    // from --journal=P
 bool g_resume = false;                         // from --resume
 std::string g_load_path;                       // from --load=PATH
-int g_stall_ms = -1;                           // from --shard-stall-ms=N
 
 enum class IdsMode { kAuto, kFile, kShuffled };
 IdsMode g_ids = IdsMode::kAuto;  // from --ids=M
@@ -260,6 +257,22 @@ int cmd_gen(int argc, char** argv) {
     opt.clique_size = std::atoi(argv[5]);
     opt.easy_fraction = std::atof(argv[6]) / 100.0;
     opt.seed = std::strtoull(argv[7], nullptr, 10);
+    // Fail fast instead of letting the library round the request up: the
+    // Sidon supergraph of a size < delta blow-up can demand tens of
+    // thousands of cliques, which takes minutes to generate.
+    if (opt.clique_size < 3 || opt.clique_size > opt.delta) {
+      std::cerr << "dcolor: gen blowup needs 3 <= size <= delta, got size="
+                << opt.clique_size << " delta=" << opt.delta << "\n";
+      return kExitUsage;
+    }
+    const int min_cliques = min_blowup_cliques(opt.delta, opt.clique_size);
+    if (opt.num_cliques < min_cliques) {
+      std::cerr << "dcolor: gen blowup with delta=" << opt.delta
+                << " size=" << opt.clique_size << " needs at least "
+                << min_cliques << " cliques, got " << opt.num_cliques
+                << "\n";
+      return kExitUsage;
+    }
     const CliqueInstance inst = clique_blowup_instance(opt);
     report_generated_instance("blowup", inst.graph);
     save_graph_as(argv[8], inst.graph);
@@ -300,21 +313,13 @@ struct RepeatRow {
   bool ok = false;
   std::int64_t rounds = 0;
   double wall_ms = 0;
-  // Recovery accounting deltas observed while this cell ran (proc backend
-  // only; all zero in-process). Under concurrent cells the attribution is
-  // best-effort — a respawn lands on whichever cell's window saw it — but
-  // the batch totals match the SHARDS report.
-  std::int64_t respawns = 0;
-  std::int64_t stalls = 0;
-  std::int64_t degraded = 0;
   std::string summary;
 };
 
 std::string encode_repeat_row(const RepeatRow& row) {
   std::ostringstream os;
   os << (row.ok ? 1 : 0) << '\x1f' << row.rounds << '\x1f' << row.wall_ms
-     << '\x1f' << row.respawns << '\x1f' << row.stalls << '\x1f'
-     << row.degraded << '\x1f' << row.summary;
+     << '\x1f' << row.summary;
   return os.str();
 }
 
@@ -333,9 +338,9 @@ bool decode_repeat_row(std::string_view text, RepeatRow* out) {
   row.ok = ok == "1";
   row.rounds = std::strtoll(rounds.c_str(), nullptr, 10);
   row.wall_ms = std::strtod(wall.c_str(), nullptr);
-  // Recovery counters arrived with the self-healing backend; journals
-  // written before it lack the fields, and --resume must still accept
-  // their rows (counters default to zero, summary is the remainder).
+  // Journals written while the multi-process backend existed carry three
+  // recovery counters (respawns, stalls, degraded) before the summary;
+  // skip them so --resume over such a journal prints the right summaries.
   const std::size_t before_counters = pos;
   const auto all_digits = [](const std::string& s) {
     if (s.empty()) return false;
@@ -344,14 +349,9 @@ bool decode_repeat_row(std::string_view text, RepeatRow* out) {
     return true;
   };
   std::string respawns, stalls, degraded;
-  if (next(&respawns) && next(&stalls) && next(&degraded) &&
-      all_digits(respawns) && all_digits(stalls) && all_digits(degraded)) {
-    row.respawns = std::strtoll(respawns.c_str(), nullptr, 10);
-    row.stalls = std::strtoll(stalls.c_str(), nullptr, 10);
-    row.degraded = std::strtoll(degraded.c_str(), nullptr, 10);
-  } else {
+  if (!(next(&respawns) && next(&stalls) && next(&degraded) &&
+        all_digits(respawns) && all_digits(stalls) && all_digits(degraded)))
     pos = before_counters;
-  }
   row.summary = std::string(text.substr(pos));
   *out = row;
   return true;
@@ -362,6 +362,11 @@ int cmd_color(int argc, char** argv) {
   // remaining positionals shift left one slot.
   const int base = g_load_path.empty() ? 3 : 2;
   if (argc < base) return usage();
+  if (argc > base + 3) {
+    std::cerr << "dcolor: unexpected extra argument '" << argv[base + 3]
+              << "' (color takes [algorithm] [seed] [out])\n";
+    return kExitUsage;
+  }
   const std::string graph_path =
       g_load_path.empty() ? argv[2] : g_load_path;
   const std::string algo = argc > base ? argv[base] : "det";
@@ -416,25 +421,6 @@ int cmd_color(int argc, char** argv) {
   }
   const Graph& g = shuffle ? reidentified : *shared;
   report_loaded_instance(graph_path, dcsr, g, shuffle ? "shuffled" : "file");
-  // --backend=proc: shard the loaded instance once; every run (and every
-  // --repeat cell) stages its shardable sweeps through forked workers.
-  // Stages the backend cannot shard (nested subgraphs, non-POD states)
-  // fall back in-process and are counted in the SHARDS report.
-  std::unique_ptr<ProcShardedBackend> proc_backend;
-  if (g_proc_backend) {
-    proc_backend = std::make_unique<ProcShardedBackend>(
-        g_shards, /*persistent=*/true, g_barrier);
-    // The CLI turns the stall watchdog ON by default (10s — generous
-    // enough that a slow-but-live shard on a loaded box is never shot);
-    // the library default is off so embedders and tests opt in. Flag
-    // beats env beats the CLI default.
-    if (g_stall_ms >= 0)
-      proc_backend->set_stall_ms(g_stall_ms);
-    else if (std::getenv("DELTACOLOR_SHARD_STALL_MS") == nullptr)
-      proc_backend->set_stall_ms(10000);
-    proc_backend->prepare(g);
-    g_engine.backend = proc_backend.get();
-  }
   AlgorithmRequest req;
   req.seed =
       argc > base + 1 ? std::strtoull(argv[base + 1], nullptr, 10) : 1;
@@ -483,8 +469,6 @@ int cmd_color(int argc, char** argv) {
           cell_req.engine = ctx.engine();
           cell_req.validate = g_validate;
           const auto t0 = std::chrono::steady_clock::now();
-          ProcShardedBackend::Totals before;
-          if (proc_backend != nullptr) before = proc_backend->totals();
           const AlgorithmResult res = entry->run(g, cell_req);
           RepeatRow row;
           row.wall_ms = std::chrono::duration<double, std::milli>(
@@ -492,15 +476,6 @@ int cmd_color(int argc, char** argv) {
                             .count();
           row.ok = res.ok;
           row.rounds = res.ledger.total();
-          if (proc_backend != nullptr) {
-            const ProcShardedBackend::Totals after = proc_backend->totals();
-            row.respawns = static_cast<std::int64_t>(after.respawns -
-                                                     before.respawns);
-            row.stalls =
-                static_cast<std::int64_t>(after.stalls - before.stalls);
-            row.degraded = static_cast<std::int64_t>(after.degraded -
-                                                     before.degraded);
-          }
           row.summary = res.summary;
           return row;
         },
@@ -520,11 +495,8 @@ int cmd_color(int argc, char** argv) {
         all_ok = false;
         continue;
       }
-      std::cout << " rounds=" << row.rounds << " wall_ms=" << row.wall_ms;
-      if (row.respawns > 0 || row.stalls > 0 || row.degraded > 0)
-        std::cout << " respawns=" << row.respawns << " stalls=" << row.stalls
-                  << " degraded=" << row.degraded;
-      std::cout << " " << (row.ok ? "ok" : "INVALID")
+      std::cout << " rounds=" << row.rounds << " wall_ms=" << row.wall_ms
+                << " " << (row.ok ? "ok" : "INVALID")
                 << (oc.resumed ? " (resumed)" : "") << " — " << row.summary
                 << "\n";
       rounds.push_back(static_cast<double>(row.rounds));
@@ -535,13 +507,11 @@ int cmd_color(int argc, char** argv) {
       std::cout << "rounds:  " << format_summary(summarize(rounds)) << "\n"
                 << "wall_ms: " << format_summary(summarize(wall)) << "\n";
     std::cout << driver.report() << "\n";
-    if (proc_backend != nullptr) std::cout << proc_backend->report() << "\n";
     return all_ok ? 0 : kExitFailure;
   }
 
   const AlgorithmResult res = entry->run(g, req);
   std::cout << res.summary << "\n" << res.ledger.report();
-  if (proc_backend != nullptr) std::cout << proc_backend->report() << "\n";
   if (!res.ok) {
     std::cerr << "RESULT INVALID\n";
     return kExitFailure;
@@ -599,49 +569,6 @@ int main(int argc, char** argv) {
       if (n > 0) ThreadPool::set_default_workers(n);
     } else if (arg == "--frontier") {
       g_engine.frontier = true;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "proc") {
-        g_proc_backend = true;
-      } else if (mode == "inproc") {
-        g_proc_backend = false;
-      } else {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (backends: inproc, proc)\n";
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 9);
-      if (n < 0) {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (need at least 1, or 0 = auto)\n";
-        return kExitUsage;
-      }
-      // 0 = auto, mirroring --threads=0: one shard per hardware core. The
-      // resolved count is printed in the startup provenance line.
-      g_shards = n > 0 ? n
-                       : std::max(
-                             1, static_cast<int>(
-                                    std::thread::hardware_concurrency()));
-    } else if (arg.rfind("--barrier=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "shm") {
-        g_barrier = BarrierMode::kShm;
-      } else if (mode == "frames") {
-        g_barrier = BarrierMode::kFrames;
-      } else {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (barriers: shm, frames)\n";
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--shard-stall-ms=", 0) == 0) {
-      g_stall_ms = std::atoi(arg.c_str() + 17);
-      if (g_stall_ms < 0 ||
-          (g_stall_ms == 0 && std::string(arg.c_str() + 17) != "0")) {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (milliseconds; 0 turns the watchdog off)\n";
-        return kExitUsage;
-      }
     } else if (arg.rfind("--repeat=", 0) == 0) {
       g_repeat = std::atoi(arg.c_str() + 9);
       if (g_repeat < 1) {
@@ -692,6 +619,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      return unknown_flag(arg);
     } else {
       argv[kept++] = argv[i];
     }
@@ -717,13 +646,6 @@ int main(int argc, char** argv) {
                                           : std::to_string(
                                                 g_engine.num_threads))
             << "), frontier=" << (g_engine.frontier ? "on" : "off")
-            << ", backend="
-            << (g_proc_backend
-                    ? "proc(shards=" + std::to_string(g_shards) +
-                          ", barrier=" +
-                          barrier_mode_name(resolve_barrier_mode(g_barrier)) +
-                          ")"
-                    : std::string("inproc"))
             << "\n";
   const std::string cmd = argv[1];
   try {

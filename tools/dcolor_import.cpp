@@ -27,10 +27,7 @@
 // n = 10^8, k = 8 yields a ~21 GB file that colors through mmap with RSS
 // far below the file size.
 //
-// `info` prints the header of an existing container; with --shards=N it
-// also previews the N-way degree-balanced partition the proc execution
-// backend would use (per-shard node ranges, boundary/ghost counts, and
-// boundary-edge totals). `verify` re-checks
+// `info` prints the header of an existing container. `verify` re-checks
 // every section checksum (load with DELTACOLOR_CSR_VERIFY-independent
 // forced verification).
 //
@@ -50,7 +47,6 @@
 
 #include "graph/csr_file.hpp"
 #include "graph/graph.hpp"
-#include "graph/partition.hpp"
 
 namespace {
 
@@ -68,7 +64,7 @@ int usage() {
          "  dcolor-import gen cycle     <n> <out.dcsr>\n"
          "  dcolor-import gen torus     <rows> <cols> <out.dcsr>\n"
          "  dcolor-import gen circulant <n> <k> <out.dcsr>\n"
-         "  dcolor-import info   <file.dcsr> [--shards=N]\n"
+         "  dcolor-import info   <file.dcsr>\n"
          "  dcolor-import verify <file.dcsr>\n"
          "formats: dc = \"n m\" header + \"u v\" lines; snap = '#' "
          "comments + pairs, self loops skipped (sniffed from the first "
@@ -381,24 +377,8 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_info(int argc, char** argv) {
-  std::string path;
-  int shards = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-      if (shards < 1) {
-        std::cerr << "dcolor-import: invalid " << arg
-                  << " (need at least 1)\n";
-        return kExitUsage;
-      }
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (path.empty()) return usage();
+  if (argc != 3) return usage();
+  const std::string path = argv[2];
   try {
     const CsrFileInfo info = peek_csr_file(path);
     std::cout << "dcsr v" << info.header.version << " n="
@@ -412,20 +392,6 @@ int cmd_info(int argc, char** argv) {
       std::cout << "  " << names[s] << ": offset=" << sec.offset
                 << " bytes=" << sec.bytes << " checksum=" << std::hex
                 << sec.checksum << std::dec << "\n";
-    }
-    if (shards > 0) {
-      // Sharding preview: the partition the proc backend would use, with
-      // its halo-exchange cost drivers (boundary nodes and cut edges).
-      const Graph g = load_csr_file(path);
-      const ShardManifest mf = ShardManifest::build(g, shards);
-      for (int s = 0; s < mf.num_shards(); ++s)
-        std::cout << "  shard " << s << ": nodes=[" << mf.bounds[s] << ", "
-                  << mf.bounds[s + 1] << ") size=" << mf.shard_size(s)
-                  << " boundary=" << mf.boundary[s].size()
-                  << " ghosts=" << mf.ghosts[s].size()
-                  << " boundary_edges=" << mf.boundary_edges[s] << "\n";
-      std::cout << "  cut: shards=" << mf.num_shards()
-                << " cut_edges=" << mf.cut_edges << "\n";
     }
   } catch (const CsrError& e) {
     std::cerr << "dcolor-import: " << e.what() << "\n";
