@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -196,6 +197,7 @@ class PaletteSet {
 /// in the list-coloring API — construction is one (amortized) allocation,
 /// and a node's list is a std::span over cache-linear storage. Tracks the
 /// maximum color so callers can size PaletteSets without rescanning.
+/// uniform() lists are the exception: one row, shared by every node.
 class ColorLists {
  public:
   ColorLists() = default;
@@ -210,15 +212,13 @@ class ColorLists {
   }
 
   /// n identical lists {0, .., num_colors-1} — the (Delta+1)-coloring
-  /// default palette.
+  /// default palette. The row is stored once and every node's span is that
+  /// row, so the lists take O(num_colors) memory; they cannot be extended.
   static ColorLists uniform(std::size_t num_nodes, int num_colors) {
     ColorLists lists;
-    lists.reserve(num_nodes,
-                  num_nodes * static_cast<std::size_t>(num_colors));
-    for (std::size_t v = 0; v < num_nodes; ++v) {
-      for (Color c = 0; c < num_colors; ++c) lists.push(c);
-      lists.close_list();
-    }
+    for (Color c = 0; c < num_colors; ++c) lists.push(c);
+    lists.close_list();
+    lists.shared_row_nodes_ = num_nodes;
     return lists;
   }
 
@@ -230,10 +230,14 @@ class ColorLists {
   /// Incremental building: push the current node's colors, then close its
   /// list. Lists must be closed in node order 0, 1, ...
   void push(Color c) {
+    DC_CHECK(!shared_row());
     flat_.push_back(c);
     if (c > max_color_) max_color_ = c;
   }
-  void close_list() { offsets_.push_back(static_cast<std::uint32_t>(flat_.size())); }
+  void close_list() {
+    DC_CHECK(!shared_row());
+    offsets_.push_back(static_cast<std::uint32_t>(flat_.size()));
+  }
 
   void add_list(std::span<const Color> list) {
     for (const Color c : list) push(c);
@@ -241,25 +245,34 @@ class ColorLists {
   }
 
   /// Number of node lists.
-  std::size_t size() const { return offsets_.size() - 1; }
+  std::size_t size() const {
+    return shared_row() ? *shared_row_nodes_ : offsets_.size() - 1;
+  }
   bool empty() const { return size() == 0; }
 
   std::span<const Color> operator[](std::size_t v) const {
-    DC_DCHECK(v + 1 < offsets_.size());
+    DC_DCHECK(v < size());
+    if (shared_row()) return flat_;
     return {flat_.data() + offsets_[v],
             flat_.data() + offsets_[v + 1]};
   }
 
-  std::size_t total_colors() const { return flat_.size(); }
+  std::size_t total_colors() const {
+    return shared_row() ? *shared_row_nodes_ * flat_.size() : flat_.size();
+  }
 
   /// Largest color across all lists (kNoColor when every list is empty) —
   /// the PaletteSet width bound for these lists is max_color() + 1.
   Color max_color() const { return max_color_; }
 
  private:
+  bool shared_row() const { return shared_row_nodes_.has_value(); }
+
   std::vector<std::uint32_t> offsets_{0};
   std::vector<Color> flat_;
   Color max_color_ = kNoColor;
+  /// Set by uniform(): the node count that shares the single stored row.
+  std::optional<std::size_t> shared_row_nodes_;
 };
 
 }  // namespace deltacolor

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -107,6 +109,35 @@ void validate_header(const CsrFileHeader& h, std::uint64_t file_bytes,
              std::to_string(want.total_bytes));
 }
 
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// Advances each FNV-1a-64 chain h[k] by the next `len` bytes at p[k], one
+/// byte of every chain per step. The multiplies of a step do not depend on
+/// each other, so a step costs about one multiply latency whatever the
+/// lane count. The lanes are a pack expansion so that each chain stays in
+/// a register.
+template <std::size_t... K>
+void fnv1a_lanes(std::index_sequence<K...>, const unsigned char** p,
+                 std::uint64_t* h, std::size_t len) {
+  const unsigned char* const q[] = {p[K]...};
+  std::uint64_t x[] = {h[K]...};
+  for (std::size_t i = 0; i < len; ++i)
+    ((x[K] = (x[K] ^ q[K][i]) * kFnvPrime), ...);
+  ((h[K] = x[K], p[K] += len), ...);
+}
+
+/// The checksums of all kNumSections payloads starting at `base`.
+std::array<std::uint64_t, kNumSections> section_checksums(
+    const std::byte* base, const CsrSection (&sections)[kNumSections]) {
+  std::span<const std::byte> payloads[kNumSections];
+  for (int s = 0; s < kNumSections; ++s)
+    payloads[s] = {base + sections[s].offset, sections[s].bytes};
+  std::array<std::uint64_t, kNumSections> sums;
+  csr_checksums(payloads, sums);
+  return sums;
+}
+
 CsrVerify verify_policy(CsrVerify requested) {
   const char* env = std::getenv("DELTACOLOR_CSR_VERIFY");
   if (env == nullptr) return requested;
@@ -125,15 +156,51 @@ CsrVerify verify_policy(CsrVerify requested) {
 
 std::uint64_t csr_checksum(const void* data, std::size_t bytes,
                            std::uint64_t seed) {
-  // FNV-1a-64. Byte-serial but runs at memory speed for the sizes kAuto
-  // allows; giant files skip section verification entirely.
+  // FNV-1a-64, the single-range reference. Each byte waits for the
+  // previous multiply, so this runs at one multiply latency per byte;
+  // section payloads go through csr_checksums instead.
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = seed;
   for (std::size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+void csr_checksums(std::span<const std::span<const std::byte>> ranges,
+                   std::span<std::uint64_t> out) {
+  const std::size_t count = ranges.size();
+  DC_CHECK(count <= kNumSections && out.size() == count);
+  // Lanes sorted by length: all chains advance together until the
+  // shortest ends, then the others go on without it, and so on.
+  std::size_t order[kNumSections];
+  std::iota(order, order + count, std::size_t{0});
+  std::sort(order, order + count, [&](std::size_t a, std::size_t b) {
+    return ranges[a].size() < ranges[b].size();
+  });
+  const unsigned char* p[kNumSections];
+  std::uint64_t h[kNumSections];
+  for (std::size_t i = 0; i < count; ++i) {
+    p[i] = reinterpret_cast<const unsigned char*>(ranges[order[i]].data());
+    h[i] = kFnvOffsetBasis;
+  }
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t len = ranges[order[i]].size() - done;
+    if (len == 0) continue;
+    const unsigned char** lp = p + i;
+    std::uint64_t* lh = h + i;
+    switch (count - i) {
+      case 5: fnv1a_lanes(std::make_index_sequence<5>{}, lp, lh, len); break;
+      case 4: fnv1a_lanes(std::make_index_sequence<4>{}, lp, lh, len); break;
+      case 3: fnv1a_lanes(std::make_index_sequence<3>{}, lp, lh, len); break;
+      case 2: fnv1a_lanes(std::make_index_sequence<2>{}, lp, lh, len); break;
+      default: fnv1a_lanes(std::make_index_sequence<1>{}, lp, lh, len);
+    }
+    done += len;
+  }
+  for (std::size_t i = 0; i < count; ++i) out[order[i]] = h[i];
 }
 
 CsrMapping::CsrMapping(const std::string& path) {
@@ -211,12 +278,12 @@ Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
       verify == CsrVerify::kAlways ||
       (verify == CsrVerify::kAuto && mapping->size() <= kAutoVerifyLimit);
   if (check_sections) {
+    const auto sums = section_checksums(mapping->data(), header.sections);
     for (int s = 0; s < kNumSections; ++s) {
-      const CsrSection& sec = header.sections[s];
-      if (csr_checksum(mapping->data() + sec.offset, sec.bytes) !=
-          sec.checksum)
+      if (sums[s] != header.sections[s].checksum)
         fail(CsrErrorKind::kChecksum, path,
-             "section " + std::to_string(s) + " checksum mismatch");
+             "section " + std::to_string(s) + " (" + kCsrSectionNames[s] +
+                 ") checksum mismatch");
     }
   }
 
@@ -246,6 +313,12 @@ void write_csr_file(const std::string& path, const Graph& g) {
 
   const void* payloads[kNumSections] = {v.offsets, v.adjacency, v.arc_edge,
                                         v.edges, v.ids};
+  std::span<const std::byte> ranges[kNumSections];
+  for (int s = 0; s < kNumSections; ++s)
+    ranges[s] = {static_cast<const std::byte*>(payloads[s]),
+                 layout.sections[s].bytes};
+  std::uint64_t sums[kNumSections];
+  csr_checksums(ranges, sums);
   CsrFileHeader header;
   header.header_bytes = sizeof(CsrFileHeader);
   header.num_nodes = n;
@@ -253,8 +326,7 @@ void write_csr_file(const std::string& path, const Graph& g) {
   header.max_degree = static_cast<std::uint32_t>(v.max_degree);
   for (int s = 0; s < kNumSections; ++s) {
     header.sections[s] = layout.sections[s];
-    header.sections[s].checksum =
-        csr_checksum(payloads[s], layout.sections[s].bytes);
+    header.sections[s].checksum = sums[s];
   }
   header.header_checksum = 0;
   header.header_checksum = csr_checksum(&header, sizeof(header));
@@ -465,6 +537,7 @@ CsrBuildStats build_csr_file(EdgeSource& source, NodeId num_nodes,
 
   for (std::size_t v = 0; v < n; ++v) ids[v] = v;
 
+  const auto sums = section_checksums(base, layout.sections);
   CsrFileHeader header;
   header.header_bytes = sizeof(CsrFileHeader);
   header.num_nodes = n;
@@ -472,8 +545,7 @@ CsrBuildStats build_csr_file(EdgeSource& source, NodeId num_nodes,
   header.max_degree = static_cast<std::uint32_t>(max_degree);
   for (int s = 0; s < kNumSections; ++s) {
     header.sections[s] = layout.sections[s];
-    header.sections[s].checksum = csr_checksum(
-        base + layout.sections[s].offset, layout.sections[s].bytes);
+    header.sections[s].checksum = sums[s];
   }
   header.header_checksum = 0;
   header.header_checksum = csr_checksum(&header, sizeof(header));

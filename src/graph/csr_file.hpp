@@ -33,11 +33,18 @@
 // point of mapping a 20 GB file, so kAuto verifies sections only when the
 // file is at most kAutoVerifyLimit bytes. The header is always verified.
 // DELTACOLOR_CSR_VERIFY=always|never|auto overrides the caller's choice.
+//
+// FNV-1a is one serial xor-multiply chain per section, bound by the
+// multiply's latency rather than by memory bandwidth. The five sections'
+// chains are independent, so csr_checksums advances them interleaved in
+// one pass: the loader's verification and both writers cost about one
+// chain over the longest section instead of a chain over the whole file.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -61,6 +68,10 @@ enum CsrSectionId : int {
   kSecIds = 4,
   kNumSections = 5,
 };
+
+/// Section names in table order (error messages, `dcolor-import info`).
+inline constexpr const char* kCsrSectionNames[kNumSections] = {
+    "offsets", "adjacency", "arc_edge", "edges", "ids"};
 
 struct CsrSection {
   std::uint64_t offset = 0;    // absolute byte offset in the file
@@ -185,5 +196,12 @@ CsrBuildStats build_csr_file(EdgeSource& source, NodeId num_nodes,
 /// FNV-1a-64 (the section checksum primitive; exposed for tests).
 std::uint64_t csr_checksum(const void* data, std::size_t bytes,
                            std::uint64_t seed = 0xcbf29ce484222325ull);
+
+/// FNV-1a-64 of up to kNumSections ranges in one pass: out[i] is exactly
+/// csr_checksum(ranges[i].data(), ranges[i].size()). The chains advance
+/// one byte each per step, so their multiply latencies overlap and the
+/// pass costs about one chain over the longest range.
+void csr_checksums(std::span<const std::span<const std::byte>> ranges,
+                   std::span<std::uint64_t> out);
 
 }  // namespace deltacolor

@@ -1,7 +1,6 @@
 #include "primitives/heg.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/check.hpp"
 
@@ -11,59 +10,80 @@ namespace {
 
 // Alternating BFS from a free vertex in the (vertex, hyperedge) bipartite
 // incidence graph: vertex -> any incident hyperedge; hyperedge -> its
-// current grabber. Returns the augmenting path as alternating
+// current grabber. find() returns the augmenting path as alternating
 // vertex/hyperedge indices (v0, f0, v1, f1, .., fk) where fk is free, or an
 // empty vector if none exists within `depth_cap` vertex layers. Elements
 // flagged in `blocked_*` (already used by another augmentation this
 // iteration) are skipped.
-std::vector<int> find_augmenting_path(const Hypergraph& h,
-                                      const std::vector<int>& grabber,
-                                      int source, int depth_cap,
-                                      const NodeMask& blocked_vertex,
-                                      const NodeMask& blocked_edge) {
-  const int num_edges = static_cast<int>(h.edges.size());
-  std::vector<int> prev_vertex_of_edge(num_edges, -2);  // -2 = unvisited
-  std::vector<int> prev_edge_of_vertex(h.num_vertices, -2);
-  std::queue<int> frontier;  // vertices
-  prev_edge_of_vertex[source] = -1;
-  frontier.push(source);
-  int free_edge = -1;
-  int depth = 0;
-  while (!frontier.empty() && free_edge == -1 && depth < depth_cap) {
-    std::queue<int> next;
-    while (!frontier.empty() && free_edge == -1) {
-      const int v = frontier.front();
-      frontier.pop();
-      for (const int f : h.incidence[v]) {
-        if (prev_vertex_of_edge[f] != -2 || blocked_edge[f]) continue;
-        prev_vertex_of_edge[f] = v;
-        const int w = grabber[f];
-        if (w == -1) {
-          free_edge = f;
-          break;
+//
+// The visit arrays live as long as the search object and each find()
+// resets only the entries it set, so a search costs what it visits, not
+// |V_h| + |E_h|. The visited vertices double as the BFS queue.
+class AugmentingPathSearch {
+ public:
+  explicit AugmentingPathSearch(const Hypergraph& h)
+      : h_(h),
+        prev_vertex_of_edge_(h.edges.size(), kUnvisited),
+        prev_edge_of_vertex_(h.num_vertices, kUnvisited) {}
+
+  std::vector<int> find(const std::vector<int>& grabber, int source,
+                        int depth_cap, const NodeMask& blocked_vertex,
+                        const NodeMask& blocked_edge) {
+    visited_vertices_.assign(1, source);
+    visited_edges_.clear();
+    prev_edge_of_vertex_[source] = -1;
+    int free_edge = -1;
+    std::size_t head = 0;
+    for (int depth = 0; head < visited_vertices_.size() && free_edge == -1 &&
+                        depth < depth_cap;
+         ++depth) {
+      const std::size_t layer_end = visited_vertices_.size();
+      for (; head < layer_end && free_edge == -1; ++head) {
+        const int v = visited_vertices_[head];
+        for (const int f : h_.incidence[v]) {
+          if (prev_vertex_of_edge_[f] != kUnvisited || blocked_edge[f])
+            continue;
+          prev_vertex_of_edge_[f] = v;
+          visited_edges_.push_back(f);
+          const int w = grabber[f];
+          if (w == -1) {
+            free_edge = f;
+            break;
+          }
+          if (prev_edge_of_vertex_[w] != kUnvisited || blocked_vertex[w])
+            continue;
+          prev_edge_of_vertex_[w] = f;
+          visited_vertices_.push_back(w);
         }
-        if (prev_edge_of_vertex[w] != -2 || blocked_vertex[w]) continue;
-        prev_edge_of_vertex[w] = f;
-        next.push(w);
       }
     }
-    frontier.swap(next);
-    ++depth;
+    std::vector<int> path;
+    if (free_edge != -1) {
+      // Reconstruct: fk, v_k, f_{k-1}, .., v_0 reversed.
+      int f = free_edge;
+      for (;;) {
+        path.push_back(f);
+        const int v = prev_vertex_of_edge_[f];
+        path.push_back(v);
+        if (v == source) break;
+        f = prev_edge_of_vertex_[v];
+      }
+      std::reverse(path.begin(), path.end());
+    }
+    for (const int v : visited_vertices_) prev_edge_of_vertex_[v] = kUnvisited;
+    for (const int f : visited_edges_) prev_vertex_of_edge_[f] = kUnvisited;
+    return path;  // v0 f0 v1 f1 .. fk
   }
-  if (free_edge == -1) return {};
-  // Reconstruct: fk, v_k, f_{k-1}, .., v_0 reversed.
-  std::vector<int> path;
-  int f = free_edge;
-  for (;;) {
-    path.push_back(f);
-    const int v = prev_vertex_of_edge[f];
-    path.push_back(v);
-    if (v == source) break;
-    f = prev_edge_of_vertex[v];
-  }
-  std::reverse(path.begin(), path.end());
-  return path;  // v0 f0 v1 f1 .. fk
-}
+
+ private:
+  static constexpr int kUnvisited = -2;
+
+  const Hypergraph& h_;
+  std::vector<int> prev_vertex_of_edge_;
+  std::vector<int> prev_edge_of_vertex_;
+  std::vector<int> visited_vertices_;  // BFS order; also the queue
+  std::vector<int> visited_edges_;
+};
 
 void apply_augmenting_path(std::vector<int>& grabbed_edge,
                            std::vector<int>& grabber,
@@ -113,6 +133,7 @@ HegResult solve_heg(const Hypergraph& h, LocalContext& ctx) {
   // conflicts inside the paths' bounded neighborhoods).
   int radius = 2;
   const int hard_cap = 4 * (h.num_vertices + num_edges) + 16;
+  AugmentingPathSearch search(h);
   while (true) {
     std::vector<int> free_vertices;
     for (int v = 0; v < h.num_vertices; ++v)
@@ -126,8 +147,8 @@ HegResult solve_heg(const Hypergraph& h, LocalContext& ctx) {
     bool any = false;
     for (const int v : free_vertices) {
       if (blocked_vertex[v]) continue;
-      const auto path = find_augmenting_path(h, res.grabber, v, radius,
-                                             blocked_vertex, blocked_edge);
+      const auto path =
+          search.find(res.grabber, v, radius, blocked_vertex, blocked_edge);
       if (path.empty()) continue;
       apply_augmenting_path(res.grabbed_edge, res.grabber, path);
       for (std::size_t i = 0; i < path.size(); i += 2) {

@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -137,6 +139,80 @@ class VectorSource final : public EdgeSource {
   std::size_t pos_ = 0;
 };
 
+// csr_checksums must return, range by range, exactly what the single-range
+// csr_checksum returns: for 1..kNumSections ranges of unequal lengths
+// around the byte loop's edges, with each range in turn the longest.
+TEST(CsrChecksum, InterleavedMatchesSingleRange) {
+  constexpr std::size_t kLengths[] = {0, 1, 7, 8, 63, 64, 65};
+  constexpr std::size_t kNumLengths = std::size(kLengths);
+  constexpr std::size_t kLong = (3u << 20) + 5;
+  std::vector<std::byte> pool(kLong + 64 * kNumSections);
+  Rng rng(2025);
+  for (std::byte& b : pool) b = static_cast<std::byte>(rng() & 0xff);
+
+  const auto check = [&](const std::vector<std::size_t>& lengths) {
+    std::vector<std::span<const std::byte>> ranges;
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      // Distinct start offsets so no two ranges hash the same bytes; an
+      // empty range is a null span.
+      if (lengths[i] == 0)
+        ranges.emplace_back();
+      else
+        ranges.emplace_back(pool.data() + 13 * i, lengths[i]);
+    }
+    std::vector<std::uint64_t> got(ranges.size(), 0);
+    csr_checksums(ranges, got);
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+      EXPECT_EQ(got[i], csr_checksum(ranges[i].data(), ranges[i].size()))
+          << "range " << i << " of " << ranges.size() << ", length "
+          << lengths[i];
+  };
+
+  for (std::size_t count = 1; count <= kNumSections; ++count) {
+    for (std::size_t longest = 0; longest < count; ++longest) {
+      // One range of a few MiB, the others short and pairwise distinct.
+      std::vector<std::size_t> lengths(count);
+      for (std::size_t i = 0; i < count; ++i)
+        lengths[i] =
+            i == longest ? kLong : kLengths[(i + longest) % kNumLengths];
+      check(lengths);
+    }
+    for (std::size_t shift = 0; shift < kNumLengths; ++shift) {
+      // Short ranges only; the rotation makes each position the longest.
+      std::vector<std::size_t> lengths(count);
+      for (std::size_t i = 0; i < count; ++i)
+        lengths[i] = kLengths[(i + shift) % kNumLengths];
+      check(lengths);
+    }
+  }
+}
+
+// The section and header checksums of a small fixed graph's file, pinned
+// as literals: any change to the values, or to the bytes they cover,
+// fails here.
+TEST(CsrFile, ChecksumsArePinned) {
+  Graph g(7, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+              {6, 0}, {1, 4}});
+  g.set_ids({70, 11, 52, 33, 94, 15, 26});
+  const std::string path = tmp_path("pinned.dcsr");
+  write_csr_file(path, g);
+  const CsrFileInfo info = peek_csr_file(path);
+  constexpr std::uint64_t kWant[kNumSections] = {
+      0x4d2706716947d8aeull,  // offsets
+      0x9a852c65aa58cb62ull,  // adjacency
+      0x853bc9bf8a2d02e5ull,  // arc_edge
+      0xfd5dc1f5b20ad892ull,  // edges
+      0x5c5f84eeb06e3656ull,  // ids
+  };
+  for (int s = 0; s < kNumSections; ++s)
+    EXPECT_EQ(info.header.sections[s].checksum, kWant[s])
+        << kCsrSectionNames[s];
+  EXPECT_EQ(info.header.header_checksum, 0x446945775c3d7ea7ull);
+  EXPECT_EQ(info.file_bytes, 704u);
+  expect_identical(load_csr_file(path, {CsrVerify::kAlways}), g);
+  std::remove(path.c_str());
+}
+
 TEST(CsrFile, ExternalBuildMatchesInMemoryBuilder) {
   // Edge soup with duplicates and both orientations.
   EdgeList soup;
@@ -233,13 +309,15 @@ TEST(CsrFile, PeekAndSniff) {
 // --- hostile inputs: every failure is a typed CsrError, never a crash ---
 
 CsrErrorKind load_kind(const std::string& path,
-                       CsrVerify verify = CsrVerify::kAlways) {
+                       CsrVerify verify = CsrVerify::kAlways,
+                       std::string* message = nullptr) {
   try {
     (void)load_csr_file(path, {verify});
   } catch (const CsrError& e) {
     // Structured one-line message: mentions the path, no embedded newline.
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
     EXPECT_EQ(std::string(e.what()).find('\n'), std::string::npos);
+    if (message != nullptr) *message = e.what();
     return e.kind();
   }
   ADD_FAILURE() << "load of " << path << " unexpectedly succeeded";
@@ -316,17 +394,34 @@ TEST(CsrFileHostile, TruncatedPayload) {
 }
 
 TEST(CsrFileHostile, PayloadChecksumMismatch) {
-  const std::string path = write_valid_file("payload.dcsr");
-  const CsrFileInfo info = peek_csr_file(path);
-  // Flip one byte in the adjacency section.
-  corrupt_byte(path, info.header.sections[kSecAdjacency].offset + 5);
-  EXPECT_EQ(load_kind(path, CsrVerify::kAlways), CsrErrorKind::kChecksum);
-  // kNever skips payload verification by design: the load succeeds (the
-  // header is intact), which is exactly the lazy-page tradeoff documented
-  // in the header. kAuto on a small file verifies.
-  EXPECT_NO_THROW((void)load_csr_file(path, {CsrVerify::kNever}));
-  EXPECT_EQ(load_kind(path, CsrVerify::kAuto), CsrErrorKind::kChecksum);
-  std::remove(path.c_str());
+  // Flip the first, then the last byte of each section in turn: the
+  // interleaved verification must see every lane's whole range, and the
+  // error must name the section whose bytes changed.
+  for (int s = 0; s < kNumSections; ++s) {
+    for (const bool last : {false, true}) {
+      const std::string path = write_valid_file("payload.dcsr");
+      const CsrSection sec = peek_csr_file(path).header.sections[s];
+      ASSERT_GT(sec.bytes, 0u);
+      corrupt_byte(path, sec.offset + (last ? sec.bytes - 1 : 0));
+      const std::string where = std::string(kCsrSectionNames[s]) +
+                                (last ? ", last byte" : ", first byte");
+      std::string message;
+      EXPECT_EQ(load_kind(path, CsrVerify::kAlways, &message),
+                CsrErrorKind::kChecksum)
+          << where;
+      EXPECT_NE(message.find("section " + std::to_string(s) + " (" +
+                             kCsrSectionNames[s] + ")"),
+                std::string::npos)
+          << where << ": " << message;
+      // kNever skips payload verification by design: the load succeeds
+      // (the header is intact), which is exactly the lazy-page tradeoff
+      // documented in the header. kAuto on a small file verifies.
+      EXPECT_NO_THROW((void)load_csr_file(path, {CsrVerify::kNever}));
+      EXPECT_EQ(load_kind(path, CsrVerify::kAuto), CsrErrorKind::kChecksum)
+          << where;
+      std::remove(path.c_str());
+    }
+  }
 }
 
 }  // namespace

@@ -227,6 +227,35 @@ TEST(ColorLists, UniformMatchesManualLoop) {
   EXPECT_EQ(lists.total_colors(), 15u);
 }
 
+TEST(ColorLists, UniformSharesOneRow) {
+  ColorLists lists = ColorLists::uniform(1000, 17);
+  ASSERT_EQ(lists.size(), 1000u);
+  EXPECT_EQ(lists.total_colors(), 17000u);
+  EXPECT_EQ(lists.max_color(), 16);
+  // Every node's span is the one stored row, not a copy of it.
+  const std::span<const Color> row = lists[0];
+  ASSERT_EQ(row.size(), 17u);
+  for (std::size_t v = 0; v < lists.size(); ++v) {
+    EXPECT_EQ(lists[v].data(), row.data()) << "node " << v;
+    EXPECT_EQ(lists[v].size(), row.size()) << "node " << v;
+  }
+  // A shared row cannot grow: extending it would extend every node's list.
+  EXPECT_THROW(lists.push(3), std::logic_error);
+  EXPECT_THROW(lists.close_list(), std::logic_error);
+  EXPECT_THROW(lists.add_list(std::vector<Color>{1, 2}), std::logic_error);
+  EXPECT_EQ(lists.size(), 1000u);
+  EXPECT_EQ(lists.total_colors(), 17000u);
+  // Degenerate shapes.
+  const ColorLists none = ColorLists::uniform(0, 5);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.total_colors(), 0u);
+  const ColorLists blank = ColorLists::uniform(3, 0);
+  EXPECT_EQ(blank.size(), 3u);
+  EXPECT_TRUE(blank[2].empty());
+  EXPECT_EQ(blank.total_colors(), 0u);
+  EXPECT_EQ(blank.max_color(), kNoColor);
+}
+
 TEST(ColorLists, EmptyStates) {
   const ColorLists fresh;
   EXPECT_TRUE(fresh.empty());

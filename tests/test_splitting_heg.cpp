@@ -2,7 +2,11 @@
 // grabbing (Lemma 5 role).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <queue>
+#include <string>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -176,6 +180,174 @@ TEST(Heg, InfeasibleInstanceReportsIncomplete) {
   EXPECT_FALSE(r.complete);
   EXPECT_TRUE(is_valid_heg(h, r, /*require_complete=*/false));
   EXPECT_FALSE(solve_heg_centralized(h).complete);
+}
+
+// --- solve_heg against its allocate-per-search form ---------------------------
+
+// Transcribed from solve_heg before its search kept the visit arrays
+// across calls: the same greedy waves and phase doubling, with a search
+// that allocates and fills both |E_h| and |V_h| arrays on every call.
+// `searches` counts the calls, so a test can show that its instance
+// exercised the search.
+std::vector<int> reference_find_augmenting_path(
+    const Hypergraph& h, const std::vector<int>& grabber, int source,
+    int depth_cap, const NodeMask& blocked_vertex,
+    const NodeMask& blocked_edge) {
+  const int num_edges = static_cast<int>(h.edges.size());
+  std::vector<int> prev_vertex_of_edge(num_edges, -2);  // -2 = unvisited
+  std::vector<int> prev_edge_of_vertex(h.num_vertices, -2);
+  std::queue<int> frontier;  // vertices
+  prev_edge_of_vertex[source] = -1;
+  frontier.push(source);
+  int free_edge = -1;
+  int depth = 0;
+  while (!frontier.empty() && free_edge == -1 && depth < depth_cap) {
+    std::queue<int> next;
+    while (!frontier.empty() && free_edge == -1) {
+      const int v = frontier.front();
+      frontier.pop();
+      for (const int f : h.incidence[v]) {
+        if (prev_vertex_of_edge[f] != -2 || blocked_edge[f]) continue;
+        prev_vertex_of_edge[f] = v;
+        const int w = grabber[f];
+        if (w == -1) {
+          free_edge = f;
+          break;
+        }
+        if (prev_edge_of_vertex[w] != -2 || blocked_vertex[w]) continue;
+        prev_edge_of_vertex[w] = f;
+        next.push(w);
+      }
+    }
+    frontier.swap(next);
+    ++depth;
+  }
+  if (free_edge == -1) return {};
+  std::vector<int> path;
+  int f = free_edge;
+  for (;;) {
+    path.push_back(f);
+    const int v = prev_vertex_of_edge[f];
+    path.push_back(v);
+    if (v == source) break;
+    f = prev_edge_of_vertex[v];
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+HegResult reference_solve_heg(const Hypergraph& h, int* searches) {
+  HegResult res;
+  const int num_edges = static_cast<int>(h.edges.size());
+  res.grabbed_edge.assign(h.num_vertices, -1);
+  res.grabber.assign(num_edges, -1);
+  for (int wave = 0; wave < 3; ++wave) {
+    for (int v = 0; v < h.num_vertices; ++v) {
+      if (res.grabbed_edge[v] != -1) continue;
+      for (const int f : h.incidence[v]) {
+        if (res.grabber[f] == -1) {
+          res.grabber[f] = v;
+          res.grabbed_edge[v] = f;
+          break;
+        }
+      }
+    }
+    res.rounds += 2;
+  }
+  *searches = 0;
+  int radius = 2;
+  const int hard_cap = 4 * (h.num_vertices + num_edges) + 16;
+  while (true) {
+    std::vector<int> free_vertices;
+    for (int v = 0; v < h.num_vertices; ++v)
+      if (res.grabbed_edge[v] == -1) free_vertices.push_back(v);
+    if (free_vertices.empty()) {
+      res.complete = true;
+      break;
+    }
+    NodeMask blocked_vertex(h.num_vertices, 0);
+    NodeMask blocked_edge(num_edges, 0);
+    bool any = false;
+    for (const int v : free_vertices) {
+      if (blocked_vertex[v]) continue;
+      ++*searches;
+      const auto path = reference_find_augmenting_path(
+          h, res.grabber, v, radius, blocked_vertex, blocked_edge);
+      if (path.empty()) continue;
+      for (std::size_t i = 0; i < path.size(); i += 2) {
+        res.grabbed_edge[path[i]] = path[i + 1];
+        res.grabber[path[i + 1]] = path[i];
+        blocked_vertex[path[i]] = 1;
+        blocked_edge[path[i + 1]] = 1;
+      }
+      any = true;
+    }
+    res.rounds += 3 * radius;
+    if (!any) {
+      if (radius >= hard_cap) break;
+      radius *= 2;
+    }
+  }
+  return res;
+}
+
+// Hard-clique-shaped HEG instance: `cliques` cliques of `k` sub-cliques
+// (the vertices); every hyperedge is an inter-clique edge proposed by one
+// sub-clique on each side (rank 2), `per_vertex` per sub-clique. Vertex
+// ids are shuffled against the edge order, so the greedy waves' first-fit
+// leaves sub-cliques whose every edge a lower id took.
+Hypergraph blowup_shaped_heg(int cliques, int k, int per_vertex,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  const int n = cliques * k;
+  std::vector<int> id(n);
+  std::iota(id.begin(), id.end(), 0);
+  for (int i = n - 1; i > 0; --i)
+    std::swap(id[i], id[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  Hypergraph h;
+  h.num_vertices = n;
+  for (int v = 0; v < n; ++v) {
+    const int clique = v / k;
+    for (int j = 0; j < per_vertex; ++j) {
+      int other = static_cast<int>(rng.below(n - k));
+      if (other >= clique * k) other += k;  // skip v's own clique
+      std::vector<int> members = {id[v], id[other]};
+      std::sort(members.begin(), members.end());
+      h.edges.push_back(std::move(members));
+    }
+  }
+  h.build_incidence();
+  return h;
+}
+
+void expect_same_heg(const Hypergraph& h, const std::string& label) {
+  int searches = 0;
+  const HegResult want = reference_solve_heg(h, &searches);
+  RoundLedger ledger;
+  const HegResult got = solve_heg(h, ledger);
+  EXPECT_EQ(got.grabbed_edge, want.grabbed_edge) << label;
+  EXPECT_EQ(got.grabber, want.grabber) << label;
+  EXPECT_EQ(got.rounds, want.rounds) << label;
+  EXPECT_EQ(got.complete, want.complete) << label;
+  EXPECT_EQ(ledger.total(), want.rounds) << label;
+  // The instance must leave work for the search, or it tests nothing.
+  EXPECT_GE(searches, 8) << label;
+}
+
+TEST(HegReference, BlowupShapedInstancesMatch) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    for (const int cliques : {16, 48})
+      expect_same_heg(blowup_shaped_heg(cliques, 4, 1, seed),
+                      "blowup cliques=" + std::to_string(cliques) +
+                          " seed=" + std::to_string(seed));
+}
+
+TEST(HegReference, RandomInstancesMatch) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    for (const int rank : {6, 8})
+      expect_same_heg(random_heg_instance(200, 3, rank, seed),
+                      "random rank=" + std::to_string(rank) +
+                          " seed=" + std::to_string(seed));
 }
 
 TEST(Heg, ValidityCheckerCatchesBadGrabs) {

@@ -386,10 +386,8 @@ int cmd_info(int argc, char** argv) {
               << " Delta=" << info.header.max_degree
               << " bytes=" << info.file_bytes << "\n";
     for (int s = 0; s < kNumSections; ++s) {
-      static const char* names[kNumSections] = {"offsets", "adjacency",
-                                                "arc_edge", "edges", "ids"};
       const CsrSection& sec = info.header.sections[s];
-      std::cout << "  " << names[s] << ": offset=" << sec.offset
+      std::cout << "  " << kCsrSectionNames[s] << ": offset=" << sec.offset
                 << " bytes=" << sec.bytes << " checksum=" << std::hex
                 << sec.checksum << std::dec << "\n";
     }
