@@ -57,34 +57,21 @@ class ScratchArena {
     used_ = 0;
   }
 
-  /// Minimum absolute-address alignment of every allocation: one AVX2
-  /// vector, so SIMD palette kernels may use aligned loads on arena-carved
-  /// word arrays. Must be computed against the buffer's address, not the
-  /// bump offset — operator new only guarantees ~16 bytes for the buffer
-  /// itself.
-  static constexpr std::size_t kMinAlign = 32;
-
-  /// `count` default-initialized T's, aligned to max(alignof(T), 32)
-  /// bytes. Pointers remain valid until reset() (frames rewind the offset
-  /// but never reclaim storage).
+  /// `count` default-initialized T's, aligned to alignof(T). Pointers
+  /// remain valid until reset() (frames rewind the offset but never
+  /// reclaim storage).
   template <typename T>
   T* alloc(std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "arena scratch must be trivially copyable");
-    const std::size_t align =
-        alignof(T) > kMinAlign ? alignof(T) : kMinAlign;
     const std::size_t bytes = count * sizeof(T);
-    const std::uintptr_t base =
-        reinterpret_cast<std::uintptr_t>(buf_.data());
-    const std::size_t aligned =
-        static_cast<std::size_t>(((base + used_ + align - 1) & ~(align - 1)) -
-                                 base);
+    const std::size_t aligned = aligned_offset(buf_.data(), used_, alignof(T));
     if (aligned + bytes <= buf_.size()) {
       used_ = aligned + bytes;
       high_water_ = used_ > high_water_ ? used_ : high_water_;
       return reinterpret_cast<T*>(buf_.data() + aligned);
     }
-    return static_cast<T*>(alloc_overflow(bytes, align));
+    return static_cast<T*>(alloc_overflow(bytes, alignof(T)));
   }
 
   std::size_t used() const { return used_; }
@@ -150,13 +137,24 @@ class ScratchArena {
   };
 
  private:
+  /// Offset from `block` of the first `align`-aligned address at or past
+  /// block + used. Alignment is taken against the address, not the offset:
+  /// operator new only promises 16 bytes for the block itself.
+  static std::size_t aligned_offset(const std::byte* block, std::size_t used,
+                                    std::size_t align) {
+    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(block);
+    return static_cast<std::size_t>(
+        ((base + used + align - 1) & ~(align - 1)) - base);
+  }
+
   /// Slow path: the primary buffer is full. Bump inside the newest
   /// overflow block while it has room, else open a fresh one (geometric
   /// growth). Blocks coalesce into the primary buffer at the next reset(),
   /// so warm steady state never re-enters this path.
   void* alloc_overflow(std::size_t bytes, std::size_t align) {
     if (overflow_.empty() ||
-        ((overflow_used_ + align - 1) & ~(align - 1)) + bytes >
+        aligned_offset(overflow_.back().data(), overflow_used_, align) +
+                bytes >
             overflow_.back().size()) {
       if (const AllocProbe probe =
               alloc_probe_ref().load(std::memory_order_relaxed))
@@ -178,9 +176,7 @@ class ScratchArena {
       ++growth_count_;
     }
     auto& block = overflow_.back();
-    const std::size_t base = reinterpret_cast<std::uintptr_t>(block.data());
-    const std::size_t off =
-        ((base + overflow_used_ + align - 1) & ~(align - 1)) - base;
+    const std::size_t off = aligned_offset(block.data(), overflow_used_, align);
     overflow_used_ = off + bytes;
     return block.data() + off;
   }

@@ -3,19 +3,21 @@
 // neighbors hold. PaletteSet is a fixed-capacity bitset over the color
 // space [0, width) with popcount/ctz-based ops so that membership tests,
 // free-color counts and k-th-free selection cost O(width/64) words instead
-// of O(list) comparisons or a sort. ColorLists is the flat CSR-style
-// storage for per-node color lists (one offsets array + one flat Color
-// array) replacing std::vector<std::vector<Color>> — one allocation, no
-// per-node heap vectors, cache-linear sweeps.
+// of O(list) comparisons or a sort. Each op is one scalar loop over the
+// words; the paper's constant-degree palettes fit in one or a few words.
+// ColorLists is the flat CSR-style storage for per-node color lists (one
+// offsets array + one flat Color array) replacing
+// std::vector<std::vector<Color>> — one allocation, no per-node heap
+// vectors, cache-linear sweeps.
 //
-// Determinism contract: every enumeration (first_free, nth_free,
-// sample_free, for_each) walks colors in ascending order, exactly matching
-// the order a sorted std::vector<Color> scan would produce. Callers that
-// must preserve an *arbitrary* list order (the deg+1 class-greedy picks the
-// first color of the node's list, which tests exercise with unsorted
-// lists) instead build the *taken* set as a PaletteSet and scan their list
-// testing contains() — bit-identical to the previous binary_search code for
-// any list order.
+// Determinism contract: every enumeration (nth_free, sample_free,
+// for_each) walks colors in ascending order, exactly matching the order a
+// sorted std::vector<Color> scan would produce. Callers that must preserve
+// an *arbitrary* list order (the deg+1 class-greedy picks the first color
+// of the node's list, which tests exercise with unsorted lists) instead
+// build the *taken* set as a PaletteSet and scan their list testing
+// contains() — bit-identical to the previous binary_search code for any
+// list order.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace deltacolor {
@@ -74,65 +75,12 @@ class PaletteSet {
     return (words_[static_cast<std::size_t>(c) >> 6] & bit(c)) != 0;
   }
 
-  /// Word-parallel set difference: drops every color present in `other`.
-  /// Wide palettes route through the runtime-dispatched SIMD kernels
-  /// (common/simd.hpp) — bit-identical to the scalar loop at every level.
-  void remove_all(const PaletteSet& other) {
-    const std::size_t n =
-        std::min(words_needed(width_), words_needed(other.width_));
-    if (n >= simd::kMinWords) {
-      simd::andnot_words(words_.data(), other.words_.data(), n);
-      return;
-    }
-    for (std::size_t w = 0; w < n; ++w) words_[w] &= ~other.words_[w];
-  }
-
-  /// Convenience overload: erase each listed color (kNoColor entries and
-  /// colors outside [0, width) are ignored).
-  void remove_all(std::span<const Color> colors) {
-    for (const Color c : colors) erase(c);
-  }
-
   /// Popcount over all words.
   int count() const {
-    const std::size_t n = words_needed(width_);
-    if (n >= simd::kMinWords) return simd::popcount_words(words_.data(), n);
     int total = 0;
-    for (std::size_t w = 0; w < n; ++w)
+    for (std::size_t w = 0; w < words_needed(width_); ++w)
       total += __builtin_popcountll(words_[w]);
     return total;
-  }
-
-  /// Word-parallel |this AND other| via popcount.
-  int intersect_count(const PaletteSet& other) const {
-    const std::size_t n =
-        std::min(words_needed(width_), words_needed(other.width_));
-    if (n >= simd::kMinWords)
-      return simd::popcount_and_words(words_.data(), other.words_.data(), n);
-    int total = 0;
-    for (std::size_t w = 0; w < n; ++w)
-      total += __builtin_popcountll(words_[w] & other.words_[w]);
-    return total;
-  }
-
-  /// Smallest member, or kNoColor when empty (word-skip scan to the first
-  /// non-zero word, then ctz).
-  Color first_free() const {
-    const std::size_t n = words_needed(width_);
-    std::size_t w;
-    // The dispatch guard peeks at word 0: a set with any low color free
-    // (the overwhelmingly common case after remove_all) resolves in the
-    // scalar loop's first iteration, cheaper than any vector setup. The
-    // kernel only earns its call when a zero prefix must be skipped.
-    if (n >= simd::kMinWords && words_[0] == 0) {
-      w = simd::first_nonzero_word(words_.data(), n);
-    } else {
-      w = 0;
-      while (w < n && words_[w] == 0) ++w;
-    }
-    if (w == n) return kNoColor;
-    return static_cast<Color>(
-        w * 64 + static_cast<std::size_t>(__builtin_ctzll(words_[w])));
   }
 
   /// k-th member (0-based) in ascending color order, or kNoColor when the
@@ -141,15 +89,11 @@ class PaletteSet {
   Color nth_free(int k) const {
     DC_DCHECK(k >= 0);
     const std::size_t n = words_needed(width_);
-    std::size_t w;
-    if (n >= simd::kMinWords) {
-      w = simd::select_word(words_.data(), n, &k);
-    } else {
-      for (w = 0; w < n; ++w) {
-        const int pop = __builtin_popcountll(words_[w]);
-        if (k < pop) break;
-        k -= pop;
-      }
+    std::size_t w = 0;
+    for (; w < n; ++w) {
+      const int pop = __builtin_popcountll(words_[w]);
+      if (k < pop) break;
+      k -= pop;
     }
     if (w == n) return kNoColor;
     std::uint64_t word = words_[w];

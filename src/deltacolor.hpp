@@ -20,6 +20,7 @@
 #include "baselines/baselines.hpp"
 #include "baselines/brooks.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/delta_coloring.hpp"

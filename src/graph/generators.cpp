@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <unordered_set>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -118,18 +119,19 @@ Graph random_regular(NodeId n, int d, std::uint64_t seed) {
     return bad;
   };
 
+  // The normalized pairs met so far in a pass, packed (min << 32) | max.
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(num_pairs);
   for (int attempt = 0; attempt < 500 && count_multi() > 0; ++attempt) {
     // Swap one endpoint of every currently-bad pair with a random point.
-    std::vector<std::pair<NodeId, NodeId>> seen;
+    seen.clear();
     for (std::size_t k = 0; k < num_pairs; ++k) {
       auto [a, b] = pair_of(k);
       const bool self = a == b;
-      bool dup = false;
-      const auto key = std::pair(std::min(a, b), std::max(a, b));
-      if (!self) {
-        dup = std::find(seen.begin(), seen.end(), key) != seen.end();
-        if (!dup) seen.push_back(key);
-      }
+      const std::uint64_t key =
+          (std::uint64_t{std::min(a, b)} << 32) | std::max(a, b);
+      // insert() adds only unseen keys, so it is the membership test.
+      const bool dup = !self && !seen.insert(key).second;
       if (self || dup) {
         const std::size_t other = rng.below(points.size());
         std::swap(points[2 * k + 1], points[other]);

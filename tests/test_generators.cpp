@@ -2,8 +2,11 @@
 // instances that realize the paper's workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 
@@ -35,6 +38,77 @@ TEST(Elementary, RandomRegularIsRegular) {
   for (const int d : {3, 5, 8}) {
     Graph g = random_regular(64, d, 1234 + d);
     for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(g.degree(v), d);
+  }
+}
+
+// random_regular's pairing with its repair pass as first written: the
+// pairs met so far in a pass sit in a vector searched linearly (quadratic
+// per pass). Same draws and swaps as the library; returns the normalized,
+// sorted edge list and sets *passes to the number of repair passes run.
+std::vector<std::pair<NodeId, NodeId>> reference_random_regular(
+    NodeId n, int d, std::uint64_t seed, int* passes) {
+  Rng rng(seed);
+  std::vector<NodeId> points(static_cast<std::size_t>(n) * d);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    points[i] = static_cast<NodeId>(i / d);
+  for (std::size_t i = points.size(); i > 1; --i)
+    std::swap(points[i - 1], points[rng.below(i)]);
+  const std::size_t num_pairs = points.size() / 2;
+  auto normalized = [&]() {
+    std::vector<std::pair<NodeId, NodeId>> sorted;
+    for (std::size_t k = 0; k < num_pairs; ++k) {
+      const NodeId a = points[2 * k], b = points[2 * k + 1];
+      sorted.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  };
+  auto count_multi = [&]() {
+    const auto sorted = normalized();
+    std::size_t bad = 0;
+    for (std::size_t k = 0; k < sorted.size(); ++k)
+      if (sorted[k].first == sorted[k].second ||
+          (k > 0 && sorted[k] == sorted[k - 1]))
+        ++bad;
+    return bad;
+  };
+  *passes = 0;
+  for (int attempt = 0; attempt < 500 && count_multi() > 0; ++attempt) {
+    ++*passes;
+    std::vector<std::pair<NodeId, NodeId>> seen;
+    for (std::size_t k = 0; k < num_pairs; ++k) {
+      const NodeId a = points[2 * k], b = points[2 * k + 1];
+      const bool self = a == b;
+      bool dup = false;
+      const auto key = std::pair(std::min(a, b), std::max(a, b));
+      if (!self) {
+        dup = std::find(seen.begin(), seen.end(), key) != seen.end();
+        if (!dup) seen.push_back(key);
+      }
+      if (self || dup) {
+        const std::size_t other = rng.below(points.size());
+        std::swap(points[2 * k + 1], points[other]);
+      }
+    }
+  }
+  return normalized();
+}
+
+TEST(Elementary, RandomRegularMatchesLinearScanRepair) {
+  struct Case {
+    NodeId n;
+    int d;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{64, 16, 1}, Case{200, 50, 2}, Case{256, 4, 3},
+                       Case{300, 60, 7}, Case{500, 12, 11}}) {
+    int passes = 0;
+    const auto want = reference_random_regular(c.n, c.d, c.seed, &passes);
+    ASSERT_GT(passes, 0) << "repair never ran for n=" << c.n << " d=" << c.d;
+    const Graph g = random_regular(c.n, c.d, c.seed);
+    const auto got = g.edges();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "n=" << c.n << " d=" << c.d << " seed=" << c.seed;
   }
 }
 

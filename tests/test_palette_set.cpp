@@ -3,9 +3,9 @@
 // plus the allocation-counting hook that pins the "no heap allocation in a
 // steady-state engine round" contract.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <set>
 #include <vector>
@@ -16,7 +16,6 @@
 #include "common/arena.hpp"
 #include "common/palette.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "graph/generators.hpp"
 #include "local/context.hpp"
 #include "local/sync_runner.hpp"
@@ -81,8 +80,8 @@ TEST(PaletteSet, RandomizedOracleParity) {
       const std::vector<Color> got = members_of(set);
       const std::vector<Color> want(oracle.begin(), oracle.end());
       ASSERT_EQ(got, want);
-      // first_free / nth_free agree with ordered indexing.
-      ASSERT_EQ(set.first_free(), want.empty() ? kNoColor : want.front());
+      // nth_free agrees with ordered indexing.
+      ASSERT_EQ(set.nth_free(0), want.empty() ? kNoColor : want.front());
       if (!want.empty()) {
         const int k = static_cast<int>(draw() % want.size());
         ASSERT_EQ(set.nth_free(k), want[static_cast<std::size_t>(k)]);
@@ -92,51 +91,14 @@ TEST(PaletteSet, RandomizedOracleParity) {
                       d % static_cast<std::uint64_t>(want.size()))]);
       }
       ASSERT_EQ(set.nth_free(static_cast<int>(want.size())), kNoColor);
+      ASSERT_EQ(set.nth_free(static_cast<int>(want.size()) + 100), kNoColor);
     }
   }
-}
-
-TEST(PaletteSet, RemoveAllMatchesSetDifference) {
-  for (const int width : {65, 200}) {
-    std::uint64_t state = 42;
-    auto draw = [&]() { return state = hash_mix(state, 3, 4); };
-    for (int trial = 0; trial < 50; ++trial) {
-      PaletteSet a(width), b(width);
-      std::set<Color> oa, ob;
-      for (int i = 0; i < width / 2; ++i) {
-        const Color ca =
-            static_cast<Color>(draw() % static_cast<unsigned>(width));
-        const Color cb =
-            static_cast<Color>(draw() % static_cast<unsigned>(width));
-        if (oa.insert(ca).second) a.insert(ca);
-        if (ob.insert(cb).second) b.insert(cb);
-      }
-      // intersect_count == |A and B| by oracle.
-      std::vector<Color> inter;
-      std::set_intersection(oa.begin(), oa.end(), ob.begin(), ob.end(),
-                            std::back_inserter(inter));
-      EXPECT_EQ(a.intersect_count(b), static_cast<int>(inter.size()));
-      a.remove_all(b);
-      std::vector<Color> want;
-      for (const Color c : oa)
-        if (!ob.count(c)) want.push_back(c);
-      EXPECT_EQ(members_of(a), want);
-    }
-  }
-}
-
-TEST(PaletteSet, SpanRemoveAllIgnoresNoColorAndOutOfRange) {
-  PaletteSet s(10);
-  s.fill();
-  const Color drops[] = {kNoColor, 3, 100, -5, 7, 10};
-  s.remove_all(std::span<const Color>(drops));
-  EXPECT_EQ(members_of(s), (std::vector<Color>{0, 1, 2, 4, 5, 6, 8, 9}));
 }
 
 TEST(PaletteSet, EmptyPaletteBoundary) {
   PaletteSet s(0);
   EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.first_free(), kNoColor);
   EXPECT_EQ(s.nth_free(0), kNoColor);
   EXPECT_FALSE(s.contains(0));
   s.fill();  // no-op on width 0
@@ -150,7 +112,7 @@ TEST(PaletteSet, FullPaletteAndRaggedTail) {
     PaletteSet s(width);
     s.fill();
     ASSERT_EQ(s.count(), width) << "width " << width;
-    ASSERT_EQ(s.first_free(), 0);
+    ASSERT_EQ(s.nth_free(0), 0);
     ASSERT_EQ(s.nth_free(width - 1), width - 1);
     ASSERT_EQ(s.nth_free(width), kNoColor);
     // fill() must not leak bits above the ragged tail: contains() past the
@@ -166,7 +128,7 @@ TEST(PaletteSet, ResetReusesStorageAcrossWidths) {
   s.reset(65);  // shrink: stale high words must not resurface
   EXPECT_EQ(s.count(), 0);
   s.insert(64);
-  EXPECT_EQ(s.first_free(), 64);
+  EXPECT_EQ(s.nth_free(0), 64);
   s.reset(1024);  // grow back within the high-water capacity
   EXPECT_EQ(s.count(), 0);
   EXPECT_FALSE(s.contains(64));
@@ -272,126 +234,55 @@ TEST(ColorLists, EmptyStates) {
 // ScratchArena
 // ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// SIMD dispatch parity: every supported level computes bit-identically to
-// the forced-scalar table on the same palettes, across widths straddling
-// the kMinWords dispatch cutoff (8 words = 512 colors).
-// ---------------------------------------------------------------------------
-
-struct LevelGuard {
-  ~LevelGuard() { simd::reset_level(); }
+// An over-aligned scratch type: operator new promises only 16 bytes for
+// the arena's blocks, so the arena must align by address.
+struct alignas(1024) Page {
+  std::uint8_t bytes[1024];
 };
 
-TEST(SimdDispatch, AllLevelsMatchScalarReference) {
-  LevelGuard guard;
-  const simd::Level levels[] = {simd::Level::kScalar, simd::Level::kAvx2,
-                                simd::Level::kNeon};
-  const int widths[] = {64, 511, 512, 513, 640, 1000, 4096};
-  for (const int width : widths) {
-    // Deterministic pseudo-random palettes, plus all-zero / all-one /
-    // single-bit-at-the-end edge cases.
-    std::vector<std::pair<PaletteSet, PaletteSet>> cases;
-    std::uint64_t state = static_cast<std::uint64_t>(width) * 2654435761u;
-    auto next = [&]() { return state = hash_mix(state, 5, 7); };
-    for (int rep = 0; rep < 4; ++rep) {
-      PaletteSet a(width), b(width);
-      for (Color c = 0; c < width; ++c) {
-        if (next() & 1) a.insert(c);
-        if (next() & 2) b.insert(c);
-      }
-      cases.emplace_back(std::move(a), std::move(b));
-    }
-    {
-      PaletteSet empty(width), full(width), last(width);
-      for (Color c = 0; c < width; ++c) full.insert(c);
-      last.insert(width - 1);
-      cases.emplace_back(empty, full);
-      cases.emplace_back(full, empty);
-      cases.emplace_back(last, full);
-    }
-
-    // Scalar reference pass.
-    ASSERT_TRUE(simd::force_level(simd::Level::kScalar));
-    struct Ref {
-      int count, inter;
-      Color first, nth, removed_first;
-    };
-    std::vector<Ref> ref;
-    for (const auto& [a, b] : cases) {
-      PaletteSet t = a;
-      t.remove_all(b);
-      const int cnt = a.count();
-      ref.push_back({cnt, a.intersect_count(b), a.first_free(),
-                     a.nth_free(cnt > 0 ? cnt - 1 : 0), t.first_free()});
-    }
-
-    for (const simd::Level level : levels) {
-      if (!simd::level_supported(level)) continue;
-      ASSERT_TRUE(simd::force_level(level));
-      for (std::size_t i = 0; i < cases.size(); ++i) {
-        const auto& [a, b] = cases[i];
-        PaletteSet t = a;
-        t.remove_all(b);
-        EXPECT_EQ(a.count(), ref[i].count)
-            << simd::to_string(level) << " width=" << width;
-        EXPECT_EQ(a.intersect_count(b), ref[i].inter)
-            << simd::to_string(level) << " width=" << width;
-        EXPECT_EQ(a.first_free(), ref[i].first)
-            << simd::to_string(level) << " width=" << width;
-        EXPECT_EQ(a.nth_free(ref[i].count > 0 ? ref[i].count - 1 : 0),
-                  ref[i].nth)
-            << simd::to_string(level) << " width=" << width;
-        EXPECT_EQ(t.first_free(), ref[i].removed_first)
-            << simd::to_string(level) << " width=" << width;
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, NthFreeOutOfRangeIsNoColorAtEveryLevel) {
-  LevelGuard guard;
-  const simd::Level levels[] = {simd::Level::kScalar, simd::Level::kAvx2,
-                                simd::Level::kNeon};
-  PaletteSet s(1024);
-  for (Color c = 0; c < 1024; c += 3) s.insert(c);
-  const int cnt = s.count();
-  for (const simd::Level level : levels) {
-    if (!simd::level_supported(level)) continue;
-    ASSERT_TRUE(simd::force_level(level));
-    EXPECT_EQ(s.nth_free(cnt), kNoColor) << simd::to_string(level);
-    EXPECT_EQ(s.nth_free(cnt + 100), kNoColor) << simd::to_string(level);
-    EXPECT_EQ(s.nth_free(0), 0) << simd::to_string(level);
-  }
-}
-
-TEST(SimdDispatch, ForceUnsupportedLevelIsRejected) {
-  LevelGuard guard;
-  const simd::Level before = simd::active_level();
-#if defined(__x86_64__)
-  EXPECT_FALSE(simd::force_level(simd::Level::kNeon));
-#elif defined(__aarch64__)
-  EXPECT_FALSE(simd::force_level(simd::Level::kAvx2));
-#endif
-  EXPECT_EQ(simd::active_level(), before);
+template <typename T>
+bool aligned_to_type(const T* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % alignof(T) == 0;
 }
 
 TEST(ScratchArena, AllocationsAre32ByteAligned) {
-  // SIMD kernels may use aligned vector loads on arena-carved scratch, so
-  // every allocation lands on a 32-byte absolute address — including small
-  // types, overflow-path blocks, and re-used capacity after reset().
+  // Every allocation lands on a multiple of alignof(T): byte runs that
+  // leave the bump offset odd, words, over-aligned pages, overflow-path
+  // blocks, and re-used capacity after reset().
   ScratchArena arena;
   for (int round = 0; round < 3; ++round) {
     for (const std::size_t count : {1u, 7u, 64u, 1000u}) {
-      const auto* bytes = arena.alloc<std::uint8_t>(count);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bytes) %
-                    ScratchArena::kMinAlign,
-                0u);
-      const auto* words = arena.alloc<std::uint64_t>(count);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words) %
-                    ScratchArena::kMinAlign,
-                0u);
+      EXPECT_TRUE(aligned_to_type(arena.alloc<std::uint8_t>(count)));
+      EXPECT_TRUE(aligned_to_type(arena.alloc<std::uint64_t>(count)));
+      EXPECT_TRUE(aligned_to_type(arena.alloc<Page>(count % 5 + 1)));
     }
     arena.reset();  // coalesces overflow; next round exercises warm path
+  }
+}
+
+TEST(ScratchArena, OverAlignedOverflowStaysInsideItsBlock) {
+  // A fresh arena opens a 4096-byte overflow block for 993 bytes. By
+  // block offset, three 1024-aligned pages still fit (1024 + 3072 = 4096).
+  // By address they start at the first page boundary past those bytes,
+  // 2048 - (address mod 1024) into the block once address mod 1024 >= 32,
+  // and would end past it: the arena must open a new block. Every byte of
+  // each span is written so the sanitizers see any write past a block;
+  // a span that shares the first block is also bounds-checked against it.
+  constexpr std::size_t kHead = 1024 - 31;
+  ScratchArena arenas[8];  // alive together, so their blocks differ
+  for (ScratchArena& arena : arenas) {
+    std::uint8_t* head = arena.alloc<std::uint8_t>(kHead);
+    Page* pages = arena.alloc<Page>(3);
+    ASSERT_TRUE(aligned_to_type(pages));
+    std::memset(head, 0xcd, kHead);
+    std::memset(pages, 0xab, 3 * sizeof(Page));
+    EXPECT_EQ(head[kHead - 1], 0xcd);
+    if (arena.growth_count() == 1) {
+      // One block, which the first allocation starts (alignof 1).
+      const auto block = reinterpret_cast<std::uintptr_t>(head);
+      EXPECT_LE(reinterpret_cast<std::uintptr_t>(pages + 3),
+                block + arena.total_capacity());
+    }
   }
 }
 

@@ -192,7 +192,10 @@ TEST(SyncRunnerParallel, MisBitIdenticalAcrossWorkersAndReference) {
 }
 
 TEST(SyncRunnerParallel, ColorTrialBitIdenticalAcrossWorkersAndReference) {
-  for (const Graph& g : family()) {
+  std::vector<Graph> graphs = family();
+  // Delta = 512: the trial sampler's palette spans nine words.
+  graphs.push_back(clique_ring(3, 512, 1).graph);
+  for (const Graph& g : graphs) {
     const auto expected = reference_color_trial(g, 77);
     for (const int workers : {1, 2, 8}) {
       for (const bool frontier : {false, true}) {

@@ -77,6 +77,28 @@ elseif(CHECK STREQUAL "gen-infeasible")
   expect_exit(2 gen blowup 64 16 2 0 7 g.txt)
   expect_no_file(g.txt)
   expect_exit(0 gen blowup 298 4 3 0 7 g.txt)
+  # The ring and regular families name the violated condition, too.
+  expect_exit(2 gen ring 1 600 1 r.txt)
+  expect_stderr("gen ring needs cliques >= 3")
+  expect_exit(2 gen ring 3 1 1 r.txt)
+  expect_stderr("gen ring needs size >= 3")
+  expect_no_file(r.txt)
+  expect_exit(2 gen regular 5 3 1 r.txt)
+  expect_stderr("gen regular needs n*degree even")
+  expect_exit(2 gen regular 4 4 1 r.txt)
+  expect_stderr("gen regular needs n > degree")
+  expect_exit(2 gen regular 10 0 1 r.txt)
+  expect_stderr("gen regular needs degree >= 1")
+  expect_exit(2 gen regular -4 2 1 r.txt)
+  expect_stderr("gen regular needs n > degree")
+  expect_no_file(r.txt)
+  expect_exit(0 gen ring 3 3 1 r.txt)
+  expect_exit(0 gen regular 6 3 1 r.txt)
+elseif(CHECK STREQUAL "gen-regular-dense")
+  # High-degree random regular graphs: the repair pass is near-linear, so
+  # this finishes well inside the ctest TIMEOUT set in CMakeLists.txt.
+  expect_exit(0 gen regular 4096 256 1 g.txt)
+  expect_stdout("wrote g.txt: n=4096")
 elseif(CHECK STREQUAL "legacy-journal")
   # --repeat journals written while the multi-process backend existed hold
   # three recovery counters between wall_ms and the summary; --resume

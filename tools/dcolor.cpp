@@ -282,9 +282,18 @@ int cmd_gen(int argc, char** argv) {
     return 0;
   }
   if (kind == "ring" && argc == 7) {
-    const CliqueInstance inst = clique_ring(
-        std::atoi(argv[3]), std::atoi(argv[4]),
-        std::strtoull(argv[5], nullptr, 10));
+    const int cliques = std::atoi(argv[3]);
+    const int size = std::atoi(argv[4]);
+    const char* violated = cliques < 3 ? "cliques >= 3"
+                           : size < 3  ? "size >= 3"
+                                       : nullptr;
+    if (violated != nullptr) {
+      std::cerr << "dcolor: gen ring needs " << violated
+                << ", got cliques=" << cliques << " size=" << size << "\n";
+      return kExitUsage;
+    }
+    const CliqueInstance inst =
+        clique_ring(cliques, size, std::strtoull(argv[5], nullptr, 10));
     report_generated_instance("ring", inst.graph);
     save_graph_as(argv[6], inst.graph);
     std::cout << "wrote " << argv[6] << ": n=" << inst.graph.num_nodes()
@@ -292,9 +301,20 @@ int cmd_gen(int argc, char** argv) {
     return 0;
   }
   if (kind == "regular" && argc == 7) {
-    const Graph g = random_regular(
-        static_cast<NodeId>(std::atoi(argv[3])), std::atoi(argv[4]),
-        std::strtoull(argv[5], nullptr, 10));
+    const int n = std::atoi(argv[3]);
+    const int degree = std::atoi(argv[4]);
+    const bool odd = n % 2 != 0 && degree % 2 != 0;
+    const char* violated = degree < 1    ? "degree >= 1"
+                           : n <= degree ? "n > degree"
+                           : odd         ? "n*degree even"
+                                         : nullptr;
+    if (violated != nullptr) {
+      std::cerr << "dcolor: gen regular needs " << violated
+                << ", got n=" << n << " degree=" << degree << "\n";
+      return kExitUsage;
+    }
+    const Graph g = random_regular(static_cast<NodeId>(n), degree,
+                                   std::strtoull(argv[5], nullptr, 10));
     report_generated_instance("regular", g);
     save_graph_as(argv[6], g);
     std::cout << "wrote " << argv[6] << ": n=" << g.num_nodes() << "\n";
