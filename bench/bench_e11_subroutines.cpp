@@ -158,7 +158,8 @@ void BM_Linial(benchmark::State& state) {
   const auto inst = cached_hard(256, 16, 3);
   for (auto _ : state) {
     RoundLedger l;
-    benchmark::DoNotOptimize(linial_coloring(inst->graph, l).color.data());
+    LocalContext lctx(l);
+    benchmark::DoNotOptimize(linial_coloring(inst->graph, lctx).color.data());
   }
 }
 BENCHMARK(BM_Linial)->Unit(benchmark::kMillisecond);
@@ -167,8 +168,9 @@ void BM_MaximalMatching(benchmark::State& state) {
   const auto inst = cached_hard(256, 16, 3);
   for (auto _ : state) {
     RoundLedger l;
+    LocalContext lctx(l);
     benchmark::DoNotOptimize(
-        maximal_matching_deterministic(inst->graph, l).size());
+        maximal_matching_deterministic(inst->graph, lctx).size());
   }
 }
 BENCHMARK(BM_MaximalMatching)->Unit(benchmark::kMillisecond);

@@ -43,7 +43,8 @@ void run_tables() {
         const auto h = cached_hypergraph(c.n, c.delta, c.rank, 100 + c.n,
                                          &ctx.ledger());
         RoundLedger ledger;
-        const HegResult res = solve_heg(*h, ledger);
+        LocalContext lctx(ledger);
+        const HegResult res = solve_heg(*h, lctx);
         Row row;
         row.min_degree = h->min_degree();
         row.rank = h->rank();
@@ -81,7 +82,8 @@ void BM_HegSolver(benchmark::State& state) {
   const auto h = cached_hypergraph(n, 8, 4, 42);
   for (auto _ : state) {
     RoundLedger ledger;
-    const auto res = solve_heg(*h, ledger);
+    LocalContext lctx(ledger);
+    const auto res = solve_heg(*h, lctx);
     benchmark::DoNotOptimize(res.grabbed_edge.data());
     state.counters["rounds"] = res.rounds;
   }

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
 
   // The greedy baseline needs Delta+1 channels.
   RoundLedger greedy_ledger;
-  const auto greedy = greedy_delta_plus_one(g, greedy_ledger);
+  LocalContext greedy_ctx(greedy_ledger);
+  const auto greedy = greedy_delta_plus_one(g, greedy_ctx);
   const auto greedy_report = check_coloring(g, greedy);
   std::cout << "greedy baseline: " << greedy_report.colors_used
             << " channels (palette " << channels + 1 << "), "

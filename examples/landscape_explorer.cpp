@@ -30,27 +30,32 @@ Row measure(int cliques, int delta, std::uint64_t seed) {
   row.n = g.num_nodes();
   {
     RoundLedger l;
-    linial_coloring(g, l);
+    LocalContext ctx(l);
+    linial_coloring(g, ctx);
     row.linial = l.total();
   }
   {
     RoundLedger l;
-    mis_deterministic(g, l);
+    LocalContext ctx(l);
+    mis_deterministic(g, ctx);
     row.mis = l.total();
   }
   {
     RoundLedger l;
-    maximal_matching_deterministic(g, l);
+    LocalContext ctx(l);
+    maximal_matching_deterministic(g, ctx);
     row.matching = l.total();
   }
   {
     RoundLedger l;
-    ruling_set(g, l);
+    LocalContext ctx(l);
+    ruling_set(g, ctx);
     row.ruling = l.total();
   }
   {
     RoundLedger l;
-    degree_split(g, 2, 64, seed, l);
+    LocalContext ctx(l, {}, seed);
+    degree_split(g, 2, 64, ctx);
     row.split = l.total();
   }
   {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "local/context.hpp"
 
 namespace deltacolor {
 
@@ -22,12 +23,13 @@ int neighbors_in(const Graph& g, NodeId v, const std::vector<int>& clique_of,
 
 Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
                 const std::string& phase) {
+  LocalContext ctx(ledger);
   Acd acd;
   acd.epsilon = params.epsilon;
   const NodeId n = g.num_nodes();
   acd.clique_of.assign(n, -1);
   if (n == 0) {
-    ledger.charge(phase, 1);
+    ctx.charge(phase, 1);
     return acd;
   }
   const int delta = g.max_degree();
@@ -170,7 +172,7 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
   // (friend marking: 1 round; density: 1; components of diameter <= 2: 3;
   // each repair sweep: 2). The paper charges O(1); we charge the actual
   // constant.
-  ledger.charge(phase, 5 + 2 * params.max_repair_iterations);
+  ctx.charge(phase, 5 + 2 * params.max_repair_iterations);
   return acd;
 }
 

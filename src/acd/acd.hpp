@@ -49,7 +49,8 @@ struct Acd {
   int num_cliques() const { return static_cast<int>(cliques.size()); }
 };
 
-/// Computes the ACD in O(1) LOCAL rounds (charged to `ledger`).
+/// Computes the ACD in O(1) LOCAL rounds (charged to `ledger` through a
+/// LocalContext on it, like every charge).
 Acd compute_acd(const Graph& g, RoundLedger& ledger,
                 const AcdParams& params = {},
                 const std::string& phase = "acd");

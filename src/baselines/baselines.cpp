@@ -22,7 +22,7 @@ std::vector<Color> greedy_delta_plus_one(const Graph& g, LocalContext& ctx) {
 
 LayeredBaselineResult layered_loophole_coloring(const Graph& g,
                                                 const LoopholeSet& loopholes,
-                                                RoundLedger& ledger) {
+                                                LocalContext& ctx) {
   LayeredBaselineResult res;
   const NodeId n = g.num_nodes();
   res.color.assign(n, kNoColor);
@@ -55,7 +55,7 @@ LayeredBaselineResult layered_loophole_coloring(const Graph& g,
     chosen.push_back(i);
     for (const NodeId v : vs) blocked[v] = true;
   }
-  ledger.charge("baseline-select", 4);
+  ctx.charge("baseline-select", 4);
 
   std::vector<int> layer(n, -1);
   std::queue<NodeId> q;
@@ -84,12 +84,12 @@ LayeredBaselineResult layered_loophole_coloring(const Graph& g,
   for (int l = max_layer; l >= 1; --l) {
     NodeMask active(n, 0);
     for (NodeId v = 0; v < n; ++v) active[v] = layer[v] == l;
-    deg_plus_one_list_color(g, active, lists, res.color, ledger,
-                            "baseline-layers");
+    ScopedPhase phase(ctx, "baseline-layers");
+    deg_plus_one_list_color(g, active, lists, res.color, ctx);
   }
   for (const std::size_t i : chosen)
     color_loophole(g, loopholes.loopholes[i], res.color);
-  ledger.charge("baseline-loopholes", 3);
+  ctx.charge("baseline-loopholes", 3);
   res.success = true;
   return res;
 }

@@ -68,7 +68,6 @@ class ScratchArena {
     const std::size_t aligned = aligned_offset(buf_.data(), used_, alignof(T));
     if (aligned + bytes <= buf_.size()) {
       used_ = aligned + bytes;
-      high_water_ = used_ > high_water_ ? used_ : high_water_;
       return reinterpret_cast<T*>(buf_.data() + aligned);
     }
     return static_cast<T*>(alloc_overflow(bytes, alignof(T)));
@@ -76,7 +75,6 @@ class ScratchArena {
 
   std::size_t used() const { return used_; }
   std::size_t capacity() const { return buf_.size(); }
-  std::size_t high_water() const { return high_water_; }
   /// Heap allocations the arena itself has performed (growth events) —
   /// flat after warm-up; the allocation-counting test asserts this.
   std::size_t growth_count() const { return growth_count_; }
@@ -190,7 +188,6 @@ class ScratchArena {
   std::vector<std::vector<std::byte>> overflow_;
   std::size_t overflow_used_ = 0;  // bump offset inside overflow_.back()
   std::size_t used_ = 0;
-  std::size_t high_water_ = 0;
   std::size_t growth_count_ = 0;
   std::size_t limit_ = 0;  // 0 = unlimited
 };

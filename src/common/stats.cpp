@@ -68,14 +68,6 @@ LinearFit fit_log(const std::vector<double>& n,
   return fit_linear(x, rounds);
 }
 
-LinearFit fit_loglog(const std::vector<double>& n,
-                     const std::vector<double>& rounds) {
-  std::vector<double> x(n.size());
-  for (std::size_t i = 0; i < n.size(); ++i)
-    x[i] = std::log2(std::max(2.0, std::log2(n[i])));
-  return fit_linear(x, rounds);
-}
-
 int log_star(double n) {
   int k = 0;
   while (n > 1.0) {

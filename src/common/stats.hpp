@@ -1,6 +1,6 @@
 // Small statistics helpers used by tests and the benchmark harness:
-// summaries, histograms, and least-squares fits against log n / log log n
-// used to report complexity "shape" in EXPERIMENTS.md.
+// summaries and least-squares fits against log n, used to
+// report complexity "shape" in EXPERIMENTS.md.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +35,6 @@ LinearFit fit_linear(const std::vector<double>& x,
 /// is the empirical signature of an O(log n)-round algorithm.
 LinearFit fit_log(const std::vector<double>& n,
                   const std::vector<double>& rounds);
-
-/// Fits rounds(n) = a + b * log2(log2(n)).
-LinearFit fit_loglog(const std::vector<double>& n,
-                     const std::vector<double>& rounds);
 
 /// iterated-log of n (number of times log2 must be applied to reach <= 1).
 int log_star(double n);

@@ -163,7 +163,6 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
                                            std::vector<Color>& color,
                                            LocalContext& lctx,
                                            const std::string& phase) {
-  RoundLedger& ledger = lctx.ledger();
   EasyColoringStats stats;
   const int delta = g.max_degree();
   const NodeId n = g.num_nodes();
@@ -186,7 +185,7 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   DC_CHECK_MSG(!live.empty(),
                "uncolored vertices remain but no loophole is available");
   // Wall-clock per sub-phase, charged under the sub-phases' round labels.
-  PhaseLaps laps(ledger);
+  PhaseLaps laps(lctx.ledger());
 
   // Virtual graph G_L: one node per live loophole; edges between loopholes
   // that intersect or touch via a graph edge.
@@ -235,7 +234,7 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   RoundLedger gl_ledger;
   LocalContext gl_ctx(gl_ledger, lctx.engine(), lctx.seed());
   const RulingSetResult rs = ruling_set(gl, gl_ctx);
-  ledger.charge(phase + "-ruling", gl_ledger.total(), 7);
+  lctx.charge(phase + "-ruling", gl_ledger.total(), 7);
   stats.ruling_domination_radius = rs.domination_radius;
   laps.lap(phase + "-ruling");
 
@@ -272,7 +271,7 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
                  "uncolored vertex " << v
                                      << " unreachable from any loophole");
   stats.layers = max_layer;
-  ledger.charge(phase + "-bfs", max_layer + 1);
+  lctx.charge(phase + "-bfs", max_layer + 1);
   laps.lap(phase + "-bfs");
 
   // Color layers outside-in; each layer-i vertex has an uncolored
@@ -291,7 +290,7 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   // pairwise non-adjacent, so all complete in parallel in O(1) rounds.
   for (std::size_t k = 0; k < live.size(); ++k)
     if (rs.in_set[k]) color_loophole(g, loopholes.loopholes[live[k]], color);
-  ledger.charge(phase + "-loopholes", 3);
+  lctx.charge(phase + "-loopholes", 3);
   laps.lap(phase + "-loopholes");
   return stats;
 }

@@ -21,7 +21,6 @@
 #include "core/loopholes.hpp"
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -43,14 +42,6 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
                                            std::vector<Color>& color,
                                            LocalContext& lctx,
                                            const std::string& phase = "easy");
-
-/// RoundLedger-based compatibility wrapper (pre-LocalContext API).
-inline EasyColoringStats color_easy_and_loopholes(
-    const Graph& g, const LoopholeSet& loopholes, std::vector<Color>& color,
-    RoundLedger& ledger, const std::string& phase = "easy") {
-  LocalContext lctx(ledger);
-  return color_easy_and_loopholes(g, loopholes, color, lctx, phase);
-}
 
 /// Constructive deg-list coloring of one loophole: every vertex of `l` gets
 /// a color from {0..Delta-1} avoiding its already-colored neighbors.

@@ -41,13 +41,12 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
                                        std::vector<Color>& color,
                                        const HardColoringParams& params,
                                        LocalContext& lctx) {
-  RoundLedger& ledger = lctx.ledger();
   HardColoringOutcome out;
   HardColoringStats& st = out.stats;
   st.num_hard = hardness.num_hard;
   if (hardness.num_hard == 0) return out;
   // Wall-clock per phase, charged under the phases' round labels.
-  PhaseLaps laps(ledger);
+  PhaseLaps laps(lctx.ledger());
 
   Context ctx{g,
               acd,
@@ -351,11 +350,10 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
       LocalContext split_ctx(split_ledger, lctx.engine(), params.seed);
       const auto split = degree_split_edges(
           2 * static_cast<int>(ctx.hard_acs.size()), gq_edges,
-          ctx.levels_eff, params.split_segment_length, params.seed,
-          split_ctx);
+          ctx.levels_eff, params.split_segment_length, split_ctx);
       // One virtual G_Q round costs <= 3 real rounds (clique diameter 1 +
       // crossing edge).
-      ledger.charge("phase2-split", split_ledger.total(), 3);
+      lctx.charge("phase2-split", split_ledger.total(), 3);
       for (std::size_t k = 0; k < f2.size(); ++k)
         chosen[k] = split.part[k] == 0 ? 1 : 0;
     }
@@ -440,7 +438,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
     triads.push_back(t);
   }
   st.num_triads = static_cast<int>(triads.size());
-  ledger.charge("phase3-triads", 2);
+  lctx.charge("phase3-triads", 2);
   {
     std::vector<int> pairs_per_clique(ctx.hard_acs.size(), 0);
     for (const Triad& t : triads) {
@@ -556,7 +554,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
       ScopedPhase phase(gv_ctx, "phase4a-pairs");
       deg_plus_one_list_color(gv, active, lists, gv_color, gv_ctx);
     }
-    ledger.charge("phase4a-pairs", gv_ledger.total(), 3);  // dilation 3
+    lctx.charge("phase4a-pairs", gv_ledger.total(), 3);  // dilation 3
     for (std::size_t i = 0; i < live.size(); ++i) {
       const std::size_t t = live[i];
       color[triads[t].pair_in] = gv_color[i];

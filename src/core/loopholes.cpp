@@ -7,6 +7,7 @@
 #include <span>
 
 #include "common/check.hpp"
+#include "local/context.hpp"
 
 namespace deltacolor {
 
@@ -396,7 +397,7 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
   }
 
   // Every case inspects a bounded-radius neighborhood: O(1) rounds.
-  ledger.charge(phase, 6);
+  LocalContext(ledger).charge(phase, 6);
   return res;
 }
 

@@ -64,7 +64,7 @@ std::optional<Loophole> find_loophole_through(const Graph& g, NodeId v,
 
 /// Structure-aware detector for dense graphs with a computed ACD.
 /// O(1) LOCAL rounds (every case looks at a bounded-radius neighborhood);
-/// charged to `ledger`.
+/// charged to `ledger` through a LocalContext on it, like every charge.
 LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
                                  RoundLedger& ledger,
                                  const std::string& phase = "loopholes");

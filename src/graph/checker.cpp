@@ -24,7 +24,7 @@ ColoringReport check_coloring(const Graph& g,
   ColoringReport r;
   std::set<Color> used;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (color[v] == kNoColor) {
+    if (color[v] < 0) {  // kNoColor or any other negative value
       r.complete = false;
       ++r.uncolored;
     } else {
@@ -36,7 +36,7 @@ ColoringReport check_coloring(const Graph& g,
   // the edge list: on a mapped graph this keeps the file's edges section
   // untouched, so verification stays within the offsets+adjacency pages.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (color[u] == kNoColor) continue;
+    if (color[u] < 0) continue;
     for (const NodeId v : g.neighbors(u)) {
       if (v > u && color[u] == color[v]) {
         r.proper = false;
@@ -62,9 +62,7 @@ std::optional<std::pair<NodeId, NodeId>> find_partial_conflict(
 bool is_proper_coloring(const Graph& g, const std::vector<Color>& color,
                         int num_colors) {
   const auto r = check_coloring(g, color);
-  return r.proper && r.complete && r.max_color < num_colors &&
-         (g.num_nodes() == 0 ||
-          *std::min_element(color.begin(), color.end()) >= 0);
+  return r.proper && r.complete && r.max_color < num_colors;
 }
 
 bool is_delta_coloring(const Graph& g, const std::vector<Color>& color) {

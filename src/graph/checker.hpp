@@ -15,11 +15,11 @@ namespace deltacolor {
 
 struct ColoringReport {
   bool proper = true;           ///< no monochromatic edge
-  bool complete = true;         ///< every node colored (!= kNoColor)
+  bool complete = true;         ///< every node colored (color >= 0)
   Color max_color = kNoColor;   ///< largest color used
   int colors_used = 0;          ///< number of distinct colors
   std::size_t conflicts = 0;    ///< count of monochromatic edges
-  std::size_t uncolored = 0;    ///< count of uncolored nodes
+  std::size_t uncolored = 0;    ///< count of uncolored (negative) nodes
   std::string describe() const;
 };
 

@@ -33,12 +33,6 @@ void save_edge_list(const std::string& path, const Graph& g) {
   write_edge_list(os, g);
 }
 
-Graph load_edge_list(const std::string& path) {
-  std::ifstream is(path);
-  DC_CHECK_MSG(is.good(), "cannot open " << path << " for reading");
-  return read_edge_list(is);
-}
-
 void write_dot(std::ostream& os, const Graph& g,
                const std::vector<Color>* colors) {
   os << "graph G {\n  node [shape=circle];\n";

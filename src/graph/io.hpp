@@ -13,7 +13,6 @@ void write_edge_list(std::ostream& os, const Graph& g);
 Graph read_edge_list(std::istream& is);
 
 void save_edge_list(const std::string& path, const Graph& g);
-Graph load_edge_list(const std::string& path);
 
 /// Graphviz "graph { .. }" output; nodes can carry color labels.
 void write_dot(std::ostream& os, const Graph& g,

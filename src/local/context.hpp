@@ -1,6 +1,6 @@
 // LocalContext: the execution context threaded through every LOCAL
-// subroutine, replacing the (RoundLedger&, const std::string& phase)
-// parameter pairs the primitives used to carry.
+// subroutine — the only way into a primitive and the only way library code
+// charges a round.
 //
 // A context bundles
 //   - the RoundLedger round/wall-clock accounting sink,
@@ -17,7 +17,8 @@
 // entry point opens its *default* label with DefaultPhase, which only
 // pushes when no phase is active — so `mis_deterministic(g, ctx)` charges
 // to "mis" standalone but to "phase1-matching" when called under that
-// scope. This reproduces exactly the old default-argument behavior.
+// scope, and a caller that wants its own label opens a ScopedPhase around
+// the call.
 //
 // Engine semantics: round-homogeneous transitions (trial/commit protocols
 // whose non-fixpoint nodes change state every round) may run with the
@@ -54,12 +55,6 @@ class LocalContext {
   const EngineOptions& engine() const { return engine_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// The calling worker's scratch arena (reset by the engine at every
-  /// chunk boundary — see arena.hpp for the ownership contract). Step
-  /// kernels open a ScratchArena::Frame on it instead of keeping
-  /// thread_local vectors.
-  ScratchArena& scratch() const { return ScratchArena::local(); }
-
   /// Engine options for transitions keyed on the global round number:
   /// frontier mode is unsound for those (a quiet node must still act when
   /// its round slot arrives), so only the worker count is kept.
@@ -78,18 +73,23 @@ class LocalContext {
     return stack_.back();
   }
 
-  /// Charges rounds to the innermost phase. While a FaultInjector is
-  /// armed, a matching round-budget spec inflates the charge here — so the
-  /// sweep driver's *real* budget enforcement trips, instead of a fake
-  /// error path that never exercises the recovery code.
+  /// Charges rounds to the innermost phase.
   void charge(std::int64_t rounds, std::int64_t dilation = 1) {
-    if (FaultInjector::armed())
-      rounds += FaultInjector::global().on_phase_charge(phase());
-    ledger_->charge(phase(), rounds, dilation);
+    charge(phase(), rounds, dilation);
   }
 
-  /// Charges wall-clock milliseconds to the innermost phase.
-  void charge_time(double ms) { ledger_->charge_time(phase(), ms); }
+  /// Charges rounds to `label`, for pipelines that book a named stretch
+  /// (or a throwaway sub-ledger's total) directly. This is the fault
+  /// probe: while a FaultInjector is armed, a matching phase spec throws
+  /// or stalls here, and a round-budget spec inflates the charge — so the
+  /// sweep driver's *real* budget enforcement trips, instead of a fake
+  /// error path that never exercises the recovery code.
+  void charge(std::string_view label, std::int64_t rounds,
+              std::int64_t dilation = 1) {
+    if (FaultInjector::armed())
+      rounds += FaultInjector::global().on_phase_charge(label);
+    ledger_->charge(label, rounds, dilation);
+  }
 
  private:
   friend class ScopedPhase;
@@ -117,8 +117,8 @@ class ScopedPhase {
 };
 
 /// A primitive's entry-point phase: pushes `label` only when the caller
-/// has not already opened a phase, mirroring the old default-argument
-/// plumbing (explicit caller phases win over primitive defaults).
+/// has not already opened a phase (explicit caller phases win over
+/// primitive defaults).
 class DefaultPhase {
  public:
   DefaultPhase(LocalContext& ctx, std::string_view label)
@@ -135,21 +135,6 @@ class DefaultPhase {
  private:
   LocalContext& ctx_;
   bool pushed_;
-};
-
-/// RAII wall-clock timer charging to the phase active at construction.
-class ScopedContextTimer {
- public:
-  explicit ScopedContextTimer(LocalContext& ctx);
-  ~ScopedContextTimer();
-
-  ScopedContextTimer(const ScopedContextTimer&) = delete;
-  ScopedContextTimer& operator=(const ScopedContextTimer&) = delete;
-
- private:
-  LocalContext& ctx_;
-  std::string phase_;
-  std::int64_t start_ns_;
 };
 
 }  // namespace deltacolor

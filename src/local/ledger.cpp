@@ -96,14 +96,6 @@ std::string RoundLedger::report() const {
   return os.str();
 }
 
-std::string RoundLedger::time_report() const {
-  std::ostringstream os;
-  for (const auto& [phase, ms] : times_)
-    os << "  " << phase << ": " << ms << " ms\n";
-  os << "  TOTAL: " << time_total_ << " ms\n";
-  return os.str();
-}
-
 std::string RoundLedger::json() const {
   std::ostringstream os;
   os << "{\"rounds\":" << total_ << ",\"ms\":" << time_total_

@@ -9,7 +9,7 @@
 //
 // Alongside the (machine-independent, seed-reproducible) round counts the
 // ledger also accumulates per-phase wall-clock milliseconds
-// (charge_time / time_report), so benches can emit a machine-readable line
+// (charge_time / report / json), so benches can emit a machine-readable line
 // with both dimensions. Phase labels are interned: charge() takes a
 // std::string_view and resolves it against the phase-id map with a
 // heterogeneous (allocation-free) lookup, so per-round charges on hot paths
@@ -83,9 +83,6 @@ class RoundLedger {
 
   /// Human-readable multi-line breakdown (rounds, plus ms when charged).
   std::string report() const;
-
-  /// Human-readable per-phase wall-clock breakdown.
-  std::string time_report() const;
 
   /// One-line JSON object with both dimensions:
   /// {"rounds":N,"ms":X,"phases":{"p":{"rounds":N,"ms":X},...}}

@@ -3,6 +3,7 @@
 #include "common/check.hpp"
 #include "common/palette.hpp"
 #include "common/rng.hpp"
+#include "local/context.hpp"
 #include "local/sync_runner.hpp"
 
 namespace deltacolor {
@@ -70,12 +71,11 @@ std::vector<bool> mis_message_passing(const Graph& g, std::uint64_t seed,
     ScopedPhaseTimer timer(ledger, phase);
     rounds = runner.run_until(max_rounds, step, done_node);
   }
-  // Post-pass: neighbors of IN nodes that were still undecided at halt.
   std::vector<bool> in_set(n, false);
   for (NodeId v = 0; v < n; ++v)
     in_set[v] = runner.states()[v].status == MisStatus::kIn;
   DC_CHECK_MSG(rounds < max_rounds, "mis_message_passing did not converge");
-  ledger.charge(phase, rounds);
+  LocalContext(ledger).charge(phase, rounds);
   return in_set;
 }
 
@@ -166,7 +166,7 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
                "color_trial_message_passing did not converge");
   std::vector<Color> color(n);
   for (NodeId v = 0; v < n; ++v) color[v] = runner.states()[v].color;
-  ledger.charge(phase, rounds);
+  LocalContext(ledger).charge(phase, rounds);
   return color;
 }
 

@@ -1,18 +1,17 @@
-// Reference message-passing implementations on the SyncRunner engine.
-//
-// The library's primitives are written as explicit per-round loops with
-// the same information discipline; these SyncRunner versions make the
-// discipline *structural* (a node's transition function literally cannot
-// read anything but its neighbors' previous-round states) and serve as
-// cross-checks: the test suite verifies they deliver the same guarantees
-// as the direct implementations.
+// Randomized message-passing algorithms on the SyncRunner engine: Luby's
+// MIS and (Delta+1)-coloring by color trials, the registry's `mis` and
+// `trial` algorithms. A node's transition function cannot read anything
+// but its neighbors' previous-round states, so the LOCAL information
+// discipline is structural.
 //
 // Both algorithms accept EngineOptions: results are bit-identical across
 // worker counts (per-node randomness keys on (seed, id, round), so the
 // schedule cannot leak in) and across frontier vs. full-sweep execution
 // (decided/committed nodes return their state unchanged, so the frontier
-// soundness condition holds). Wall-clock is charged to the ledger next to
-// the round count (RoundLedger::charge_time).
+// soundness condition holds). Both keep a RoundLedger& signature — the
+// registry and the benchmark harness call them that way — and charge
+// their rounds through a LocalContext on it (the fault probe), with the
+// wall-clock next to the round count (RoundLedger::charge_time).
 #pragma once
 
 #include <cstdint>

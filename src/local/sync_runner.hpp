@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -119,15 +118,6 @@ class SyncRunner {
     const std::vector<State>& prev_;
     int round_;
   };
-
-  /// Transition: given the view of round t-1, produce the round-t state.
-  /// (Type-erased alias for storage; run() itself is a template so direct
-  /// lambdas are devirtualized.)
-  using Step = std::function<State(const View&)>;
-  /// Global halting predicate, evaluated between rounds by the harness.
-  /// (This is a simulation-harness convenience, not node knowledge; all
-  /// algorithms in the library also have explicit round bounds.)
-  using Done = std::function<bool(const std::vector<State>&)>;
 
   SyncRunner(const GraphT& g, std::vector<State> initial,
              EngineOptions options = {})
@@ -470,21 +460,5 @@ class SyncRunner {
   // compute_chunk_bounds); empty until the first full sweep needs them.
   std::vector<std::size_t> chunk_bounds_;
 };
-
-/// One round of "everyone publishes, everyone reads neighbors" implemented
-/// directly for hand-rolled primitives that keep their own buffers: swaps
-/// `next` into `cur` and returns the incremented round count. An O(1) swap
-/// (not a copy) is all the double-buffer discipline requires: once every
-/// node has written its round-t state into `next`, the buffers trade roles
-/// — `cur` becomes the published round-t snapshot, and the old snapshot
-/// becomes the scratch buffer that round t+1 overwrites slot-by-slot before
-/// the next commit, so its stale contents are never observed. Purely a
-/// readability helper to keep that discipline visible at call sites.
-template <typename State>
-int commit_round(std::vector<State>& cur, std::vector<State>& next,
-                 int rounds) {
-  cur.swap(next);
-  return rounds + 1;
-}
 
 }  // namespace deltacolor

@@ -87,7 +87,7 @@ void halve(int num_nodes, const std::vector<std::pair<int, int>>& edges,
 
 DegreeSplitResult degree_split_edges(
     int num_nodes, const std::vector<std::pair<int, int>>& edges, int levels,
-    int segment_length, std::uint64_t seed, LocalContext& ctx) {
+    int segment_length, LocalContext& ctx) {
   DefaultPhase scope(ctx, "degree-split");
   DC_CHECK(levels >= 1 && segment_length >= 2);
   for (const auto& [a, b] : edges)
@@ -107,7 +107,7 @@ DegreeSplitResult degree_split_edges(
     for (int p = 0; p < (1 << level); ++p) {
       for (std::size_t e = 0; e < edges.size(); ++e)
         active[e] = before[e] == p;
-      halve(num_nodes, edges, active, side, hash_mix(seed, level, p),
+      halve(num_nodes, edges, active, side, hash_mix(ctx.seed(), level, p),
             segment_length);
       for (std::size_t e = 0; e < edges.size(); ++e)
         if (active[e]) res.part[e] = 2 * p + side[e];
@@ -119,13 +119,13 @@ DegreeSplitResult degree_split_edges(
 }
 
 DegreeSplitResult degree_split(const Graph& g, int levels, int segment_length,
-                               std::uint64_t seed, LocalContext& ctx) {
+                               LocalContext& ctx) {
   std::vector<std::pair<int, int>> edges;
   edges.reserve(g.num_edges());
   for (const auto& [u, v] : g.edges())
     edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
   return degree_split_edges(static_cast<int>(g.num_nodes()), edges, levels,
-                            segment_length, seed, ctx);
+                            segment_length, ctx);
 }
 
 std::vector<int> part_degrees(const Graph& g, const DegreeSplitResult& split,

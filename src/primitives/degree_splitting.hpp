@@ -21,14 +21,11 @@
 // multigraph G_Q of Phase 2; the Graph overload wraps it.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -43,37 +40,16 @@ struct DegreeSplitResult {
 /// per-node degree. `edges[k]` joins two virtual nodes in [0, num_nodes).
 /// The global walk extraction is a centralized stand-in for the recursive
 /// GHK+17 splitter (see the substitution note above): it is not stepped
-/// through the engine; only round accounting and the execution context
-/// flow through LocalContext. Default phase "degree-split".
+/// through the engine; only round accounting, the execution context and
+/// the walk-chopping seed (ctx.seed()) flow through LocalContext. Default
+/// phase "degree-split".
 DegreeSplitResult degree_split_edges(
     int num_nodes, const std::vector<std::pair<int, int>>& edges, int levels,
-    int segment_length, std::uint64_t seed, LocalContext& ctx);
+    int segment_length, LocalContext& ctx);
 
 /// Graph overload: part indices are by EdgeId.
 DegreeSplitResult degree_split(const Graph& g, int levels, int segment_length,
-                               std::uint64_t seed, LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline DegreeSplitResult degree_split_edges(
-    int num_nodes, const std::vector<std::pair<int, int>>& edges, int levels,
-    int segment_length, std::uint64_t seed, RoundLedger& ledger,
-    const std::string& phase = "degree-split") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return degree_split_edges(num_nodes, edges, levels, segment_length, seed,
-                            ctx);
-}
-
-inline DegreeSplitResult degree_split(const Graph& g, int levels,
-                                      int segment_length, std::uint64_t seed,
-                                      RoundLedger& ledger,
-                                      const std::string& phase =
-                                          "degree-split") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return degree_split(g, levels, segment_length, seed, ctx);
-}
+                               LocalContext& ctx);
 
 /// Per-node edge count inside one part (verification helper).
 std::vector<int> part_degrees(const Graph& g, const DegreeSplitResult& split,

@@ -15,12 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -40,15 +38,5 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
 bool is_proper_forest_coloring(const std::vector<NodeId>& parent,
                                const std::vector<Color>& color,
                                int num_colors);
-
-// ---- RoundLedger-based compatibility wrapper (pre-LocalContext API) ----
-
-inline ForestColoringResult forest_3_coloring(
-    const std::vector<NodeId>& parent, const std::vector<std::uint64_t>& ids,
-    RoundLedger& ledger, const std::string& phase = "forest-3col") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return forest_3_coloring(parent, ids, ctx);
-}
 
 }  // namespace deltacolor

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "graph/graph_view.hpp"
 #include "local/sync_runner.hpp"
 #include "primitives/color_reduction.hpp"
@@ -126,101 +125,6 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   // caller's phase together with the class sweep.
   ctx.charge(rounds);
   return rounds;
-}
-
-namespace {
-
-struct TrialState {
-  Color color = kNoColor;
-  Color trial = kNoColor;
-  bool operator==(const TrialState&) const = default;
-};
-
-}  // namespace
-
-int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
-                                       const ColorLists& lists,
-                                       std::vector<Color>& color,
-                                       LocalContext& ctx) {
-  DefaultPhase scope(ctx, "deg+1-list-rand");
-  const int width = palette_width(lists, color);
-  check_precondition(g, active, lists, color, width);
-  const std::uint64_t seed = ctx.seed();
-  const int max_iterations = 64 * (32 - __builtin_clz(g.num_nodes() + 2));
-
-  // One iteration = 2 engine rounds: trial (2t) then commit (2t+1). A
-  // pending node's state flips every round (trial set, then cleared), and
-  // decided/inactive nodes are fixpoints, so the user's frontier setting is
-  // sound here and the sweep shrinks with the pending set.
-  std::vector<TrialState> initial(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) initial[v].color = color[v];
-  SyncRunner<TrialState> runner(g, std::move(initial), ctx.engine());
-  std::atomic<bool> failed{false};
-  const std::span<const std::uint8_t> active_s(active);
-  const auto step = [active_s, &lists, width, seed,
-                     &failed](const auto& v) -> TrialState {
-    TrialState s = v.self();
-    if (!active_s[v.node()] || s.color != kNoColor) return s;
-    if (v.round() % 2 == 0) {
-      // Trial: sample uniformly from the effective list. Two passes over
-      // the node's flat list against the taken bitset — count the free
-      // entries (in list order, duplicates preserved), then select the
-      // drawn one — reproduce exactly the old materialized eff[draw % k]
-      // without touching the heap.
-      PaletteSet& taken = taken_set();
-      taken.reset(width);
-      v.for_each_neighbor([&](NodeId u) {
-        const Color cu = v.neighbor(u).color;
-        if (cu != kNoColor) taken.insert(cu);
-      });
-      const std::span<const Color> list = lists[v.node()];
-      std::size_t eff = 0;
-      for (const Color c : list)
-        if (!taken.contains(c)) ++eff;
-      if (eff == 0) {
-        failed.store(true, std::memory_order_relaxed);
-        return s;
-      }
-      std::size_t k = hash_mix(seed, v.node(),
-                               static_cast<std::uint64_t>(v.round() / 2)) %
-                      eff;
-      for (const Color c : list) {
-        if (taken.contains(c)) continue;
-        if (k == 0) {
-          s.trial = c;
-          break;
-        }
-        --k;
-      }
-      return s;
-    }
-    // Commit: keep the trial if no neighbor tried the same color.
-    if (s.trial == kNoColor) return s;
-    bool ok = true;
-    v.for_each_neighbor([&](NodeId u) {
-      if (v.neighbor(u).trial == s.trial) ok = false;
-    });
-    if (ok) s.color = s.trial;
-    s.trial = kNoColor;
-    return s;
-  };
-  const auto done_node = [active_s](NodeId v, const TrialState& s) {
-    return !active_s[v] || s.color != kNoColor;
-  };
-  const int engine_rounds =
-      runner.run_until(2 * max_iterations, step, done_node);
-  DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
-               "randomized deg+1: empty effective list");
-  bool converged = true;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    converged &= done_node(v, runner.states()[v]);
-  DC_CHECK_MSG(converged, "randomized deg+1 did not converge");
-  const int iterations = (engine_rounds + 1) / 2;
-
-  const auto& states = runner.states();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) color[v] = states[v].color;
-  ctx.charge(iterations);
-  return iterations;
 }
 
 ColorLists uniform_lists(const Graph& g, int num_colors) {

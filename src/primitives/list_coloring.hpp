@@ -1,6 +1,5 @@
 // (deg+1)-list coloring [MT20-role; realized as class-greedy over a Linial
-// coloring, O(Delta^2 + log* n) rounds] plus a randomized color-trial
-// variant for comparison benches.
+// coloring, O(Delta^2 + log* n) rounds].
 //
 // Instance semantics (Section 2 of the paper): a set of *active* nodes must
 // be colored; every active node v must have an allowed list whose colors,
@@ -9,20 +8,18 @@
 // class-greedy schedule always finds a free color.
 //
 // The deterministic schedule is computed on a lazy InducedSubgraphView of
-// the active nodes (the subgraph is never materialized); both variants step
-// their sweeps through the SyncRunner engine via LocalContext. Lists live
+// the active nodes (the subgraph is never materialized); the class sweep
+// steps through the SyncRunner engine via LocalContext. Lists live
 // in flat CSR storage (ColorLists) and the per-step exclusion set is a
 // word-parallel PaletteSet (palette.hpp) — the steady-state sweep performs
 // no heap allocation and no sorting.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/palette.hpp"
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -36,37 +33,7 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
                             const ColorLists& lists,
                             std::vector<Color>& color, LocalContext& ctx);
 
-/// Randomized variant: active nodes repeatedly try a uniform color from
-/// their remaining list; a trial sticks if no neighbor tried or holds the
-/// same color. Terminates w.h.p. in O(log n) rounds under the same deg+1
-/// precondition. Randomness comes from ctx.seed().
-int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
-                                       const ColorLists& lists,
-                                       std::vector<Color>& color,
-                                       LocalContext& ctx);
-
 /// Builds the default (Delta+1)-coloring lists {0..Delta} for every node.
 ColorLists uniform_lists(const Graph& g, int num_colors);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
-                                   const ColorLists& lists,
-                                   std::vector<Color>& color,
-                                   RoundLedger& ledger,
-                                   const std::string& phase = "deg+1-list") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return deg_plus_one_list_color(g, active, lists, color, ctx);
-}
-
-inline int deg_plus_one_list_color_randomized(
-    const Graph& g, const NodeMask& active, const ColorLists& lists,
-    std::vector<Color>& color, std::uint64_t seed, RoundLedger& ledger,
-    const std::string& phase = "deg+1-list-rand") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return deg_plus_one_list_color_randomized(g, active, lists, color, ctx);
-}
 
 }  // namespace deltacolor

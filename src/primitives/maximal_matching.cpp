@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "graph/checker.hpp"
 #include "graph/graph_view.hpp"
 #include "local/sync_runner.hpp"
@@ -179,91 +177,6 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
 
   ctx.charge(2 * 3 * delta);  // propose + accept per class
   DC_DCHECK(is_matching(g, in_matching));
-  return in_matching;
-}
-
-namespace {
-
-/// Randomized proposal state: a matched node freezes; a free node redraws
-/// its proposal every iteration.
-struct RandMatchState {
-  std::uint8_t matched = 0;
-  NodeId proposal = kNoNode;
-  EdgeId proposal_edge = kNoEdge;
-  bool operator==(const RandMatchState&) const = default;
-};
-
-}  // namespace
-
-std::vector<bool> maximal_matching_randomized(const Graph& g,
-                                              LocalContext& ctx) {
-  DefaultPhase scope(ctx, "maximal-matching-rand");
-  const std::uint64_t seed = ctx.seed();
-  std::vector<bool> in_matching(g.num_edges(), false);
-  const int max_rounds = 64 * (32 - __builtin_clz(g.num_nodes() + 2));
-
-  // One iteration = 2 engine rounds: propose (2t), then mutual-proposal
-  // match (2t+1). A free node with free neighbors changes state every
-  // round (proposal set, then cleared or frozen), and matched nodes /
-  // isolated-free nodes are fixpoints, so the user's frontier setting is
-  // sound and the sweep shrinks with the free subgraph.
-  SyncRunner<RandMatchState> runner(
-      g, std::vector<RandMatchState>(g.num_nodes()), ctx.engine());
-  const auto step = [&](const auto& v) -> RandMatchState {
-    RandMatchState s = v.self();
-    if (s.matched) return s;
-    if (v.round() % 2 == 0) {  // propose to a random free neighbor
-      s.proposal = kNoNode;
-      s.proposal_edge = kNoEdge;
-      const auto nbrs = v.neighbors();
-      const auto inc = g.incident_edges(v.node());
-      // Candidate arrays live in the worker's round-local scratch arena
-      // (degree-bounded, frame-reclaimed per node) — no heap traffic in
-      // the steady-state round.
-      ScratchArena::Frame frame(ScratchArena::local());
-      NodeId* free_nbrs = frame.alloc<NodeId>(nbrs.size());
-      EdgeId* free_edges = frame.alloc<EdgeId>(nbrs.size());
-      std::size_t free_count = 0;
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        if (!v.neighbor(nbrs[k]).matched) {
-          free_nbrs[free_count] = nbrs[k];
-          free_edges[free_count] = inc[k];
-          ++free_count;
-        }
-      }
-      if (free_count == 0) return s;
-      const std::size_t pick =
-          hash_mix(seed, v.id(), static_cast<std::uint64_t>(v.round())) %
-          free_count;
-      s.proposal = free_nbrs[pick];
-      s.proposal_edge = free_edges[pick];
-      return s;
-    }
-    // Match on mutual proposals; both endpoints keep the same edge id.
-    if (s.proposal != kNoNode &&
-        v.neighbor(s.proposal).proposal == v.node()) {
-      s.matched = 1;  // proposal_edge survives as the matched edge
-    } else {
-      s.proposal_edge = kNoEdge;
-    }
-    s.proposal = kNoNode;
-    return s;
-  };
-  const auto done = [&](const std::vector<RandMatchState>& states) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto [u, v] = g.endpoints(e);
-      if (!states[u].matched && !states[v].matched) return false;
-    }
-    return true;
-  };
-  const int rounds = runner.run(2 * max_rounds, step, done);
-  DC_CHECK_MSG(done(runner.states()),
-               "randomized matching did not converge");
-  const auto& states = runner.states();
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (states[v].matched && states[v].proposal_edge != kNoEdge)
-      in_matching[states[v].proposal_edge] = true;
-  ctx.charge(rounds);
   return in_matching;
 }
 

@@ -1,19 +1,17 @@
 // Maximal matching [PR01-role]: deterministic class-greedy over a Linial
 // coloring of the line graph (each line-graph round dilates to 2 real
 // rounds: the two endpoints of an edge hold its state and sync over the
-// edge) and the randomized Israeli-Itai-style proposal algorithm.
+// edge) and the Panconesi-Rizzi forest-decomposition algorithm.
 //
-// All three variants step through the SyncRunner engine via LocalContext;
-// the deterministic variant runs its palette reduction and class sweep
-// directly on the lazy LineGraphView.
+// Both variants step through the SyncRunner engine via LocalContext; the
+// class-greedy variant runs its palette reduction and class sweep directly
+// on the lazy LineGraphView.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -31,36 +29,5 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
 /// class, children propose to parents) leave no free tree edge. Default
 /// phase "maximal-matching-pr".
 std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx);
-
-/// Randomized proposal matching; randomness from ctx.seed(). Default phase
-/// "maximal-matching-rand".
-std::vector<bool> maximal_matching_randomized(const Graph& g,
-                                              LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline std::vector<bool> maximal_matching_deterministic(
-    const Graph& g, RoundLedger& ledger,
-    const std::string& phase = "maximal-matching") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return maximal_matching_deterministic(g, ctx);
-}
-
-inline std::vector<bool> maximal_matching_pr(
-    const Graph& g, RoundLedger& ledger,
-    const std::string& phase = "maximal-matching-pr") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return maximal_matching_pr(g, ctx);
-}
-
-inline std::vector<bool> maximal_matching_randomized(
-    const Graph& g, std::uint64_t seed, RoundLedger& ledger,
-    const std::string& phase = "maximal-matching-rand") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return maximal_matching_randomized(g, ctx);
-}
 
 }  // namespace deltacolor

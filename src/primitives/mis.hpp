@@ -1,44 +1,20 @@
 // Maximal independent set: deterministic class-greedy over a Linial
-// coloring (O(Delta^2 + log* n) rounds) and Luby's randomized algorithm
-// (O(log n) rounds w.h.p.) [Gha16-role].
+// coloring (O(Delta^2 + log* n) rounds) [Gha16-role]. Luby's randomized
+// MIS is mis_message_passing (local/message_passing.hpp).
 //
-// Both are stepped through the SyncRunner engine via LocalContext: the
-// class sweep runs one engine round per color class (round-indexed, so
-// frontier mode is off), Luby runs a 3-round draw/join/eliminate protocol
-// per iteration. Results are bit-identical to the sequential reference at
-// any worker count.
+// The class sweep is stepped through the SyncRunner engine via
+// LocalContext, one engine round per color class (round-indexed, so
+// frontier mode is off). Results are bit-identical to the sequential
+// reference at any worker count.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
 std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx);
-
-/// Luby's algorithm; randomness is drawn from ctx.seed().
-std::vector<bool> mis_luby(const Graph& g, LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline std::vector<bool> mis_deterministic(const Graph& g,
-                                           RoundLedger& ledger,
-                                           const std::string& phase = "mis") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return mis_deterministic(g, ctx);
-}
-
-inline std::vector<bool> mis_luby(const Graph& g, std::uint64_t seed,
-                                  RoundLedger& ledger,
-                                  const std::string& phase = "mis-luby") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return mis_luby(g, ctx);
-}
 
 }  // namespace deltacolor

@@ -82,7 +82,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
     placed = std::move(placement.placed);
   }
   for (int round = 0; round < options.placement_rounds; ++round)
-    res.ledger.charge("rand-preshattering", 2 * options.spacing + 3);
+    lctx.charge("rand-preshattering", 2 * options.spacing + 3);
   laps.lap("rand-preshattering");
   validate_partial_coloring(g, res.color, "rand-preshattering",
                             options.validate);
@@ -117,7 +117,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
         q.push(y);
       }
     }
-    res.ledger.charge("rand-layering", options.layer_depth + 1);
+    lctx.charge("rand-layering", options.layer_depth + 1);
     laps.lap("rand-layering");
   }
 
@@ -285,7 +285,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
       max_comp_rounds = std::max(max_comp_rounds, comp_ledger.total());
     }
     res.stats.max_component_rounds = static_cast<int>(max_comp_rounds);
-    res.ledger.charge("rand-postshattering", max_comp_rounds);
+    lctx.charge("rand-postshattering", max_comp_rounds);
     laps.lap("rand-postshattering");
     validate_partial_coloring(g, res.color, "rand-postshattering",
                               options.validate);
@@ -321,7 +321,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
     LocalContext easy_ctx(easy_ledger, options.engine, options.seed);
     color_easy_and_loopholes(g, loopholes, res.color, easy_ctx, "rand-easy");
     for (const auto& [phase, rounds] : easy_ledger.phases())
-      res.ledger.charge(phase, rounds);
+      lctx.charge(phase, rounds);
   }
   laps.lap("rand-easy");
   validate_partial_coloring(g, res.color, "rand-easy", options.validate);

@@ -7,7 +7,7 @@
 #include "common/stats.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
-#include "local/ledger.hpp"
+#include "local/context.hpp"
 #include "primitives/color_reduction.hpp"
 #include "primitives/linial.hpp"
 
@@ -28,10 +28,11 @@ std::vector<Graph> family() {
 TEST(KwReduce, ReachesDeltaPlusOneEverywhere) {
   for (const Graph& g : family()) {
     RoundLedger ledger;
-    const LinialResult lin = linial_coloring(g, ledger);
+    LocalContext ctx(ledger);
+    const LinialResult lin = linial_coloring(g, ctx);
     const int target = g.max_degree() + 1;
     const LinialResult red =
-        kw_reduce_graph(g, lin.color, lin.num_colors, target, ledger);
+        kw_reduce(g, lin.color, lin.num_colors, target, ctx);
     EXPECT_LE(red.num_colors, target);
     EXPECT_TRUE(is_proper_coloring(g, red.color, target))
         << "n=" << g.num_nodes() << " Delta=" << g.max_degree();
@@ -41,9 +42,10 @@ TEST(KwReduce, ReachesDeltaPlusOneEverywhere) {
 TEST(KwReduce, IdentityWhenAlreadyAtTarget) {
   Graph g = cycle_graph(12);
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   std::vector<Color> c(12);
   for (NodeId v = 0; v < 12; ++v) c[v] = v % 3;
-  const LinialResult red = kw_reduce_graph(g, c, 3, 3, ledger);
+  const LinialResult red = kw_reduce(g, c, 3, 3, ctx);
   EXPECT_EQ(red.rounds, 0);
   EXPECT_EQ(red.color, c);
 }
@@ -51,8 +53,9 @@ TEST(KwReduce, IdentityWhenAlreadyAtTarget) {
 TEST(KwReduce, RejectsTargetBelowDeltaPlusOne) {
   Graph g = complete_graph(4);
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   std::vector<Color> c = {0, 1, 2, 3};
-  EXPECT_THROW(kw_reduce_graph(g, c, 4, 3, ledger), std::logic_error);
+  EXPECT_THROW(kw_reduce(g, c, 4, 3, ctx), std::logic_error);
 }
 
 TEST(KwReduce, RoundsAreDeltaLogShaped) {
@@ -60,10 +63,11 @@ TEST(KwReduce, RoundsAreDeltaLogShaped) {
   Graph g = random_regular(256, 8, 9);
   g.set_ids(shuffled_ids(256, 10));
   RoundLedger ledger;
-  const LinialResult lin = linial_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult lin = linial_coloring(g, ctx);
   const int target = 9;
   const LinialResult red =
-      kw_reduce_graph(g, lin.color, lin.num_colors, target, ledger);
+      kw_reduce(g, lin.color, lin.num_colors, target, ctx);
   const int stages =
       static_cast<int>(std::ceil(std::log2(
           static_cast<double>(lin.num_colors) / target))) + 1;
@@ -74,9 +78,10 @@ TEST(KwReduce, RoundsAreDeltaLogShaped) {
 TEST(KwReduce, TargetAboveDeltaPlusOneAllowed) {
   Graph g = random_regular(64, 4, 2);
   RoundLedger ledger;
-  const LinialResult lin = linial_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult lin = linial_coloring(g, ctx);
   const LinialResult red =
-      kw_reduce_graph(g, lin.color, lin.num_colors, 12, ledger);
+      kw_reduce(g, lin.color, lin.num_colors, 12, ctx);
   EXPECT_LE(red.num_colors, 12);
   EXPECT_TRUE(is_proper_coloring(g, red.color, 12));
 }
@@ -84,7 +89,8 @@ TEST(KwReduce, TargetAboveDeltaPlusOneAllowed) {
 TEST(ScheduleColoring, DeltaPlusOneClassesLogStarRounds) {
   for (const Graph& g : family()) {
     RoundLedger ledger;
-    const LinialResult sch = schedule_coloring(g, ledger);
+    LocalContext ctx(ledger);
+    const LinialResult sch = schedule_coloring(g, ctx);
     EXPECT_LE(sch.num_colors, g.max_degree() + 1);
     EXPECT_TRUE(is_proper_coloring(g, sch.color,
                                    std::max(1, g.max_degree() + 1)));
@@ -99,7 +105,8 @@ TEST(ScheduleColoring, DeltaPlusOneClassesLogStarRounds) {
 TEST(ScheduleColoring, EmptyGraph) {
   Graph g(0, {});
   RoundLedger ledger;
-  const LinialResult sch = schedule_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult sch = schedule_coloring(g, ctx);
   EXPECT_EQ(sch.num_colors, 1);
 }
 

@@ -20,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "local/context.hpp"
 #include "local/faults.hpp"
+#include "primitives/mis.hpp"
 #include "registry/registry.hpp"
 
 namespace deltacolor::bench {
@@ -359,6 +360,74 @@ TEST(FaultMatrix, LegacyRethrowStillPropagatesLowestIndex) {
     EXPECT_NE(std::string(e.what()).find("cell start"), std::string::npos)
         << "lowest cell index's exception must win, got: " << e.what();
   }
+}
+
+TEST(FaultMatrix, PhaseFaultsFireAtEveryChargeSite) {
+  // Every label a registry algorithm books goes through
+  // LocalContext::charge, the one phase-fault probe: arming
+  // engine-exception@phase=<label> must throw, naming that label.
+  for (const double easy : {0.0, 0.25}) {
+    const CliqueInstance inst = clique_blowup_instance(
+        {.num_cliques = 64, .delta = 16, .clique_size = 16,
+         .easy_fraction = easy, .seed = 1});
+    for (const AlgorithmEntry& entry : algorithm_registry()) {
+      AlgorithmRequest req;
+      req.seed = 7;
+      req.engine.num_threads = 1;
+      const AlgorithmResult clean =
+          run_registered(entry.name, inst.graph, req);
+      ASSERT_TRUE(clean.ok) << entry.name;
+      for (const auto& [label, rounds] : clean.ledger.phases()) {
+        ArmedScope armed({spec_of("engine-exception@phase=" + label)});
+        try {
+          (void)run_registered(entry.name, inst.graph, req);
+          ADD_FAILURE() << entry.name << " (easy " << easy << "): '"
+                        << label << "' was charged past the probe";
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find("(phase " + label + ")"),
+                    std::string::npos)
+              << entry.name << ": " << e.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(LocalContext, PhaseStackAndLabeledCharge) {
+  const Graph g = cycle_graph(12);
+  // A bare call books every nested round (schedule, Linial, KW) under the
+  // entry point's default label.
+  RoundLedger bare;
+  LocalContext bare_ctx(bare);
+  mis_deterministic(g, bare_ctx);
+  ASSERT_EQ(bare.phases().size(), 1u);
+  EXPECT_EQ(bare.phases()[0].first, "mis");
+  EXPECT_GT(bare.total(), 0);
+  // Under the caller's ScopedPhase the same call books only that label.
+  RoundLedger scoped;
+  LocalContext scoped_ctx(scoped);
+  {
+    ScopedPhase phase(scoped_ctx, "caller");
+    mis_deterministic(g, scoped_ctx);
+  }
+  ASSERT_EQ(scoped.phases().size(), 1u);
+  EXPECT_EQ(scoped.phases()[0].first, "caller");
+  EXPECT_EQ(scoped.total(), bare.total());
+  EXPECT_FALSE(scoped_ctx.has_phase());
+  // charge(label, ...) needs no open phase, books rounds * dilation to
+  // that label, and is a probe site for that label.
+  scoped_ctx.charge("named", 3, 2);
+  EXPECT_EQ(scoped.phase_total("named"), 6);
+  ArmedScope armed({spec_of("engine-exception@phase=named")});
+  scoped_ctx.charge("other", 1);  // another label passes the probe
+  try {
+    scoped_ctx.charge("named", 1);
+    ADD_FAILURE() << "charge(\"named\", ...) passed an armed probe";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("(phase named)"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(scoped.phase_total("named"), 6) << "a fired probe books nothing";
 }
 
 TEST(FaultMatrix, DisarmedInjectorChargesNothing) {

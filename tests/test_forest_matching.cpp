@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
-#include "local/ledger.hpp"
+#include "local/context.hpp"
 #include "primitives/forest_coloring.hpp"
 #include "primitives/maximal_matching.hpp"
 
@@ -25,7 +25,8 @@ TEST(ForestColoring, PathProper3Coloring) {
     const auto parent = path_parents(n);
     const auto ids = shuffled_ids(n, n);
     RoundLedger ledger;
-    const auto res = forest_3_coloring(parent, ids, ledger);
+    LocalContext ctx(ledger);
+    const auto res = forest_3_coloring(parent, ids, ctx);
     EXPECT_TRUE(is_proper_forest_coloring(parent, res.color, 3))
         << "n=" << n;
   }
@@ -38,7 +39,8 @@ TEST(ForestColoring, RandomForest) {
   for (NodeId v = 1; v < n; ++v)
     if (rng.chance(0.9)) parent[v] = static_cast<NodeId>(rng.below(v));
   RoundLedger ledger;
-  const auto res = forest_3_coloring(parent, identity_ids(n), ledger);
+  LocalContext ctx(ledger);
+  const auto res = forest_3_coloring(parent, identity_ids(n), ctx);
   EXPECT_TRUE(is_proper_forest_coloring(parent, res.color, 3));
 }
 
@@ -48,16 +50,18 @@ TEST(ForestColoring, StarAndSingletons) {
   std::vector<NodeId> parent(n, kNoNode);
   for (NodeId v = 1; v < 8; ++v) parent[v] = 0;
   RoundLedger ledger;
-  const auto res = forest_3_coloring(parent, shuffled_ids(n, 3), ledger);
+  LocalContext ctx(ledger);
+  const auto res = forest_3_coloring(parent, shuffled_ids(n, 3), ctx);
   EXPECT_TRUE(is_proper_forest_coloring(parent, res.color, 3));
 }
 
 TEST(ForestColoring, RoundsLogStarShaped) {
-  RoundLedger l1, l2;
+  RoundLedger ledger;
+  LocalContext ctx(ledger);
   const auto r1 =
-      forest_3_coloring(path_parents(512), shuffled_ids(512, 1), l1);
+      forest_3_coloring(path_parents(512), shuffled_ids(512, 1), ctx);
   const auto r2 =
-      forest_3_coloring(path_parents(65536), shuffled_ids(65536, 2), l2);
+      forest_3_coloring(path_parents(65536), shuffled_ids(65536, 2), ctx);
   EXPECT_LE(r2.rounds, r1.rounds + 3);  // log* growth is negligible
 }
 
@@ -65,7 +69,8 @@ TEST(ForestColoring, DuplicateIdAlongEdgeThrows) {
   std::vector<NodeId> parent = {1, kNoNode};
   std::vector<std::uint64_t> ids = {7, 7};
   RoundLedger ledger;
-  EXPECT_THROW(forest_3_coloring(parent, ids, ledger), std::logic_error);
+  LocalContext ctx(ledger);
+  EXPECT_THROW(forest_3_coloring(parent, ids, ctx), std::logic_error);
 }
 
 // --- PR matching ----------------------------------------------------------
@@ -82,7 +87,8 @@ TEST(PrMatching, MaximalOnFamilies) {
   gs.push_back(bench::hard_instance(16, 12, 3).graph);
   for (const Graph& g : gs) {
     RoundLedger ledger;
-    const auto m = maximal_matching_pr(g, ledger);
+    LocalContext ctx(ledger);
+    const auto m = maximal_matching_pr(g, ctx);
     EXPECT_TRUE(is_maximal_matching(g, m)) << "n=" << g.num_nodes();
   }
 }
@@ -93,15 +99,17 @@ TEST(PrMatching, AdversarialIds) {
   for (NodeId v = 0; v < 128; ++v) ids[v] = 127 - v;
   g.set_ids(ids);
   RoundLedger ledger;
-  const auto m = maximal_matching_pr(g, ledger);
+  LocalContext ctx(ledger);
+  const auto m = maximal_matching_pr(g, ctx);
   EXPECT_TRUE(is_maximal_matching(g, m));
 }
 
 TEST(PrMatching, FewerRoundsThanEdgeColoringVariant) {
   const Graph g = bench::hard_instance(32, 32, 5).graph;
   RoundLedger pr, ec;
-  const auto m1 = maximal_matching_pr(g, pr);
-  const auto m2 = maximal_matching_deterministic(g, ec);
+  LocalContext pr_ctx(pr), ec_ctx(ec);
+  const auto m1 = maximal_matching_pr(g, pr_ctx);
+  const auto m2 = maximal_matching_deterministic(g, ec_ctx);
   EXPECT_TRUE(is_maximal_matching(g, m1));
   EXPECT_TRUE(is_maximal_matching(g, m2));
   // O(Delta + log* n) vs O(Delta log Delta + log* n) with dilation-2
@@ -111,10 +119,11 @@ TEST(PrMatching, FewerRoundsThanEdgeColoringVariant) {
 
 TEST(PrMatching, EdgelessAndTiny) {
   Graph g0(5, {});
-  RoundLedger l;
-  EXPECT_TRUE(maximal_matching_pr(g0, l).empty());
+  RoundLedger ledger;
+  LocalContext ctx(ledger);
+  EXPECT_TRUE(maximal_matching_pr(g0, ctx).empty());
   Graph g1(2, {{0, 1}});
-  const auto m = maximal_matching_pr(g1, l);
+  const auto m = maximal_matching_pr(g1, ctx);
   EXPECT_TRUE(is_maximal_matching(g1, m));
 }
 

@@ -161,6 +161,7 @@ TEST(Checker, ProperColoring) {
   EXPECT_FALSE(is_proper_coloring(g, {0, 1, 0, 0}, 2));   // conflict
   EXPECT_FALSE(is_proper_coloring(g, {0, 1, 0, 2}, 2));   // palette overflow
   EXPECT_FALSE(is_proper_coloring(g, {0, 1, 0, kNoColor}, 2));  // incomplete
+  EXPECT_FALSE(is_proper_coloring(g, {0, 1, 0, -7}, 2));  // negative
 }
 
 TEST(Checker, DeltaColoring) {
@@ -178,6 +179,14 @@ TEST(Checker, ColoringReportCounts) {
   EXPECT_EQ(r.conflicts, 1u);
   EXPECT_EQ(r.uncolored, 1u);
   EXPECT_EQ(r.colors_used, 2);
+  // Any value below 0 is no color: two adjacent ones are two uncolored
+  // nodes, not a conflict in a color of their own.
+  const auto neg = check_coloring(g, {-7, -7, 0, 1});
+  EXPECT_TRUE(neg.proper);
+  EXPECT_FALSE(neg.complete);
+  EXPECT_EQ(neg.uncolored, 2u);
+  EXPECT_EQ(neg.colors_used, 2);
+  EXPECT_EQ(neg.max_color, 1);
 }
 
 TEST(Checker, Matching) {

@@ -22,7 +22,7 @@
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_view.hpp"
-#include "local/ledger.hpp"
+#include "local/context.hpp"
 #include "primitives/linial.hpp"
 
 namespace deltacolor {
@@ -261,7 +261,8 @@ TEST(LinialKernel, MaximalIdentifierTerminates) {
   Graph g = path_graph(4);
   g.set_ids({kMax64, 0, 7, kMax64 - 1});
   RoundLedger ledger;
-  const LinialResult res = linial_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult res = linial_coloring(g, ctx);
   EXPECT_GT(res.rounds, 0);
   EXPECT_TRUE(is_proper_coloring(g, res.color, res.num_colors));
   const LinialResult want =

@@ -22,7 +22,8 @@ TEST(EdgeColoring, ProperOnFamilies) {
   gs.push_back(bench::hard_instance(12, 10, 4).graph);
   for (const Graph& g : gs) {
     RoundLedger ledger;
-    const LinialResult ec = linial_edge_coloring(g, ledger);
+    LocalContext ctx(ledger);
+    const LinialResult ec = linial_edge_coloring(g, ctx);
     ASSERT_EQ(ec.color.size(), g.num_edges());
     // Properness on the line graph: incident edges differ in color.
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -42,7 +43,8 @@ TEST(EdgeColoring, ProperOnFamilies) {
 TEST(EdgeColoring, EmptyGraph) {
   Graph g(4, {});
   RoundLedger ledger;
-  const LinialResult ec = linial_edge_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult ec = linial_edge_coloring(g, ctx);
   EXPECT_TRUE(ec.color.empty());
 }
 

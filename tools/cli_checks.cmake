@@ -94,6 +94,43 @@ elseif(CHECK STREQUAL "gen-infeasible")
   expect_no_file(r.txt)
   expect_exit(0 gen ring 3 3 1 r.txt)
   expect_exit(0 gen regular 6 3 1 r.txt)
+elseif(CHECK STREQUAL "numeric-args")
+  # Every numeric flag and positional must parse as a whole token in range;
+  # junk exits 2 naming the argument and writes nothing.
+  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
+  expect_exit(2 --threads=abc color g.txt trial 7 out.txt)
+  expect_stderr("invalid --threads 'abc'")
+  expect_exit(2 --threads=2x color g.txt trial 7 out.txt)
+  expect_stderr("invalid --threads '2x'")
+  expect_exit(2 --repeat=2x color g.txt trial 7 out.txt)
+  expect_stderr("invalid --repeat '2x'")
+  expect_exit(2 --retries=2x --repeat=2 color g.txt trial 7 out.txt)
+  expect_stderr("invalid --retries '2x'")
+  expect_exit(2 color g.txt trial abc out.txt)
+  expect_stderr("invalid seed 'abc'")
+  expect_exit(2 color g.txt trial -1 out.txt)
+  expect_stderr("invalid seed '-1'")
+  expect_no_file(out.txt)
+  expect_exit(2 gen ring 3x 5 1 r.txt)
+  expect_stderr("invalid cliques '3x'")
+  expect_exit(2 gen blowup 64 16 16 abc 1 b.txt)
+  expect_stderr("invalid easy% 'abc'")
+  expect_exit(2 gen blowup 64 16 16 0 seedx b.txt)
+  expect_stderr("invalid seed 'seedx'")
+  expect_no_file(r.txt)
+  expect_no_file(b.txt)
+elseif(CHECK STREQUAL "check-negative-color")
+  # A negative color is no color: check must not call the coloring
+  # complete. The reader keeps the last line per node, so the appended
+  # line sets node 0 to -7.
+  expect_exit(0 gen blowup 64 16 16 0 1 g.txt)
+  expect_exit(0 color g.txt det 7 c.txt)
+  expect_exit(0 check g.txt c.txt)
+  expect_stdout("proper, complete")
+  file(APPEND "${WORK_DIR}/c.txt" "0 -7\n")
+  expect_exit(1 check g.txt c.txt)
+  expect_stdout("INCOMPLETE")
+  expect_stdout("uncolored=1")
 elseif(CHECK STREQUAL "gen-regular-dense")
   # High-degree random regular graphs: the repair pass is near-linear, so
   # this finishes well inside the ctest TIMEOUT set in CMakeLists.txt.

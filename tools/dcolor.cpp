@@ -42,8 +42,9 @@
 //
 // Exit codes: 0 success; 1 runtime failure (invalid result, quarantined
 // cells, engine error); 2 usage error (unknown flag, extra argument,
-// invalid flag combination, infeasible `gen` sizes); 3 unreadable or
-// malformed input file; 4 unknown algorithm or generator family.
+// malformed or out-of-range number, invalid flag combination, infeasible
+// `gen` sizes); 3 unreadable or malformed input file; 4 unknown algorithm
+// or generator family.
 // Documented here and in `--help`.
 //
 // Graphs are plain edge lists ("n m" header then "u v" per line) or binary
@@ -54,15 +55,19 @@
 // non-zero on failure.
 #include <sys/stat.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "bench_support/instance_cache.hpp"
@@ -104,8 +109,9 @@ int usage() {
          "the journal)\n"
          "exit codes: 0 success; 1 runtime failure (invalid result, "
          "quarantined cells); 2 usage error (unknown flag, extra argument, "
-         "invalid flag combination, infeasible gen sizes); 3 unreadable or "
-         "malformed input file; 4 unknown algorithm or generator family\n";
+         "malformed or out-of-range number, invalid flag combination, "
+         "infeasible gen sizes); 3 unreadable or malformed input file; 4 "
+         "unknown algorithm or generator family\n";
   return kExitUsage;
 }
 
@@ -127,6 +133,28 @@ int unknown_flag(const std::string& arg) {
   }
   std::cerr << " (see dcolor --help)\n";
   return kExitUsage;
+}
+
+/// The one parser for every numeric flag value and positional: the whole
+/// token must parse as a T in [lo, hi]. Junk (empty, trailing characters,
+/// a sign on an unsigned value, overflow, out of range) prints one line
+/// naming the argument and returns false; the caller then exits with
+/// kExitUsage before anything is written.
+template <typename T>
+bool parse_number(std::string_view token, std::string_view name, T* out,
+                  T lo = std::numeric_limits<T>::lowest(),
+                  T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end ||
+      !(value >= lo && value <= hi)) {
+    std::cerr << "dcolor: invalid " << name << " '" << token
+              << "' (need a number in [" << lo << ", " << hi << "])\n";
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 int list_algorithms() {
@@ -252,11 +280,14 @@ int cmd_gen(int argc, char** argv) {
   const std::string kind = argv[2];
   if (kind == "blowup" && argc == 9) {
     CliqueInstanceOptions opt;
-    opt.num_cliques = std::atoi(argv[3]);
-    opt.delta = std::atoi(argv[4]);
-    opt.clique_size = std::atoi(argv[5]);
-    opt.easy_fraction = std::atof(argv[6]) / 100.0;
-    opt.seed = std::strtoull(argv[7], nullptr, 10);
+    double easy_percent = 0;
+    if (!parse_number(argv[3], "cliques", &opt.num_cliques) ||
+        !parse_number(argv[4], "delta", &opt.delta) ||
+        !parse_number(argv[5], "size", &opt.clique_size) ||
+        !parse_number(argv[6], "easy%", &easy_percent, 0.0, 100.0) ||
+        !parse_number(argv[7], "seed", &opt.seed))
+      return kExitUsage;
+    opt.easy_fraction = easy_percent / 100.0;
     // Fail fast instead of letting the library round the request up: the
     // Sidon supergraph of a size < delta blow-up can demand tens of
     // thousands of cliques, which takes minutes to generate.
@@ -282,8 +313,12 @@ int cmd_gen(int argc, char** argv) {
     return 0;
   }
   if (kind == "ring" && argc == 7) {
-    const int cliques = std::atoi(argv[3]);
-    const int size = std::atoi(argv[4]);
+    int cliques = 0, size = 0;
+    std::uint64_t seed = 0;
+    if (!parse_number(argv[3], "cliques", &cliques) ||
+        !parse_number(argv[4], "size", &size) ||
+        !parse_number(argv[5], "seed", &seed))
+      return kExitUsage;
     const char* violated = cliques < 3 ? "cliques >= 3"
                            : size < 3  ? "size >= 3"
                                        : nullptr;
@@ -292,8 +327,7 @@ int cmd_gen(int argc, char** argv) {
                 << ", got cliques=" << cliques << " size=" << size << "\n";
       return kExitUsage;
     }
-    const CliqueInstance inst =
-        clique_ring(cliques, size, std::strtoull(argv[5], nullptr, 10));
+    const CliqueInstance inst = clique_ring(cliques, size, seed);
     report_generated_instance("ring", inst.graph);
     save_graph_as(argv[6], inst.graph);
     std::cout << "wrote " << argv[6] << ": n=" << inst.graph.num_nodes()
@@ -301,8 +335,12 @@ int cmd_gen(int argc, char** argv) {
     return 0;
   }
   if (kind == "regular" && argc == 7) {
-    const int n = std::atoi(argv[3]);
-    const int degree = std::atoi(argv[4]);
+    int n = 0, degree = 0;
+    std::uint64_t seed = 0;
+    if (!parse_number(argv[3], "n", &n) ||
+        !parse_number(argv[4], "degree", &degree) ||
+        !parse_number(argv[5], "seed", &seed))
+      return kExitUsage;
     const bool odd = n % 2 != 0 && degree % 2 != 0;
     const char* violated = degree < 1    ? "degree >= 1"
                            : n <= degree ? "n > degree"
@@ -313,8 +351,7 @@ int cmd_gen(int argc, char** argv) {
                 << ", got n=" << n << " degree=" << degree << "\n";
       return kExitUsage;
     }
-    const Graph g = random_regular(static_cast<NodeId>(n), degree,
-                                   std::strtoull(argv[5], nullptr, 10));
+    const Graph g = random_regular(static_cast<NodeId>(n), degree, seed);
     report_generated_instance("regular", g);
     save_graph_as(argv[6], g);
     std::cout << "wrote " << argv[6] << ": n=" << g.num_nodes() << "\n";
@@ -389,6 +426,9 @@ int cmd_color(int argc, char** argv) {
   }
   const std::string graph_path =
       g_load_path.empty() ? argv[2] : g_load_path;
+  std::uint64_t seed = 1;
+  if (argc > base + 1 && !parse_number(argv[base + 1], "seed", &seed))
+    return kExitUsage;
   const std::string algo = argc > base ? argv[base] : "det";
   const AlgorithmEntry* entry = find_algorithm(algo);
   if (entry == nullptr) {
@@ -442,8 +482,7 @@ int cmd_color(int argc, char** argv) {
   const Graph& g = shuffle ? reidentified : *shared;
   report_loaded_instance(graph_path, dcsr, g, shuffle ? "shuffled" : "file");
   AlgorithmRequest req;
-  req.seed =
-      argc > base + 1 ? std::strtoull(argv[base + 1], nullptr, 10) : 1;
+  req.seed = seed;
   req.engine = g_engine;
   req.validate = g_validate;
   const std::string out = argc > base + 2 ? argv[base + 2] : "";
@@ -580,8 +619,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 10);
-      if (n < 0) return usage();
+      int n = 0;
+      if (!parse_number(arg.substr(10), "--threads", &n, 0)) return kExitUsage;
       // 0 = auto (library default: DELTACOLOR_THREADS env var, else
       // hardware concurrency) — previously this fell through to usage(),
       // silently suggesting the flag had been applied.
@@ -590,11 +629,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--frontier") {
       g_engine.frontier = true;
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      g_repeat = std::atoi(arg.c_str() + 9);
-      if (g_repeat < 1) {
-        std::cerr << "dcolor: invalid " << arg << " (need at least 1)\n";
+      if (!parse_number(arg.substr(9), "--repeat", &g_repeat, 1))
         return kExitUsage;
-      }
     } else if (arg.rfind("--validate=", 0) == 0) {
       if (!parse_validate_mode(arg.c_str() + 11, &g_validate)) {
         std::cerr << "dcolor: invalid " << arg
@@ -602,11 +638,8 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
     } else if (arg.rfind("--retries=", 0) == 0) {
-      g_retries = std::atoi(arg.c_str() + 10);
-      if (g_retries < 1) {
-        std::cerr << "dcolor: invalid " << arg << " (need at least 1)\n";
+      if (!parse_number(arg.substr(10), "--retries", &g_retries, 1))
         return kExitUsage;
-      }
     } else if (arg.rfind("--journal=", 0) == 0) {
       g_journal_path = arg.substr(10);
       if (g_journal_path.empty()) {
