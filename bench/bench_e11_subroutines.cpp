@@ -84,14 +84,17 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-// The composed Theorem 1 pipeline (not a demo algorithm) under the
-// execution-layer knobs: every nested engine stage inherits the request's
-// EngineOptions through LocalContext, so `--threads` / `--frontier` reach
-// Linial, KW reduction, matching, HEG scheduling, and the deg+1 instances
-// end to end. Colorings are asserted bit-identical across all configs.
-// Serial on purpose: this section measures engine wall-clock.
+// The composed Theorem 1 pipeline (not a demo algorithm) under the worker
+// knob: every nested engine stage inherits the request's EngineOptions
+// through LocalContext, so `--threads` reaches Linial, KW reduction,
+// matching, HEG scheduling, and the deg+1 instances end to end. Every one
+// of those stages is round-indexed (LocalContext::round_indexed_engine
+// clears the frontier flag), so a `--frontier` row would time the serial
+// row again; there is none. Colorings are asserted bit-identical across
+// worker counts. Serial on purpose: this section measures engine
+// wall-clock.
 void run_engine_tables() {
-  banner("E11b", "composed det pipeline under --threads/--frontier");
+  banner("E11b", "composed det pipeline under --threads");
   const auto inst = cached_hard(512, 16, 3);
   const Graph& g = inst->graph;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -99,23 +102,17 @@ void run_engine_tables() {
             << ", hardware threads = " << hw << "\n";
   struct Config {
     const char* name;
-    EngineOptions opts;
+    int workers;
   };
-  const Config configs[] = {
-      {"full-sweep serial", {1, false}},
-      {"frontier serial", {1, true}},
-      {"full-sweep 4 workers", {4, false}},
-      {"frontier 4 workers", {4, true}},
-  };
-  Table t({"engine", "workers", "frontier", "rounds", "wall(ms)", "speedup",
-           "valid"});
+  const Config configs[] = {{"serial", 1}, {"4 workers", 4}};
+  Table t({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
   double baseline_ms = 0.0;
   std::vector<Color> baseline_color;
   for (const Config& cfg : configs) {
     AlgorithmRequest req;
-    req.engine = cfg.opts;
+    req.engine.num_threads = cfg.workers;
     // Best-of-3: per-run wall clock is single-digit-percent noisy, which
-    // would swamp the frontier delta.
+    // would swamp the worker delta.
     double ms = 0.0;
     AlgorithmResult res;
     for (int rep = 0; rep < 3; ++rep) {
@@ -131,14 +128,12 @@ void run_engine_tables() {
       baseline_color = res.color;
     }
     const bool valid = res.ok && res.color == baseline_color;
-    t.row(cfg.name, cfg.opts.num_threads, cfg.opts.frontier ? "yes" : "no",
-          res.ledger.total(), ms, baseline_ms / std::max(ms, 1e-9),
-          valid ? "yes" : "NO");
+    t.row(cfg.name, cfg.workers, res.ledger.total(), ms,
+          baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
     BenchJson("E11")
         .field("workload", "composed-det-pipeline")
         .field("engine", cfg.name)
-        .field("workers", cfg.opts.num_threads)
-        .field("frontier", cfg.opts.frontier)
+        .field("workers", cfg.workers)
         .field("hw_threads", static_cast<std::int64_t>(hw))
         .field("n", g.num_nodes())
         .field("valid", valid)

@@ -1,12 +1,7 @@
 #include "bench_support/instance_cache.hpp"
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "bench_support/workloads.hpp"
@@ -126,19 +121,6 @@ std::shared_ptr<const Graph> InstanceCache::custom_graph(
     RoundLedger* ledger) {
   return get_or_build(graphs_, "custom/" + key, ledger,
                       [&] { return build(); });
-}
-
-std::shared_ptr<const Graph> InstanceCache::file_graph(
-    const std::string& path, const std::function<Graph()>& load,
-    RoundLedger* ledger) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0)
-    throw std::runtime_error("file_graph: cannot stat " + path + ": " +
-                             std::strerror(errno));
-  std::ostringstream key;
-  key << "file/" << path << "?size=" << st.st_size
-      << "&mtime=" << st.st_mtime;
-  return get_or_build(graphs_, key.str(), ledger, [&] { return load(); });
 }
 
 InstanceCache::Stats InstanceCache::stats() const {

@@ -46,7 +46,8 @@ namespace deltacolor::bench {
 
 class InstanceCache {
  public:
-  /// Process-wide cache shared by every bench and the dcolor CLI.
+  /// Process-wide cache shared by every bench; the sweep driver reports
+  /// its hit and miss counts.
   static InstanceCache& global();
 
   /// Clique blow-up keyed by every CliqueInstanceOptions field.
@@ -69,21 +70,11 @@ class InstanceCache {
 
   /// Arbitrary keyed graph with a caller-supplied generator, under the
   /// same single-flight slot discipline as the named families (the key is
-  /// namespaced "custom/<key>"). Used by benches with bespoke instances,
-  /// dcolor's file loader, and the exception-safety regression tests
-  /// (`build` may throw; see the single-flight rules above).
+  /// namespaced "custom/<key>"). The exception-safety regression tests
+  /// drive the slot discipline through it (`build` may throw; see the
+  /// single-flight rules above).
   std::shared_ptr<const Graph> custom_graph(
       const std::string& key, const std::function<Graph()>& build,
-      RoundLedger* ledger = nullptr);
-
-  /// File-backed graph keyed by file *identity* — path plus size and mtime
-  /// from stat(2), so sweeps over the same on-disk instance share one load
-  /// (for a .dcsr file: one mmap), while overwriting the file invalidates
-  /// the cached entry naturally. `load` performs the actual read (mmap or
-  /// text parse); it runs single-flight like every other family. Throws
-  /// std::runtime_error when `path` cannot be stat'ed.
-  std::shared_ptr<const Graph> file_graph(
-      const std::string& path, const std::function<Graph()>& load,
       RoundLedger* ledger = nullptr);
 
   struct Stats {

@@ -83,17 +83,15 @@ DeltaColoringResult delta_color_dense(const Graph& g,
       color_easy_and_loopholes(g, loopholes, res.color, lctx);
   validate_partial_coloring(g, res.color, "easy", options.validate);
 
-  if (options.verify || options.validate != ValidateMode::kOff) {
-    if (options.validate != ValidateMode::kOff && FaultInjector::armed())
-      FaultInjector::global().maybe_corrupt_coloring("final", g, res.color);
-    res.valid = is_delta_coloring(g, res.color);
-    if (options.validate != ValidateMode::kOff) {
-      validate_final_coloring(g, res.color, res.valid, "final",
-                              options.validate);
-    } else {
-      DC_CHECK_MSG(res.valid, "final coloring invalid: "
-                                  << check_coloring(g, res.color).describe());
-    }
+  if (options.validate != ValidateMode::kOff && FaultInjector::armed())
+    FaultInjector::global().maybe_corrupt_coloring("final", g, res.color);
+  res.valid = is_delta_coloring(g, res.color);
+  if (options.validate != ValidateMode::kOff) {
+    validate_final_coloring(g, res.color, res.valid, "final",
+                            options.validate);
+  } else {
+    DC_CHECK_MSG(res.valid, "final coloring invalid: "
+                                << check_coloring(g, res.color).describe());
   }
   return res;
 }

@@ -26,8 +26,6 @@ struct DeltaColoringOptions {
   /// the simulation executes — the coloring is bit-identical across
   /// settings.
   EngineOptions engine;
-  /// Run the final validity checker and record the outcome.
-  bool verify = true;
   /// Opt-in validation oracle (errors.hpp): kEnd turns a final-checker
   /// failure into a structured invariant-violation CellError (instead of
   /// the legacy CHECK abort); kPhase additionally checks the partial

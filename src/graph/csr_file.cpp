@@ -15,9 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -360,205 +358,6 @@ void write_csr_file(const std::string& path, const Graph& g) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     fail(CsrErrorKind::kOpen, path,
          std::string("rename failed: ") + std::strerror(errno));
-}
-
-namespace {
-
-/// Read-write mapping over a freshly created file of exactly `bytes`
-/// bytes (used for the scratch bucket file and the output .dcsr).
-class RwMapping {
- public:
-  RwMapping(const std::string& path, std::uint64_t bytes) : path_(path) {
-    const int fd =
-        ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-      fail(CsrErrorKind::kOpen, path,
-           std::string("open failed: ") + std::strerror(errno));
-    if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-      const int err = errno;
-      ::close(fd);
-      fail(CsrErrorKind::kOpen, path,
-           std::string("ftruncate failed: ") + std::strerror(err));
-    }
-    size_ = bytes;
-    if (bytes > 0) {
-      void* map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
-                         fd, 0);
-      if (map == MAP_FAILED) {
-        const int err = errno;
-        ::close(fd);
-        fail(CsrErrorKind::kOpen, path,
-             std::string("mmap failed: ") + std::strerror(err));
-      }
-      data_ = static_cast<std::byte*>(map);
-    }
-    ::close(fd);
-  }
-  ~RwMapping() {
-    if (data_ != nullptr) ::munmap(data_, size_);
-    if (!keep_) ::unlink(path_.c_str());
-  }
-  RwMapping(const RwMapping&) = delete;
-  RwMapping& operator=(const RwMapping&) = delete;
-
-  std::byte* data() { return data_; }
-  /// Unmaps and renames the file to `target` (the atomic publish step).
-  void publish(const std::string& target) {
-    ::munmap(data_, size_);
-    data_ = nullptr;
-    if (std::rename(path_.c_str(), target.c_str()) != 0)
-      fail(CsrErrorKind::kOpen, target,
-           std::string("rename failed: ") + std::strerror(errno));
-    keep_ = true;
-  }
-
- private:
-  std::string path_;
-  std::byte* data_ = nullptr;
-  std::uint64_t size_ = 0;
-  bool keep_ = false;
-};
-
-}  // namespace
-
-CsrBuildStats build_csr_file(EdgeSource& source, NodeId num_nodes,
-                             const std::string& out_path) {
-  const std::size_t n = num_nodes;
-  constexpr std::size_t kBatch = 1 << 16;
-  std::vector<std::pair<NodeId, NodeId>> batch(kBatch);
-
-  // Pass 1: per-lower-endpoint histogram (the counting-sort key), plus the
-  // total pair count that sizes the scratch bucket file.
-  std::vector<std::uint64_t> bucket_start(n + 1, 0);
-  std::uint64_t input_edges = 0;
-  source.rewind();
-  for (std::size_t got; (got = source.next(batch.data(), kBatch)) > 0;) {
-    for (std::size_t i = 0; i < got; ++i) {
-      auto [a, b] = batch[i];
-      DC_CHECK_MSG(a != b, "self loop at node " << a);
-      DC_CHECK_MSG(a < num_nodes && b < num_nodes,
-                   "edge (" << a << "," << b << ") out of range n="
-                            << num_nodes);
-      ++bucket_start[std::min(a, b) + 1];
-    }
-    input_edges += got;
-  }
-  std::partial_sum(bucket_start.begin(), bucket_start.end(),
-                   bucket_start.begin());
-
-  // Pass 2: scatter upper endpoints into an mmap'd scratch bucket file —
-  // the only place the full edge multiset ever materializes, and it lives
-  // on disk. The classic cursor trick (advance bucket_start[u] while
-  // scattering) avoids a second n-word cursor array: afterwards
-  // bucket_start[u] is the *end* of u's bucket and bucket_start[u-1] its
-  // start.
-  std::optional<RwMapping> scratch(std::in_place, out_path + ".buckets.tmp",
-                                   input_edges * sizeof(NodeId));
-  auto* bucket = reinterpret_cast<NodeId*>(scratch->data());
-  source.rewind();
-  for (std::size_t got; (got = source.next(batch.data(), kBatch)) > 0;) {
-    for (std::size_t i = 0; i < got; ++i) {
-      const auto [a, b] = batch[i];
-      const NodeId u = std::min(a, b);
-      bucket[bucket_start[u]++] = std::max(a, b);
-    }
-  }
-
-  // Sort + dedup each node's bucket in place (identical to the in-memory
-  // builder's per-bucket stage), collecting the surviving count and the
-  // in-degree each unique edge contributes to its upper endpoint.
-  std::vector<std::uint64_t> uniq(n + 1, 0);
-  std::vector<std::uint32_t> in_deg(n, 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    NodeId* lo = bucket + (u == 0 ? 0 : bucket_start[u - 1]);
-    NodeId* hi = bucket + bucket_start[u];
-    std::sort(lo, hi);
-    NodeId* end = std::unique(lo, hi);
-    uniq[u + 1] = static_cast<std::uint64_t>(end - lo);
-    for (NodeId* p = lo; p != end; ++p) ++in_deg[*p];
-  }
-  std::partial_sum(uniq.begin(), uniq.end(), uniq.begin());
-  const std::uint64_t m = uniq[n];
-
-  // Materialize the output sections directly in the mmap'd result file.
-  const CsrLayout layout = csr_layout(n, m);
-  RwMapping out(out_path + ".tmp", layout.total_bytes);
-  std::byte* base = out.data();
-  auto* offsets = reinterpret_cast<std::uint64_t*>(
-      base + layout.sections[kSecOffsets].offset);
-  auto* adjacency = reinterpret_cast<NodeId*>(
-      base + layout.sections[kSecAdjacency].offset);
-  auto* arc_edge = reinterpret_cast<EdgeId*>(
-      base + layout.sections[kSecArcEdge].offset);
-  auto* edges = reinterpret_cast<std::pair<NodeId, NodeId>*>(
-      base + layout.sections[kSecEdges].offset);
-  auto* ids = reinterpret_cast<std::uint64_t*>(
-      base + layout.sections[kSecIds].offset);
-
-  // Edges section: lexicographic (u, v) straight from the deduped buckets;
-  // a pair's index is its edge id, exactly as in the in-memory builder.
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::uint64_t lo = u == 0 ? 0 : bucket_start[u - 1];
-    for (std::uint64_t i = 0; i < uniq[u + 1] - uniq[u]; ++i)
-      edges[uniq[u] + i] = {static_cast<NodeId>(u), bucket[lo + i]};
-  }
-
-  // The buckets are folded into the edges section now; drop the scratch
-  // file before the adjacency passes so peak disk usage stays low.
-  scratch.reset();
-  bucket = nullptr;
-
-  // Offsets: deg(v) = in_deg[v] + out_deg(v).
-  offsets[0] = 0;
-  int max_degree = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t deg = in_deg[v] + (uniq[v + 1] - uniq[v]);
-    offsets[v + 1] = offsets[v] + deg;
-    max_degree = std::max(max_degree, static_cast<int>(deg));
-  }
-
-  // Adjacency + arc ids, replicating the in-memory materialization: a
-  // serial in-arc cursor pass in edge-id order, then each node's own
-  // out-arcs behind its in-arc block. bucket_start is re-used as the
-  // in-arc cursor array.
-  for (std::size_t v = 0; v < n; ++v) bucket_start[v] = offsets[v];
-  for (std::uint64_t e = 0; e < m; ++e) {
-    const NodeId v = edges[e].second;
-    adjacency[bucket_start[v]] = edges[e].first;
-    arc_edge[bucket_start[v]++] = static_cast<EdgeId>(e);
-  }
-  for (std::size_t u = 0; u < n; ++u) {
-    std::uint64_t pos = offsets[u] + in_deg[u];
-    for (std::uint64_t e = uniq[u]; e < uniq[u + 1]; ++e) {
-      adjacency[pos] = edges[e].second;
-      arc_edge[pos++] = static_cast<EdgeId>(e);
-    }
-  }
-
-  for (std::size_t v = 0; v < n; ++v) ids[v] = v;
-
-  const auto sums = section_checksums(base, layout.sections);
-  CsrFileHeader header;
-  header.header_bytes = sizeof(CsrFileHeader);
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.max_degree = static_cast<std::uint32_t>(max_degree);
-  for (int s = 0; s < kNumSections; ++s) {
-    header.sections[s] = layout.sections[s];
-    header.sections[s].checksum = sums[s];
-  }
-  header.header_checksum = 0;
-  header.header_checksum = csr_checksum(&header, sizeof(header));
-  std::memcpy(base, &header, sizeof(header));
-
-  out.publish(out_path);
-
-  CsrBuildStats stats;
-  stats.input_edges = input_edges;
-  stats.unique_edges = m;
-  stats.file_bytes = layout.total_bytes;
-  stats.max_degree = max_degree;
-  return stats;
 }
 
 }  // namespace deltacolor

@@ -37,7 +37,7 @@
 // FNV-1a is one serial xor-multiply chain per section, bound by the
 // multiply's latency rather than by memory bandwidth. The five sections'
 // chains are independent, so csr_checksums advances them interleaved in
-// one pass: the loader's verification and both writers cost about one
+// one pass: the loader's verification and the writer cost about one
 // chain over the longest section instead of a chain over the whole file.
 #pragma once
 
@@ -159,39 +159,6 @@ Graph load_csr_file(const std::string& path,
 /// Serializes an in-memory Graph to `path` (atomic: writes path + ".tmp"
 /// then renames). Throws CsrError(kOpen) on I/O failure.
 void write_csr_file(const std::string& path, const Graph& g);
-
-/// A rewindable stream of undirected edges for the external builder.
-/// Implementations may emit pairs in any orientation/order and may repeat
-/// edges; the builder normalizes, sorts, and deduplicates — exactly like
-/// the in-memory counting-sort builder. rewind() must restart the exact
-/// same sequence.
-class EdgeSource {
- public:
-  virtual ~EdgeSource() = default;
-  virtual void rewind() = 0;
-  /// Fills out[0..cap) with up to cap edges; returns how many were
-  /// produced, 0 when exhausted.
-  virtual std::size_t next(std::pair<NodeId, NodeId>* out,
-                           std::size_t cap) = 0;
-};
-
-struct CsrBuildStats {
-  std::uint64_t input_edges = 0;   // pairs read from the source
-  std::uint64_t unique_edges = 0;  // m after normalize+dedup
-  std::uint64_t file_bytes = 0;
-  int max_degree = 0;
-};
-
-/// External-memory CSR build: streams `source` twice (histogram, then
-/// scatter into an mmap'd scratch bucket file next to `out_path`), sorts
-/// and dedups each node's bucket in place, and materializes the .dcsr
-/// sections straight into the mmap'd output file — the full edge list is
-/// never resident in RAM. Identifiers are written as identity. The
-/// resulting file is bit-identical to write_csr_file(Graph(n, edges))
-/// for the same edge multiset. Throws CsrError on I/O failure and
-/// DC_CHECKs on malformed edges (self loops, endpoints >= num_nodes).
-CsrBuildStats build_csr_file(EdgeSource& source, NodeId num_nodes,
-                             const std::string& out_path);
 
 /// FNV-1a-64 (the section checksum primitive; exposed for tests).
 std::uint64_t csr_checksum(const void* data, std::size_t bytes,

@@ -28,7 +28,9 @@ Graph cycle_graph(NodeId n);
 Graph complete_graph(NodeId n);
 Graph complete_bipartite(NodeId a, NodeId b);
 Graph star_graph(NodeId leaves);
-/// 4-regular wrap-around grid.
+/// Wrap-around grid, 4-regular when both sides are >= 3. A side of 2
+/// wraps onto the edge it already has, so such a torus is 3-regular
+/// (2 x 2: the 4-cycle).
 Graph torus_grid(NodeId rows, NodeId cols);
 Graph random_tree(NodeId n, std::uint64_t seed);
 /// Erdos-Renyi G(n, p).

@@ -55,7 +55,6 @@ struct RandomizedOptions {
   /// Constant BFS depth of the coverage layers around slack vertices; the
   /// uncovered remainder forms the shattered components.
   int layer_depth = 3;
-  bool verify = true;
   /// Opt-in validation oracle (errors.hpp): kEnd turns a final-checker
   /// failure into a structured invariant-violation CellError; kPhase
   /// additionally checks the partial coloring after pre-shattering,

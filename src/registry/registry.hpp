@@ -2,8 +2,10 @@
 // entry points, shared by the `dcolor` CLI and the bench harnesses so the
 // two never drift apart. Every entry accepts the same AlgorithmRequest
 // (seed + EngineOptions) and runs through the LocalContext execution
-// layer, so `--threads` / `--frontier` reach the nested SyncRunner stages
-// of every registered algorithm uniformly.
+// layer, so `--threads` reaches the nested SyncRunner stages of every
+// registered algorithm uniformly. `--frontier` acts only in stages that
+// are not round-indexed (LocalContext::round_indexed_engine): the `trial`
+// and `mis` protocols; every engine stage of `det` and `rand` clears it.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,9 @@ namespace deltacolor {
 /// Uniform input to every registered algorithm.
 struct AlgorithmRequest {
   std::uint64_t seed = 1;
-  /// Worker threads / frontier mode for every engine-stepped stage.
-  /// Results are bit-identical across settings.
+  /// Worker threads for every engine-stepped stage; frontier mode for the
+  /// stages that are not round-indexed. Results are bit-identical across
+  /// settings.
   EngineOptions engine;
   /// Opt-in validation oracle (dcolor --validate). The composed pipelines
   /// (det, rand) honor kEnd / kPhase by throwing structured CellErrors on

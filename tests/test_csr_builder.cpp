@@ -210,6 +210,8 @@ TEST(CsrBuilder, GeneratorFamiliesMatchRebuild) {
   check(complete_bipartite(5, 8));
   check(star_graph(10));
   check(torus_grid(6, 7));
+  check(torus_grid(2, 7));
+  check(torus_grid(5, 2));
   check(random_tree(64, 5));
   check(random_graph(80, 0.1, 6));
   check(random_regular(64, 4, 7));

@@ -1,6 +1,6 @@
 // On-disk CSR container suite: round-trips (in-memory graph -> .dcsr file
 // -> mmap-backed Graph must be bit-identical through the public API,
-// including ids), the streaming external builder vs the in-memory builder,
+// including ids), files written from edge soups vs their cleaned pairs,
 // mapped-graph ownership semantics (copies and set_ids outlive the
 // original mapping), and hostile inputs — truncation, bad magic, wrong
 // version, corrupted payload, short header — each of which must surface as
@@ -116,29 +116,6 @@ TEST(CsrFile, EmptyAndSingleNodeGraphs) {
   std::remove(path.c_str());
 }
 
-// A deliberately hostile in-memory edge source: duplicates, reversed
-// orientation, batches of awkward sizes. The external builder must fold
-// all of that exactly like the in-memory builder does.
-class VectorSource final : public EdgeSource {
- public:
-  explicit VectorSource(EdgeList edges, std::size_t burst = 3)
-      : edges_(std::move(edges)), burst_(burst) {}
-  void rewind() override { pos_ = 0; }
-  std::size_t next(std::pair<NodeId, NodeId>* out,
-                   std::size_t cap) override {
-    std::size_t produced = 0;
-    const std::size_t want = std::min(cap, burst_);
-    while (produced < want && pos_ < edges_.size())
-      out[produced++] = edges_[pos_++];
-    return produced;
-  }
-
- private:
-  EdgeList edges_;
-  std::size_t burst_;
-  std::size_t pos_ = 0;
-};
-
 // csr_checksums must return, range by range, exactly what the single-range
 // csr_checksum returns: for 1..kNumSections ranges of unequal lengths
 // around the byte loop's edges, with each range in turn the longest.
@@ -213,8 +190,25 @@ TEST(CsrFile, ChecksumsArePinned) {
   std::remove(path.c_str());
 }
 
+EdgeList normalized_unique(EdgeList edges) {
+  for (auto& [u, v] : edges)
+    if (u > v) std::swap(u, v);
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// An edge soup with duplicates and both orientations, written from
+// Graph(n, soup) as dcolor-import `edges` does, loads back identical to the
+// graph of its cleaned pairs. (The name is kept from the retired external
+// builder, DESIGN.md §8.)
 TEST(CsrFile, ExternalBuildMatchesInMemoryBuilder) {
-  // Edge soup with duplicates and both orientations.
   EdgeList soup;
   const NodeId n = 41;
   std::uint64_t state = 99;
@@ -226,37 +220,35 @@ TEST(CsrFile, ExternalBuildMatchesInMemoryBuilder) {
     soup.emplace_back(u, v);
     if (i % 3 == 0) soup.emplace_back(v, u);  // reversed duplicate
   }
-  const Graph want(n, soup);
+  const EdgeList clean = normalized_unique(soup);
+  ASSERT_LT(clean.size(), soup.size());
+  const Graph want(n, clean, kSortedUniqueEdges);
 
-  const std::string path = tmp_path("external.dcsr");
-  VectorSource source(soup);
-  const CsrBuildStats stats = build_csr_file(source, n, path);
-  EXPECT_EQ(stats.input_edges, soup.size());
-  EXPECT_EQ(stats.unique_edges, want.num_edges());
-  EXPECT_EQ(stats.max_degree, want.max_degree());
-
+  const std::string path = tmp_path("soup.dcsr");
+  write_csr_file(path, Graph(n, soup));
   const Graph loaded = load_csr_file(path, {CsrVerify::kAlways});
   expect_identical(loaded, want);
+  EXPECT_EQ(structure_hash(loaded), structure_hash(want));
   std::remove(path.c_str());
 }
 
+// The file written from a torus's raw pairs, built without hints, is
+// byte-for-byte the file of the generator's hinted build. (The name is kept
+// from the retired external builder, DESIGN.md §8.)
 TEST(CsrFile, ExternalBuildFileBitIdenticalToWriter) {
-  // The streaming builder's output must be byte-for-byte the file the
-  // in-memory writer produces for the same graph — one frozen format, two
-  // producers.
-  const Graph g = torus_grid(6, 9);
-  EdgeList edges(g.edges().begin(), g.edges().end());
-  const std::string a = tmp_path("writer.dcsr");
-  const std::string b = tmp_path("builder.dcsr");
-  write_csr_file(a, g);
-  VectorSource source(edges, 7);
-  build_csr_file(source, g.num_nodes(), b);
-  std::ifstream fa(a, std::ios::binary), fb(b, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(fa)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(fb)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
+  const NodeId rows = 6, cols = 9;
+  EdgeList pairs;
+  for (NodeId r = 0; r < rows; ++r)
+    for (NodeId c = 0; c < cols; ++c) {
+      const NodeId cell = r * cols + c;
+      pairs.emplace_back(cell, r * cols + (c + 1) % cols);
+      pairs.emplace_back(cell, (r + 1) % rows * cols + c);
+    }
+  const std::string a = tmp_path("generator.dcsr");
+  const std::string b = tmp_path("pairs.dcsr");
+  write_csr_file(a, torus_grid(rows, cols));
+  write_csr_file(b, Graph(rows * cols, pairs, kUnsortedEdges));
+  EXPECT_EQ(file_bytes(a), file_bytes(b));
   std::remove(a.c_str());
   std::remove(b.c_str());
 }

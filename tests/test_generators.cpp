@@ -28,6 +28,14 @@ TEST(Elementary, TorusIsFourRegular) {
   EXPECT_EQ(g.num_components(), 1u);
 }
 
+TEST(Elementary, TorusWithSideTwoFoldsWrapEdges) {
+  // A side of 2 wraps onto the edge the grid already has.
+  const Graph g = torus_grid(2, 7);
+  EXPECT_EQ(g.num_edges(), 21u);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(g.degree(v), 3);
+  EXPECT_EQ(torus_grid(2, 2).num_edges(), 4u);  // the 4-cycle
+}
+
 TEST(Elementary, RandomTreeIsTree) {
   Graph g = random_tree(50, 3);
   EXPECT_EQ(g.num_edges(), 49u);

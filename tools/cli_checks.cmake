@@ -1,24 +1,32 @@
-# Contract checks of the dcolor CLI, one case per ctest entry:
+# Contract checks of the dcolor and dcolor-import CLIs, one case per
+# ctest entry:
 #
-#   cmake -DDCOLOR=<path to dcolor> -DWORK_DIR=<scratch dir> -DCHECK=<case>
-#         -P cli_checks.cmake
+#   cmake -DDCOLOR=<path to dcolor> -DDCOLOR_IMPORT=<path to dcolor-import>
+#         -DWORK_DIR=<scratch dir> -DCHECK=<case> -P cli_checks.cmake
 #
-# Every case runs dcolor inside WORK_DIR (emptied first) and asserts exit
-# codes and output text; a rejected command must write no file.
+# Every case runs the tool inside WORK_DIR (emptied first) and asserts exit
+# codes and output text; a rejected command must write no file. Cases
+# named import-* drive dcolor-import, the others dcolor.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
+if(CHECK MATCHES "^import-")
+  set(TOOL "${DCOLOR_IMPORT}")
+else()
+  set(TOOL "${DCOLOR}")
+endif()
 
-# Runs dcolor with ARGN and fails unless it exits with `code`; the output
-# lands in LAST_STDOUT and LAST_STDERR.
+# Runs the tool with ARGN and fails unless it exits with `code`; the
+# output lands in LAST_STDOUT and LAST_STDERR.
 function(expect_exit code)
-  execute_process(COMMAND "${DCOLOR}" ${ARGN}
+  execute_process(COMMAND "${TOOL}" ${ARGN}
                   WORKING_DIRECTORY "${WORK_DIR}"
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc STREQUAL "${code}")
     list(JOIN ARGN " " cmdline)
+    get_filename_component(name "${TOOL}" NAME)
     message(FATAL_ERROR
-            "dcolor ${cmdline}: expected exit ${code}, got ${rc}\n${out}${err}")
+            "${name} ${cmdline}: expected exit ${code}, got ${rc}\n${out}${err}")
   endif()
   set(LAST_STDOUT "${out}" PARENT_SCOPE)
   set(LAST_STDERR "${err}" PARENT_SCOPE)
@@ -40,8 +48,23 @@ endfunction()
 
 function(expect_no_file name)
   if(EXISTS "${WORK_DIR}/${name}")
-    message(FATAL_ERROR "dcolor wrote '${name}' although it was rejected")
+    message(FATAL_ERROR "${TOOL} wrote '${name}' although it was rejected")
   endif()
+endfunction()
+
+function(expect_stdout_is text)
+  if(NOT LAST_STDOUT STREQUAL "${text}")
+    message(FATAL_ERROR "stdout is:\n${LAST_STDOUT}\nexpected:\n${text}")
+  endif()
+endfunction()
+
+# dcolor-import `info` must print exactly `text` for `file`, and `verify`
+# must accept the file. Each pinned `info` output carries the header's
+# counts and every section checksum, so a change to any of them fails.
+function(expect_info file text)
+  expect_exit(0 info ${file})
+  expect_stdout_is("${text}")
+  expect_exit(0 verify ${file})
 endfunction()
 
 if(CHECK STREQUAL "unknown-flag")
@@ -148,6 +171,133 @@ elseif(CHECK STREQUAL "legacy-journal")
   expect_exit(0 color g.txt trial 7 --repeat=2 --journal=j.jsonl --resume)
   expect_stdout("seed 7: status=ok rounds=20 wall_ms=0.5 ok (resumed) — old row")
   expect_stdout("seed 8: status=ok")
+elseif(CHECK STREQUAL "import-gen-path")
+  expect_exit(0 gen path 1000 p.dcsr)
+  expect_stdout_is(
+    "wrote p.dcsr: n=1000 m=999 input_edges=999 Delta=2 bytes=40256\n")
+  expect_info(p.dcsr "dcsr v1 n=1000 m=999 Delta=2 bytes=40256
+  offsets: offset=192 bytes=8008 checksum=5be779d775747784
+  adjacency: offset=8256 bytes=7992 checksum=f4e3b57920ada7fb
+  arc_edge: offset=16256 bytes=7992 checksum=26f0b400b84d64e9
+  edges: offset=24256 bytes=7992 checksum=8d18eb6237130433
+  ids: offset=32256 bytes=8000 checksum=3a840aab2742da95
+")
+elseif(CHECK STREQUAL "import-gen-cycle")
+  expect_exit(0 gen cycle 1000 c.dcsr)
+  expect_stdout_is(
+    "wrote c.dcsr: n=1000 m=1000 input_edges=1000 Delta=2 bytes=40256\n")
+  expect_info(c.dcsr "dcsr v1 n=1000 m=1000 Delta=2 bytes=40256
+  offsets: offset=192 bytes=8008 checksum=b2d7e032ec87a558
+  adjacency: offset=8256 bytes=8000 checksum=2c67b8ae917c26e5
+  arc_edge: offset=16256 bytes=8000 checksum=601226cc03b1b05
+  edges: offset=24256 bytes=8000 checksum=cd2b2f349bad066d
+  ids: offset=32256 bytes=8000 checksum=3a840aab2742da95
+")
+elseif(CHECK STREQUAL "import-gen-torus")
+  expect_exit(0 gen torus 30 40 t.dcsr)
+  expect_stdout_is(
+    "wrote t.dcsr: n=1200 m=2400 input_edges=2400 Delta=4 bytes=77056\n")
+  expect_info(t.dcsr "dcsr v1 n=1200 m=2400 Delta=4 bytes=77056
+  offsets: offset=192 bytes=9608 checksum=f8818aad16d35d1f
+  adjacency: offset=9856 bytes=19200 checksum=3e818f579b0e048d
+  arc_edge: offset=29056 bytes=19200 checksum=9ea57a8822403eb9
+  edges: offset=48256 bytes=19200 checksum=afe001da285c07a9
+  ids: offset=67456 bytes=9600 checksum=b5b088d1a46762e5
+")
+  # A side of 2 emits each wrap edge twice; the duplicates fold.
+  expect_exit(0 gen torus 2 7 t2.dcsr)
+  expect_stdout_is(
+    "wrote t2.dcsr: n=14 m=21 input_edges=28 Delta=3 bytes=1024\n")
+  expect_info(t2.dcsr "dcsr v1 n=14 m=21 Delta=3 bytes=1024
+  offsets: offset=192 bytes=120 checksum=ea993ba595d06ad8
+  adjacency: offset=320 bytes=168 checksum=87673b9120249cf4
+  arc_edge: offset=512 bytes=168 checksum=d643dfec3a2180c5
+  edges: offset=704 bytes=168 checksum=bf588a15e546674
+  ids: offset=896 bytes=112 checksum=c4d9a8af23c5af44
+")
+elseif(CHECK STREQUAL "import-gen-circulant")
+  expect_exit(0 gen circulant 1000 4 ci.dcsr)
+  expect_stdout_is(
+    "wrote ci.dcsr: n=1000 m=4000 input_edges=4000 Delta=8 bytes=112256\n")
+  expect_info(ci.dcsr "dcsr v1 n=1000 m=4000 Delta=8 bytes=112256
+  offsets: offset=192 bytes=8008 checksum=b5222e2041dfb40
+  adjacency: offset=8256 bytes=32000 checksum=9b8d5ca1360d27d5
+  arc_edge: offset=40256 bytes=32000 checksum=fba29ac6db3783b5
+  edges: offset=72256 bytes=32000 checksum=3e0735720a380231
+  ids: offset=104256 bytes=8000 checksum=3a840aab2742da95
+")
+elseif(CHECK STREQUAL "import-edges-dc")
+  # The repo format: "n m" header, then pairs until EOF (one reversed
+  # duplicate and one reversed repeat here).
+  file(WRITE "${WORK_DIR}/g.txt" "6 9\n0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n1 0\n3 2\n")
+  expect_exit(0 edges g.txt g.dcsr)
+  expect_stdout_is("wrote g.dcsr: n=6 m=7 input_edges=9 Delta=3 bytes=512\n")
+  expect_info(g.dcsr "dcsr v1 n=6 m=7 Delta=3 bytes=512
+  offsets: offset=192 bytes=56 checksum=ac0c66196656970c
+  adjacency: offset=256 bytes=56 checksum=13859d21fd93eb34
+  arc_edge: offset=320 bytes=56 checksum=2b4ffbd033d00975
+  edges: offset=384 bytes=56 checksum=3d3d9a0c9450bd04
+  ids: offset=448 bytes=48 checksum=703461c07025044
+")
+elseif(CHECK STREQUAL "import-edges-snap")
+  # Comments (one indented), a blank line, both orientations, a repeat and
+  # a self loop, which is skipped and not counted.
+  file(WRITE "${WORK_DIR}/s.txt"
+       "# Undirected test graph, both orientations and repeats\n"
+       "# FromNodeId\tToNodeId\n0\t1\n1\t0\n0\t2\n2\t1\n\n"
+       "  # an indented comment\n3\t3\n2\t3\n3 4\n4\t2\n4\t5\n0\t1\n")
+  expect_exit(0 edges s.txt s.dcsr)
+  expect_stdout_is("wrote s.dcsr: n=6 m=7 input_edges=9 Delta=4 bytes=512\n")
+  expect_info(s.dcsr "dcsr v1 n=6 m=7 Delta=4 bytes=512
+  offsets: offset=192 bytes=56 checksum=799c7a01eaff6e42
+  adjacency: offset=256 bytes=56 checksum=ccb5b969a89f42a4
+  arc_edge: offset=320 bytes=56 checksum=c4bb2d059498e335
+  edges: offset=384 bytes=56 checksum=bf4e98c0a242ca74
+  ids: offset=448 bytes=48 checksum=703461c07025044
+")
+  # --nodes adds isolated nodes past the largest id.
+  expect_exit(0 edges s.txt s9.dcsr --nodes=9)
+  expect_stdout_is("wrote s9.dcsr: n=9 m=7 input_edges=9 Delta=4 bytes=640\n")
+  expect_info(s9.dcsr "dcsr v1 n=9 m=7 Delta=4 bytes=640
+  offsets: offset=192 bytes=80 checksum=b53976c78d4c358c
+  adjacency: offset=320 bytes=56 checksum=ccb5b969a89f42a4
+  arc_edge: offset=384 bytes=56 checksum=c4bb2d059498e335
+  edges: offset=448 bytes=56 checksum=bf4e98c0a242ca74
+  ids: offset=512 bytes=72 checksum=49614f10fb0856cd
+")
+elseif(CHECK STREQUAL "import-numeric-args")
+  # Every number must parse as a whole token in range; junk exits 2 naming
+  # the argument and writes nothing.
+  expect_exit(2 gen path abc p.dcsr)
+  expect_stderr("invalid n 'abc'")
+  expect_exit(2 gen path +3 p.dcsr)
+  expect_stderr("invalid n '+3'")
+  expect_exit(2 gen path 4294967296 p.dcsr)
+  expect_stderr("invalid n '4294967296'")
+  expect_no_file(p.dcsr)
+  expect_exit(2 gen cycle 5x c.dcsr)
+  expect_stderr("invalid n '5x'")
+  expect_exit(2 gen circulant 3x 1 c.dcsr)
+  expect_stderr("invalid n '3x'")
+  expect_exit(2 gen circulant 1000 4x c.dcsr)
+  expect_stderr("invalid k '4x'")
+  expect_exit(2 gen circulant 1000 -1 c.dcsr)
+  expect_stderr("invalid k '-1'")
+  expect_no_file(c.dcsr)
+  expect_exit(2 gen torus 3 4x t.dcsr)
+  expect_stderr("invalid cols '4x'")
+  # rows * cols = 2^32 would wrap the 32-bit node count to 0.
+  expect_exit(2 gen torus 65536 65536 t.dcsr)
+  expect_stderr("torus needs 2 * rows * cols <= 4294967295")
+  expect_no_file(t.dcsr)
+  file(WRITE "${WORK_DIR}/e.txt" "3 2\n0 1\n1 2\n")
+  expect_exit(2 edges e.txt e.dcsr --nodes=abc)
+  expect_stderr("invalid --nodes 'abc'")
+  expect_exit(2 edges e.txt e.dcsr --nodes=)
+  expect_stderr("invalid --nodes ''")
+  expect_exit(2 edges e.txt e.dcsr --nodes=4294967296)
+  expect_stderr("invalid --nodes '4294967296'")
+  expect_no_file(e.dcsr)
 else()
   message(FATAL_ERROR "unknown CHECK '${CHECK}'")
 endif()

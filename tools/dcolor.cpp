@@ -13,9 +13,7 @@
 // Global flags (anywhere on the command line):
 //   --list         list registered algorithms and exit
 //   --load=PATH    graph source for color/check, replacing the positional
-//                  <graph> argument; .dcsr files are mmap'd zero-copy and
-//                  cached by file identity (path, size, mtime) so repeated
-//                  runs in one process share a single mapping
+//                  <graph> argument; .dcsr files are mmap'd zero-copy
 //   --ids=M       M in {auto, file, shuffled}: LOCAL identifier source.
 //                  auto (default) keeps the file's ids for .dcsr instances
 //                  and shuffles (seed 1) for text edge lists — the
@@ -55,30 +53,29 @@
 // non-zero on failure.
 #include <sys/stat.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <thread>
-
-#include "bench_support/instance_cache.hpp"
 
 #include "bench_support/sweep.hpp"
 #include "common/stats.hpp"
 #include "deltacolor.hpp"
+#include "parse_number.hpp"
+
+const char deltacolor::cli::kProgramName[] = "dcolor";
 
 namespace {
 
 using namespace deltacolor;
+using cli::parse_number;
 
 // Distinct exit codes (see the header comment; also printed by --help).
 constexpr int kExitFailure = 1;
@@ -97,7 +94,7 @@ int usage() {
          "graphs: text edge list or binary .dcsr (mmap'd zero-copy; "
          "sniffed by magic; `gen` writes .dcsr when <out> ends in .dcsr)\n"
          "flags: --load=PATH (graph source replacing the positional "
-         "<graph>; cached by file identity), --ids=auto|file|shuffled "
+         "<graph>), --ids=auto|file|shuffled "
          "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
          "--list (registered algorithms), --threads=N (engine "
          "workers, 0 = auto; env DELTACOLOR_THREADS), --frontier (sparse "
@@ -133,28 +130,6 @@ int unknown_flag(const std::string& arg) {
   }
   std::cerr << " (see dcolor --help)\n";
   return kExitUsage;
-}
-
-/// The one parser for every numeric flag value and positional: the whole
-/// token must parse as a T in [lo, hi]. Junk (empty, trailing characters,
-/// a sign on an unsigned value, overflow, out of range) prints one line
-/// naming the argument and returns false; the caller then exits with
-/// kExitUsage before anything is written.
-template <typename T>
-bool parse_number(std::string_view token, std::string_view name, T* out,
-                  T lo = std::numeric_limits<T>::lowest(),
-                  T hi = std::numeric_limits<T>::max()) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (token.empty() || ec != std::errc() || ptr != end ||
-      !(value >= lo && value <= hi)) {
-    std::cerr << "dcolor: invalid " << name << " '" << token
-              << "' (need a number in [" << lo << ", " << hi << "])\n";
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 int list_algorithms() {
@@ -201,34 +176,43 @@ void report_generated_instance(const std::string& family, const Graph& g) {
             << " Delta=" << g.max_degree() << "\n";
 }
 
-/// One-line error + kExitBadFile instead of the library's DC_CHECK
-/// (file:line logic_error) for operator-facing input problems. Sniffs the
-/// .dcsr magic, so both formats load transparently.
-std::optional<Graph> try_load_graph(const std::string& path) {
-  if (is_csr_file(path)) {
+/// The graph loader of color and check: one-line error + kExitBadFile
+/// instead of the library's DC_CHECK (file:line logic_error) for
+/// operator-facing input problems. Sniffs the .dcsr magic, so both formats
+/// load transparently. With `apply_ids` (color), --ids picks the LOCAL
+/// identifiers: text instances historically run with shuffled ids (seed
+/// 1); .dcsr instances default to the ids stored in the file, which keeps
+/// the ids section zero-copy. check reads no ids.
+std::optional<Graph> try_load_graph(const std::string& path, bool apply_ids) {
+  const bool dcsr = is_csr_file(path);
+  std::optional<Graph> g;
+  if (dcsr) {
     try {
-      Graph g = load_csr_file(path);
-      report_loaded_instance(path, /*dcsr=*/true, g, "file");
-      return g;
+      g = load_csr_file(path);
     } catch (const CsrError& e) {
       std::cerr << "dcolor: " << e.what() << "\n";
       return std::nullopt;
     }
+  } else {
+    std::ifstream is(path);
+    if (!is.good()) {
+      std::cerr << "dcolor: cannot open graph file '" << path << "'\n";
+      return std::nullopt;
+    }
+    try {
+      g = read_edge_list(is);
+    } catch (const std::exception&) {
+      std::cerr << "dcolor: malformed edge list in '" << path
+                << "' (expected \"n m\" header then m \"u v\" lines)\n";
+      return std::nullopt;
+    }
   }
-  std::ifstream is(path);
-  if (!is.good()) {
-    std::cerr << "dcolor: cannot open graph file '" << path << "'\n";
-    return std::nullopt;
-  }
-  try {
-    Graph g = read_edge_list(is);
-    report_loaded_instance(path, /*dcsr=*/false, g, "file");
-    return g;
-  } catch (const std::exception&) {
-    std::cerr << "dcolor: malformed edge list in '" << path
-              << "' (expected \"n m\" header then m \"u v\" lines)\n";
-    return std::nullopt;
-  }
+  const bool shuffle =
+      apply_ids && (g_ids == IdsMode::kShuffled ||
+                    (g_ids == IdsMode::kAuto && !dcsr));
+  if (shuffle) g->set_ids(shuffled_ids(g->num_nodes(), 1));
+  report_loaded_instance(path, dcsr, *g, shuffle ? "shuffled" : "file");
+  return g;
 }
 
 /// `gen` output: .dcsr extension selects the binary container, anything
@@ -444,43 +428,10 @@ int cmd_color(int argc, char** argv) {
     return kExitUnknownAlgorithm;
   }
 
-  // Load through the instance cache keyed by file identity: repeated
-  // color runs (and every --repeat cell) in one process share a single
-  // parse — for a .dcsr file, a single zero-copy mapping.
-  const bool dcsr = is_csr_file(graph_path);
-  std::shared_ptr<const Graph> shared;
-  try {
-    shared = bench::InstanceCache::global().file_graph(graph_path, [&] {
-      if (dcsr) return load_csr_file(graph_path);
-      std::ifstream is(graph_path);
-      if (!is.good())
-        throw std::runtime_error("cannot open graph file '" + graph_path +
-                                 "'");
-      try {
-        return read_edge_list(is);
-      } catch (const std::exception&) {
-        throw std::runtime_error(
-            "malformed edge list in '" + graph_path +
-            "' (expected \"n m\" header then m \"u v\" lines)");
-      }
-    });
-  } catch (const std::exception& e) {
-    std::cerr << "dcolor: " << e.what() << "\n";
-    return kExitBadFile;
-  }
-  // LOCAL identifiers: text instances historically run with shuffled ids
-  // (seed 1); mapped .dcsr instances default to the ids stored in the
-  // file, which keeps the cached graph untouched and the ids section
-  // zero-copy. --ids overrides either way.
-  const bool shuffle = g_ids == IdsMode::kShuffled ||
-                       (g_ids == IdsMode::kAuto && !dcsr);
-  Graph reidentified;
-  if (shuffle) {
-    reidentified = *shared;  // shares any mapping; copies in-memory arrays
-    reidentified.set_ids(shuffled_ids(reidentified.num_nodes(), 1));
-  }
-  const Graph& g = shuffle ? reidentified : *shared;
-  report_loaded_instance(graph_path, dcsr, g, shuffle ? "shuffled" : "file");
+  // One load per process: every --repeat cell runs on this graph.
+  const auto loaded = try_load_graph(graph_path, /*apply_ids=*/true);
+  if (!loaded) return kExitBadFile;
+  const Graph& g = *loaded;
   AlgorithmRequest req;
   req.seed = seed;
   req.engine = g_engine;
@@ -593,8 +544,8 @@ int cmd_color(int argc, char** argv) {
 int cmd_check(int argc, char** argv) {
   const int base = g_load_path.empty() ? 3 : 2;
   if (argc != base + 1) return usage();
-  const auto g =
-      try_load_graph(g_load_path.empty() ? argv[2] : g_load_path);
+  const auto g = try_load_graph(g_load_path.empty() ? argv[2] : g_load_path,
+                                /*apply_ids=*/false);
   if (!g) return kExitBadFile;
   const auto color = try_read_coloring(argv[base]);
   if (!color) return kExitBadFile;
