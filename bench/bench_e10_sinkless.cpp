@@ -23,7 +23,7 @@ Hypergraph edges_as_hypergraph(const Graph& g) {
   Hypergraph h;
   h.num_vertices = static_cast<int>(g.num_nodes());
   for (const auto& [u, v] : g.edges())
-    h.edges.push_back({static_cast<int>(u), static_cast<int>(v)});
+    h.add_edge({static_cast<int>(u), static_cast<int>(v)});
   h.build_incidence();
   return h;
 }
@@ -82,7 +82,7 @@ void run_tables() {
           h.num_vertices = static_cast<int>(inst->cliques.size());
           for (const auto& [u, v] : inst->graph.edges()) {
             const int cu = inst->clique_of[u], cv = inst->clique_of[v];
-            if (cu != cv) h.edges.push_back({cu, cv});
+            if (cu != cv) h.add_edge({cu, cv});
           }
           h.build_incidence();
           RoundLedger ledger;

@@ -30,15 +30,15 @@ Hypergraph random_hypergraph(int num_vertices, int delta, int rank,
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()),
                   members.end());
-    h.edges.push_back(std::move(members));
+    h.add_edge(members);
   }
   // Patch deficient vertices with private singleton edges.
   std::vector<int> deg(num_vertices, 0);
-  for (const auto& e : h.edges)
-    for (const int v : e) ++deg[v];
+  for (int f = 0; f < h.num_edges(); ++f)
+    for (const int v : h.edge(f)) ++deg[v];
   for (int v = 0; v < num_vertices; ++v)
     while (deg[v] < delta) {
-      h.edges.push_back({v});
+      h.add_edge({v});
       ++deg[v];
     }
   h.build_incidence();

@@ -1,7 +1,6 @@
 #include "core/hard_coloring.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/check.hpp"
 #include "graph/checker.hpp"
@@ -33,6 +32,295 @@ struct OrientedEdge {
   NodeId tail = kNoNode;
   NodeId head = kNoNode;
 };
+
+// Phase 1, first step: F1, a maximal matching on the edges between hard
+// cliques, as host endpoint pairs. T_MM is realized by the Panconesi-Rizzi
+// O(Delta + log* n) matcher [PR01] on hx, the graph of those edges over the
+// hard nodes; hx and its ids live only here. Also fills `useful`: the hard
+// nodes with a neighbor in another hard clique, which are exactly hx's
+// non-isolated nodes.
+std::vector<std::pair<NodeId, NodeId>> match_hard_cliques(
+    const Context& ctx, const std::vector<NodeId>& hard_nodes,
+    NodeMask& useful, LocalContext& lctx) {
+  const Graph& g = ctx.g;
+  const Acd& acd = ctx.acd;
+  // v ascends, then u > v ascends within v's sorted neighbors, and sub_of
+  // is monotone: the pairs come out sorted and unique.
+  std::vector<std::pair<NodeId, NodeId>> cross_pairs;
+  {
+    std::vector<NodeId> sub_of(g.num_nodes(), kNoNode);
+    for (NodeId i = 0; i < hard_nodes.size(); ++i) sub_of[hard_nodes[i]] = i;
+    for (const NodeId v : hard_nodes) {
+      for (const NodeId u : g.neighbors(v)) {
+        if (u < v || !ctx.hardness.in_hard[u]) continue;
+        if (acd.clique_of[u] == acd.clique_of[v]) continue;
+        cross_pairs.emplace_back(sub_of[v], sub_of[u]);
+      }
+    }
+  }
+  Graph hx(static_cast<NodeId>(hard_nodes.size()), std::move(cross_pairs),
+           kSortedUniqueEdges);
+  {
+    std::vector<std::uint64_t> ids(hard_nodes.size());
+    for (NodeId i = 0; i < hard_nodes.size(); ++i) ids[i] = g.id(hard_nodes[i]);
+    hx.set_ids(std::move(ids));
+  }
+  const auto f1_flags = [&] {
+    ScopedPhase phase(lctx, "phase1-matching");
+    return maximal_matching_pr(hx, lctx);
+  }();
+  useful.assign(g.num_nodes(), 0);
+  for (NodeId i = 0; i < hx.num_nodes(); ++i)
+    useful[hard_nodes[i]] = hx.degree(i) > 0;
+  std::vector<std::pair<NodeId, NodeId>> f1;
+  for (EdgeId e = 0; e < hx.num_edges(); ++e) {
+    if (!f1_flags[e]) continue;
+    const auto [a, b] = hx.endpoints(e);
+    f1.emplace_back(hard_nodes[a], hard_nodes[b]);
+  }
+  return f1;
+}
+
+// Phase 1, second step (Section 3.3): C_HEG, each member's request f(v)
+// and its F1 edge phi(v), the hypergraph H of sub-cliques, hyperedge
+// grabbing on H, and the oriented matching F2 it yields. Appends F2 to
+// `f2` and lists each edge's index under its tail's hard clique rank in
+// `outgoing_f2`. H and the per-node tables live only here. Returns false,
+// with the certifying loopholes in out.demotions, when two members of a
+// clique request the same F1 edge (Lemma 10).
+bool grab_f2(Context& ctx, const std::vector<std::pair<NodeId, NodeId>>& f1,
+             const NodeMask& useful, HardColoringOutcome& out,
+             LocalContext& lctx, std::vector<OrientedEdge>& f2,
+             std::vector<std::vector<int>>& outgoing_f2) {
+  const Graph& g = ctx.g;
+  const Acd& acd = ctx.acd;
+  const Hardness& hardness = ctx.hardness;
+  const HardColoringParams& params = ctx.params;
+  HardColoringStats& st = out.stats;
+  std::vector<int> f1_at(g.num_nodes(), -1);  // host vertex -> F1 edge index
+  for (std::size_t e = 0; e < f1.size(); ++e)
+    f1_at[f1[e].first] = f1_at[f1[e].second] = static_cast<int>(e);
+
+  // C_HEG: hard cliques where every member has a neighbor in another hard
+  // clique.
+  ctx.in_heg_clique.assign(acd.cliques.size(), 0);
+  for (const int c : ctx.hard_acs) {
+    int useful_members = 0;
+    const auto& members = acd.cliques[static_cast<std::size_t>(c)];
+    for (const NodeId v : members) useful_members += useful[v];
+    // Deterministic rule (Section 3.2): every member must reach another
+    // hard clique. The randomized variant tolerates "useless" members
+    // (Section 4) as long as enough proposals remain.
+    const bool in_heg =
+        params.allow_useless
+            ? useful_members >= std::min<int>(4, static_cast<int>(members.size()))
+            : useful_members == static_cast<int>(members.size());
+    ctx.in_heg_clique[static_cast<std::size_t>(c)] = in_heg;
+    if (in_heg)
+      ++st.num_heg_cliques;
+    else
+      ++st.type2;
+  }
+  st.type1 = st.num_heg_cliques;
+
+  // Sub-clique count: the paper's constant 28 presumes |C| >= 56; smaller
+  // cliques scale it down so that sub-cliques keep >= 2 members (Lemma 11's
+  // slack) — recorded for the ablation bench.
+  int min_heg_clique = ctx.delta + 2;
+  for (const int c : ctx.hard_acs)
+    if (ctx.in_heg_clique[static_cast<std::size_t>(c)])
+      min_heg_clique = std::min(
+          min_heg_clique,
+          static_cast<int>(acd.cliques[static_cast<std::size_t>(c)].size()));
+  // Sub-cliques need >= 3 members so that delta_H = |Q| clears 1.1 * r_H
+  // even on e_C = 1 instances where every F1 edge draws exactly two
+  // proposals (mirroring the paper's 63/28 >= 2.25 > 2.2 arithmetic).
+  ctx.k_eff = params.subclique_count;
+  if (params.scale_for_delta)
+    ctx.k_eff = std::max(
+        2, std::min(params.subclique_count, min_heg_clique / 3));
+  ctx.levels_eff = ctx.k_eff >= 16 ? params.split_levels : 1;
+
+  // f(v) and phi(v) for members of C_HEG cliques (Section 3.3).
+  std::vector<NodeId> f_of(g.num_nodes(), kNoNode);
+  std::vector<int> phi_of(g.num_nodes(), -1);
+  std::vector<int> subclique_of(g.num_nodes(), -1);
+  // Lemma 10 stamps, by F1 edge: the last clique that requested the edge,
+  // and the first of its members to do so.
+  std::vector<int> seen_clique(f1.size(), -1);
+  std::vector<NodeId> seen_node(f1.size(), kNoNode);
+  for (const int c : ctx.hard_acs) {
+    if (!ctx.in_heg_clique[static_cast<std::size_t>(c)]) continue;
+    const auto& members = acd.cliques[static_cast<std::size_t>(c)];
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const NodeId v = members[i];
+      subclique_of[v] = static_cast<int>(i) % ctx.k_eff;
+      if (!useful[v]) {
+        DC_CHECK_MSG(params.allow_useless,
+                     "C_HEG member without cross neighbor");
+        continue;  // a useless member sends no proposal (Section 4)
+      }
+      if (f1_at[v] != -1) {
+        f_of[v] = v;
+      } else {
+        NodeId best = kNoNode;
+        for (const NodeId u : g.neighbors(v)) {
+          if (!hardness.in_hard[u] || acd.clique_of[u] == c) continue;
+          if (best == kNoNode || g.id(u) < g.id(best)) best = u;
+        }
+        DC_CHECK_MSG(best != kNoNode, "C_HEG member without cross neighbor");
+        DC_CHECK_MSG(f1_at[best] != -1,
+                     "maximality violated: unmatched cross neighbor");
+        f_of[v] = best;
+      }
+      phi_of[v] = f1_at[f_of[v]];
+    }
+    // Lemma 10 (clique-level): members request distinct edges. A collision
+    // certifies a 4-cycle loophole (u, f(u), f(v), v) with u the first
+    // member that requested the edge — report for retry.
+    for (const NodeId v : members) {
+      const int e = phi_of[v];
+      if (e == -1) continue;
+      if (seen_clique[static_cast<std::size_t>(e)] != c) {
+        seen_clique[static_cast<std::size_t>(e)] = c;
+        seen_node[static_cast<std::size_t>(e)] = v;
+        continue;
+      }
+      const NodeId u = seen_node[static_cast<std::size_t>(e)];
+      Loophole witness{{u, f_of[u], f_of[v], v}};
+      DC_CHECK_MSG(is_valid_loophole(g, witness),
+                   "phi collision without certifying loophole");
+      out.demotions.push_back(std::move(witness));
+    }
+  }
+  if (!out.demotions.empty()) return false;
+
+  // Hypergraph H: one vertex per sub-clique, one hyperedge per requested F1
+  // edge (Section 3.3).
+  Hypergraph h;
+  h.num_vertices = st.num_heg_cliques * ctx.k_eff;
+  std::vector<int> heg_rank_of(acd.cliques.size(), -1);
+  {
+    int r = 0;
+    for (const int c : ctx.hard_acs)
+      if (ctx.in_heg_clique[static_cast<std::size_t>(c)])
+        heg_rank_of[static_cast<std::size_t>(c)] = r++;
+  }
+  // Proposals (sub-clique, member) per F1 edge as CSR, each edge's in
+  // (clique, member) order: a counting sort of the proposing members by
+  // phi.
+  const auto for_each_proposer = [&](auto&& fn) {
+    for (const int c : ctx.hard_acs) {
+      if (!ctx.in_heg_clique[static_cast<std::size_t>(c)]) continue;
+      const int sq_base = heg_rank_of[static_cast<std::size_t>(c)] * ctx.k_eff;
+      for (const NodeId v : acd.cliques[static_cast<std::size_t>(c)])
+        if (phi_of[v] != -1)  // a useless member sends no proposal
+          fn(static_cast<std::size_t>(phi_of[v]), sq_base + subclique_of[v],
+             v);
+    }
+  };
+  std::vector<std::size_t> proposal_start(f1.size() + 1, 0);
+  for_each_proposer(
+      [&](std::size_t e, int, NodeId) { ++proposal_start[e + 1]; });
+  for (std::size_t e = 0; e < f1.size(); ++e)
+    proposal_start[e + 1] += proposal_start[e];
+  std::vector<std::pair<int, NodeId>> proposals(proposal_start[f1.size()]);
+  {
+    std::vector<std::size_t> cursor(proposal_start.begin(),
+                                    proposal_start.end() - 1);
+    for_each_proposer([&](std::size_t e, int sq, NodeId v) {
+      proposals[cursor[e]++] = {sq, v};
+    });
+  }
+  // Compact away sub-cliques that sent no proposal (possible only with
+  // tolerated useless members): they cannot grab and must not count as
+  // HEG vertices.
+  std::vector<int> compact_of(static_cast<std::size_t>(st.num_heg_cliques) *
+                                  ctx.k_eff,
+                              -1);
+  {
+    int next = 0;
+    for (const auto& [sq, v] : proposals)
+      if (compact_of[static_cast<std::size_t>(sq)] == -1)
+        compact_of[static_cast<std::size_t>(sq)] = next++;
+    h.num_vertices = next;
+  }
+  std::vector<int> hyperedge_f1;  // hyperedge index -> F1 edge index
+  {
+    std::vector<int> members;
+    for (std::size_t e = 0; e < f1.size(); ++e) {
+      if (proposal_start[e] == proposal_start[e + 1]) continue;
+      members.clear();
+      for (std::size_t i = proposal_start[e]; i < proposal_start[e + 1]; ++i)
+        members.push_back(
+            compact_of[static_cast<std::size_t>(proposals[i].first)]);
+      std::sort(members.begin(), members.end());
+      DC_CHECK_MSG(std::adjacent_find(members.begin(), members.end()) ==
+                       members.end(),
+                   "sub-clique proposes twice to one edge (Lemma 10)");
+      h.add_edge(members);
+      hyperedge_f1.push_back(static_cast<int>(e));
+    }
+  }
+  h.build_incidence();
+  st.heg_vertices = h.num_vertices;
+  st.heg_hyperedges = h.num_edges();
+  if (h.num_vertices > 0 && h.num_edges() > 0) {
+    st.heg_min_degree = h.min_degree();
+    st.heg_rank = h.rank();
+    st.heg_ratio = st.heg_rank > 0 ? static_cast<double>(st.heg_min_degree) /
+                                         st.heg_rank
+                                   : 0.0;
+    st.lemma11_ok = st.heg_min_degree > 1.1 * st.heg_rank;
+  }
+
+  if (h.num_edges() > 0) {
+    const HegResult heg = [&] {
+      ScopedPhase phase(lctx, "phase1-heg");
+      return solve_heg(h, lctx);
+    }();
+    st.heg_complete = heg.complete;
+    st.heg_rounds = heg.rounds;
+    // F2: the grabbing sub-clique's proposer v_e re-points the edge to
+    // {v_e, f(v_e)}, oriented out of the grabbing clique.
+    std::vector<int> f2_at(g.num_nodes(), -1);
+    for (std::size_t he = 0; he < hyperedge_f1.size(); ++he) {
+      const int grabber_sq = heg.grabber[he];
+      if (grabber_sq == -1) continue;
+      NodeId ve = kNoNode;
+      const std::size_t e = static_cast<std::size_t>(hyperedge_f1[he]);
+      for (std::size_t i = proposal_start[e]; i < proposal_start[e + 1]; ++i) {
+        const auto [sq, v] = proposals[i];
+        if (compact_of[static_cast<std::size_t>(sq)] == grabber_sq) {
+          ve = v;
+          break;
+        }
+      }
+      DC_CHECK(ve != kNoNode);
+      OrientedEdge oe;
+      oe.tail = ve;
+      if (f_of[ve] == ve) {
+        // v_e owns the F1 edge; F2 keeps it, oriented outward.
+        const auto [a, b] = f1[static_cast<std::size_t>(hyperedge_f1[he])];
+        oe.head = a == ve ? b : a;
+      } else {
+        oe.head = f_of[ve];
+      }
+      DC_CHECK(g.has_edge(oe.tail, oe.head));
+      // Lemma 12: F2 is a matching.
+      DC_CHECK_MSG(f2_at[oe.tail] == -1 && f2_at[oe.head] == -1,
+                   "F2 is not a matching at edge (" << oe.tail << ","
+                                                    << oe.head << ")");
+      f2_at[oe.tail] = f2_at[oe.head] = static_cast<int>(f2.size());
+      const int rank =
+          ctx.hard_rank[static_cast<std::size_t>(acd.clique_of[oe.tail])];
+      outgoing_f2[static_cast<std::size_t>(rank)].push_back(
+          static_cast<int>(f2.size()));
+      f2.push_back(oe);
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -71,247 +359,23 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
                    "hard vertex " << v << " pre-colored");
 
   // ---------------------------------------------------------------- Phase 1
-  // Maximal matching F1 on edges between hard cliques.
+  // F1, then HEG on the sub-clique hypergraph and F2. Only F2 leaves this
+  // block: hx, H and Phase 1's per-node tables are freed before the later
+  // phases allocate theirs.
   std::vector<NodeId> hard_nodes;
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     if (hardness.in_hard[v]) hard_nodes.push_back(v);
-  std::vector<NodeId> sub_of(g.num_nodes(), kNoNode);
-  for (NodeId i = 0; i < hard_nodes.size(); ++i) sub_of[hard_nodes[i]] = i;
-  std::vector<std::pair<NodeId, NodeId>> cross_pairs;
-  for (const NodeId v : hard_nodes) {
-    for (const NodeId u : g.neighbors(v)) {
-      if (u < v || !hardness.in_hard[u]) continue;
-      if (acd.clique_of[u] == acd.clique_of[v]) continue;
-      cross_pairs.emplace_back(sub_of[v], sub_of[u]);
-    }
-  }
-  Graph hx(static_cast<NodeId>(hard_nodes.size()), std::move(cross_pairs));
-  {
-    std::vector<std::uint64_t> ids(hard_nodes.size());
-    for (NodeId i = 0; i < hard_nodes.size(); ++i) ids[i] = g.id(hard_nodes[i]);
-    hx.set_ids(std::move(ids));
-  }
-  // T_MM realized by the Panconesi-Rizzi O(Delta + log* n) matcher [PR01].
-  const auto f1_flags = [&] {
-    ScopedPhase phase(lctx, "phase1-matching");
-    return maximal_matching_pr(hx, lctx);
-  }();
-  std::vector<std::pair<NodeId, NodeId>> f1;  // host endpoints
-  std::vector<int> f1_at(g.num_nodes(), -1);  // host vertex -> F1 edge index
-  for (EdgeId e = 0; e < hx.num_edges(); ++e) {
-    if (!f1_flags[e]) continue;
-    const auto [a, b] = hx.endpoints(e);
-    const NodeId u = hard_nodes[a], v = hard_nodes[b];
-    f1_at[u] = f1_at[v] = static_cast<int>(f1.size());
-    f1.emplace_back(u, v);
-  }
-  st.f1_edges = static_cast<int>(f1.size());
-  if (params.trace != nullptr) params.trace->f1 = f1;
-  laps.lap("phase1-matching");
-
-  // C_HEG: hard cliques where every member has a neighbor in another hard
-  // clique.
-  ctx.in_heg_clique.assign(acd.cliques.size(), 0);
-  NodeMask useful(g.num_nodes(), 0);
-  for (const int c : ctx.hard_acs) {
-    int useful_members = 0;
-    const auto& members = acd.cliques[static_cast<std::size_t>(c)];
-    for (const NodeId v : members) {
-      for (const NodeId u : g.neighbors(v)) {
-        if (hardness.in_hard[u] && acd.clique_of[u] != c) {
-          useful[v] = true;
-          ++useful_members;
-          break;
-        }
-      }
-    }
-    // Deterministic rule (Section 3.2): every member must reach another
-    // hard clique. The randomized variant tolerates "useless" members
-    // (Section 4) as long as enough proposals remain.
-    const bool in_heg =
-        params.allow_useless
-            ? useful_members >= std::min<int>(4, static_cast<int>(members.size()))
-            : useful_members == static_cast<int>(members.size());
-    ctx.in_heg_clique[static_cast<std::size_t>(c)] = in_heg;
-    if (in_heg)
-      ++st.num_heg_cliques;
-    else
-      ++st.type2;
-  }
-  st.type1 = st.num_heg_cliques;
-
-  // Sub-clique count: the paper's constant 28 presumes |C| >= 56; smaller
-  // cliques scale it down so that sub-cliques keep >= 2 members (Lemma 11's
-  // slack) — recorded for the ablation bench.
-  int min_heg_clique = ctx.delta + 2;
-  for (const int c : ctx.hard_acs)
-    if (ctx.in_heg_clique[static_cast<std::size_t>(c)])
-      min_heg_clique = std::min(
-          min_heg_clique,
-          static_cast<int>(acd.cliques[static_cast<std::size_t>(c)].size()));
-  // Sub-cliques need >= 3 members so that delta_H = |Q| clears 1.1 * r_H
-  // even on e_C = 1 instances where every F1 edge draws exactly two
-  // proposals (mirroring the paper's 63/28 >= 2.25 > 2.2 arithmetic).
-  ctx.k_eff = params.subclique_count;
-  if (params.scale_for_delta)
-    ctx.k_eff = std::max(
-        2, std::min(params.subclique_count, min_heg_clique / 3));
-  ctx.levels_eff = ctx.k_eff >= 16 ? params.split_levels : 1;
-
-  // f(v) and phi(v) for members of C_HEG cliques (Section 3.3).
-  std::vector<NodeId> f_of(g.num_nodes(), kNoNode);
-  std::vector<int> phi_of(g.num_nodes(), -1);
-  std::vector<int> subclique_of(g.num_nodes(), -1);
-  for (const int c : ctx.hard_acs) {
-    if (!ctx.in_heg_clique[static_cast<std::size_t>(c)]) continue;
-    const auto& members = acd.cliques[static_cast<std::size_t>(c)];
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const NodeId v = members[i];
-      subclique_of[v] = static_cast<int>(i) % ctx.k_eff;
-      if (!useful[v]) {
-        DC_CHECK_MSG(params.allow_useless,
-                     "C_HEG member without cross neighbor");
-        continue;  // a useless member sends no proposal (Section 4)
-      }
-      if (f1_at[v] != -1) {
-        f_of[v] = v;
-      } else {
-        NodeId best = kNoNode;
-        for (const NodeId u : g.neighbors(v)) {
-          if (!hardness.in_hard[u] || acd.clique_of[u] == c) continue;
-          if (best == kNoNode || g.id(u) < g.id(best)) best = u;
-        }
-        DC_CHECK_MSG(best != kNoNode, "C_HEG member without cross neighbor");
-        DC_CHECK_MSG(f1_at[best] != -1,
-                     "maximality violated: unmatched cross neighbor");
-        f_of[v] = best;
-      }
-      phi_of[v] = f1_at[f_of[v]];
-    }
-    // Lemma 10 (clique-level): members request distinct edges. A collision
-    // certifies a 4-cycle loophole (u, f(u), f(v), v) — report for retry.
-    std::map<int, NodeId> seen;
-    for (const NodeId v : members) {
-      if (phi_of[v] == -1) continue;
-      const auto [it, inserted] = seen.try_emplace(phi_of[v], v);
-      if (!inserted) {
-        const NodeId u = it->second;
-        Loophole witness{{u, f_of[u], f_of[v], v}};
-        DC_CHECK_MSG(is_valid_loophole(g, witness),
-                     "phi collision without certifying loophole");
-        out.demotions.push_back(std::move(witness));
-      }
-    }
-  }
-  if (!out.demotions.empty()) {
-    laps.lap("phase1-heg");
-    return out;
-  }
-
-  // Hypergraph H: one vertex per sub-clique, one hyperedge per requested F1
-  // edge (Section 3.3).
-  Hypergraph h;
-  h.num_vertices = st.num_heg_cliques * ctx.k_eff;
-  std::vector<int> heg_rank_of(acd.cliques.size(), -1);
-  {
-    int r = 0;
-    for (const int c : ctx.hard_acs)
-      if (ctx.in_heg_clique[static_cast<std::size_t>(c)])
-        heg_rank_of[static_cast<std::size_t>(c)] = r++;
-  }
-  std::vector<std::vector<std::pair<int, NodeId>>> proposals(f1.size());
-  for (const int c : ctx.hard_acs) {
-    if (!ctx.in_heg_clique[static_cast<std::size_t>(c)]) continue;
-    for (const NodeId v : acd.cliques[static_cast<std::size_t>(c)]) {
-      if (phi_of[v] == -1) continue;  // useless member, no proposal
-      const int sq = heg_rank_of[static_cast<std::size_t>(c)] * ctx.k_eff +
-                     subclique_of[v];
-      proposals[static_cast<std::size_t>(phi_of[v])].emplace_back(sq, v);
-    }
-  }
-  // Compact away sub-cliques that sent no proposal (possible only with
-  // tolerated useless members): they cannot grab and must not count as
-  // HEG vertices.
-  std::vector<int> compact_of(static_cast<std::size_t>(st.num_heg_cliques) *
-                                  ctx.k_eff,
-                              -1);
-  {
-    int next = 0;
-    for (const auto& plist : proposals)
-      for (const auto& [sq, v] : plist)
-        if (compact_of[static_cast<std::size_t>(sq)] == -1)
-          compact_of[static_cast<std::size_t>(sq)] = next++;
-    h.num_vertices = next;
-  }
-  std::vector<int> hyperedge_f1;  // hyperedge index -> F1 edge index
-  for (std::size_t e = 0; e < f1.size(); ++e) {
-    if (proposals[e].empty()) continue;
-    std::vector<int> members;
-    for (const auto& [sq, v] : proposals[e])
-      members.push_back(compact_of[static_cast<std::size_t>(sq)]);
-    std::sort(members.begin(), members.end());
-    DC_CHECK_MSG(std::adjacent_find(members.begin(), members.end()) ==
-                     members.end(),
-                 "sub-clique proposes twice to one edge (Lemma 10)");
-    h.edges.push_back(std::move(members));
-    hyperedge_f1.push_back(static_cast<int>(e));
-  }
-  h.build_incidence();
-  st.heg_vertices = h.num_vertices;
-  st.heg_hyperedges = static_cast<int>(h.edges.size());
-  if (h.num_vertices > 0 && !h.edges.empty()) {
-    st.heg_min_degree = h.min_degree();
-    st.heg_rank = h.rank();
-    st.heg_ratio = st.heg_rank > 0 ? static_cast<double>(st.heg_min_degree) /
-                                         st.heg_rank
-                                   : 0.0;
-    st.lemma11_ok = st.heg_min_degree > 1.1 * st.heg_rank;
-  }
-
   std::vector<OrientedEdge> f2;
   std::vector<std::vector<int>> outgoing_f2(ctx.hard_acs.size());
-  if (!h.edges.empty()) {
-    const HegResult heg = [&] {
-      ScopedPhase phase(lctx, "phase1-heg");
-      return solve_heg(h, lctx);
-    }();
-    st.heg_complete = heg.complete;
-    st.heg_rounds = heg.rounds;
-    // F2: the grabbing sub-clique's proposer v_e re-points the edge to
-    // {v_e, f(v_e)}, oriented out of the grabbing clique.
-    std::vector<int> f2_at(g.num_nodes(), -1);
-    for (std::size_t he = 0; he < h.edges.size(); ++he) {
-      const int grabber_sq = heg.grabber[he];
-      if (grabber_sq == -1) continue;
-      NodeId ve = kNoNode;
-      for (const auto& [sq, v] :
-           proposals[static_cast<std::size_t>(hyperedge_f1[he])]) {
-        if (compact_of[static_cast<std::size_t>(sq)] == grabber_sq) {
-          ve = v;
-          break;
-        }
-      }
-      DC_CHECK(ve != kNoNode);
-      OrientedEdge oe;
-      oe.tail = ve;
-      if (f_of[ve] == ve) {
-        // v_e owns the F1 edge; F2 keeps it, oriented outward.
-        const auto [a, b] = f1[static_cast<std::size_t>(hyperedge_f1[he])];
-        oe.head = a == ve ? b : a;
-      } else {
-        oe.head = f_of[ve];
-      }
-      DC_CHECK(g.has_edge(oe.tail, oe.head));
-      // Lemma 12: F2 is a matching.
-      DC_CHECK_MSG(f2_at[oe.tail] == -1 && f2_at[oe.head] == -1,
-                   "F2 is not a matching at edge (" << oe.tail << ","
-                                                    << oe.head << ")");
-      f2_at[oe.tail] = f2_at[oe.head] = static_cast<int>(f2.size());
-      const int rank =
-          ctx.hard_rank[static_cast<std::size_t>(acd.clique_of[oe.tail])];
-      outgoing_f2[static_cast<std::size_t>(rank)].push_back(
-          static_cast<int>(f2.size()));
-      f2.push_back(oe);
+  {
+    NodeMask useful;
+    const auto f1 = match_hard_cliques(ctx, hard_nodes, useful, lctx);
+    st.f1_edges = static_cast<int>(f1.size());
+    if (params.trace != nullptr) params.trace->f1 = f1;
+    laps.lap("phase1-matching");
+    if (!grab_f2(ctx, f1, useful, out, lctx, f2, outgoing_f2)) {
+      laps.lap("phase1-heg");
+      return out;
     }
   }
   st.f2_edges = static_cast<int>(f2.size());
@@ -461,19 +525,24 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
     triad_of[triads[t].pair_out] = static_cast<int>(t);
   }
   NodeMask dropped(triads.size(), 0);
+  // Distinct live neighbor triads of t; each call stamps the triads it
+  // counts with a fresh epoch.
+  std::vector<std::size_t> gv_seen(triads.size(), 0);
+  std::size_t gv_epoch = 0;
   auto gv_degree = [&](std::size_t t) {
-    std::vector<int> nbrs;
+    ++gv_epoch;
+    int degree = 0;
     for (const NodeId x : {triads[t].pair_in, triads[t].pair_out}) {
       for (const NodeId y : g.neighbors(x)) {
         const int o = triad_of[y];
-        if (o != -1 && o != static_cast<int>(t) &&
-            !dropped[static_cast<std::size_t>(o)])
-          nbrs.push_back(o);
+        if (o == -1 || o == static_cast<int>(t)) continue;
+        const std::size_t k = static_cast<std::size_t>(o);
+        if (dropped[k] || gv_seen[k] == gv_epoch) continue;
+        gv_seen[k] = gv_epoch;
+        ++degree;
       }
     }
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    return static_cast<int>(nbrs.size());
+    return degree;
   };
   st.max_gv_degree = -1;
   for (std::size_t t = 0; t < triads.size(); ++t)

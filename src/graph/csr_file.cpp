@@ -300,6 +300,11 @@ Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
   csr.num_nodes = static_cast<NodeId>(header.num_nodes);
   csr.num_edges = static_cast<EdgeId>(header.num_edges);
   csr.max_degree = static_cast<int>(header.max_degree);
+  // Graph::from_external trusts its arrays, and the algorithms break
+  // symmetry by id: a repeated id must not get past the loader.
+  if (const auto duplicate = find_duplicate_id({csr.ids, csr.num_nodes}))
+    fail(CsrErrorKind::kDuplicateIds, path,
+         "ids section repeats LOCAL identifier " + std::to_string(*duplicate));
   return Graph::from_external(csr, std::move(mapping));
 }
 

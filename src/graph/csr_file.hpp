@@ -102,6 +102,7 @@ enum class CsrErrorKind {
   kBadHeader,   // header checksum mismatch or inconsistent geometry
   kTruncated,   // sections extend past the end of the file
   kChecksum,    // a section checksum mismatch
+  kDuplicateIds, // the ids section repeats a LOCAL identifier
 };
 
 class CsrError : public std::runtime_error {
@@ -151,8 +152,10 @@ CsrFileInfo peek_csr_file(const std::string& path);
 bool is_csr_file(const std::string& path);
 
 /// Zero-copy load: validates the header (always) and section checksums
-/// (per options/DELTACOLOR_CSR_VERIFY), then adopts the mapped sections.
-/// The returned Graph keeps the mapping alive; copies share it.
+/// (per options/DELTACOLOR_CSR_VERIFY), checks that the ids section holds
+/// distinct values (always; find_duplicate_id, one bitmap pass for dense
+/// ids), then adopts the mapped sections. The returned Graph keeps the
+/// mapping alive; copies share it.
 Graph load_csr_file(const std::string& path,
                     const CsrLoadOptions& options = {});
 

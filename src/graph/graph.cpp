@@ -239,11 +239,9 @@ EdgeId Graph::edge_between(NodeId u, NodeId v) const {
 
 void Graph::set_ids(std::vector<std::uint64_t> ids) {
   DC_CHECK(ids.size() == num_nodes());
-  auto sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  DC_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                   sorted.end(),
-               "node identifiers must be unique");
+  const auto duplicate = find_duplicate_id(ids);
+  DC_CHECK_MSG(!duplicate, "node identifiers must be unique (id "
+                               << *duplicate << " repeats)");
   ids_ = std::move(ids);
   id_ = ids_.data();  // the new ids are owned even on a mapped graph
 }
@@ -289,6 +287,27 @@ std::size_t Graph::num_components() const {
     }
   }
   return components;
+}
+
+std::optional<std::uint64_t> find_duplicate_id(
+    std::span<const std::uint64_t> ids) {
+  if (ids.empty()) return std::nullopt;
+  const std::uint64_t max_id = *std::max_element(ids.begin(), ids.end());
+  if (max_id / 64 <= ids.size()) {
+    std::vector<std::uint64_t> seen(max_id / 64 + 1, 0);
+    for (const std::uint64_t id : ids) {
+      std::uint64_t& word = seen[id / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+      if (word & bit) return id;
+      word |= bit;
+    }
+    return std::nullopt;
+  }
+  std::vector<std::uint64_t> sorted(ids.begin(), ids.end());
+  std::sort(sorted.begin(), sorted.end());
+  const auto it = std::adjacent_find(sorted.begin(), sorted.end());
+  if (it == sorted.end()) return std::nullopt;
+  return *it;
 }
 
 std::vector<std::uint64_t> identity_ids(NodeId n) {

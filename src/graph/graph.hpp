@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -149,9 +150,9 @@ class Graph {
   /// LOCAL-model identifier of node v (unique, not necessarily 0..n-1).
   std::uint64_t id(NodeId v) const { return id_[v]; }
 
-  /// Installs a fresh identifier assignment (must be unique, size n).
-  /// Works on mapped graphs too: the new ids become owned storage while
-  /// every other section stays zero-copy.
+  /// Installs a fresh identifier assignment (must be unique, size n;
+  /// checked with find_duplicate_id). Works on mapped graphs too: the new
+  /// ids become owned storage while every other section stays zero-copy.
   void set_ids(std::vector<std::uint64_t> ids);
 
   /// All edges as (u, v) pairs with u < v. On a mapped graph this view
@@ -200,6 +201,14 @@ class Graph {
   /// across copies so the mapping drops only when the last view dies.
   std::shared_ptr<const void> storage_;
 };
+
+/// A value that occurs more than once in `ids`, or nullopt when all are
+/// distinct. When max(ids) / 64 <= ids.size() it marks a bitmap over
+/// [0, max(ids)] (two O(n) passes, at most 8 * (n + 1) bytes) and returns
+/// the first id met twice in index order; otherwise it sorts a copy and
+/// returns the smallest repeated value. Either way the verdict is exact.
+std::optional<std::uint64_t> find_duplicate_id(
+    std::span<const std::uint64_t> ids);
 
 /// Convenience: identity identifiers 0..n-1.
 std::vector<std::uint64_t> identity_ids(NodeId n);

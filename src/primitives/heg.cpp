@@ -23,7 +23,8 @@ class AugmentingPathSearch {
  public:
   explicit AugmentingPathSearch(const Hypergraph& h)
       : h_(h),
-        prev_vertex_of_edge_(h.edges.size(), kUnvisited),
+        prev_vertex_of_edge_(static_cast<std::size_t>(h.num_edges()),
+                             kUnvisited),
         prev_edge_of_vertex_(h.num_vertices, kUnvisited) {}
 
   std::vector<int> find(const std::vector<int>& grabber, int source,
@@ -40,7 +41,7 @@ class AugmentingPathSearch {
       const std::size_t layer_end = visited_vertices_.size();
       for (; head < layer_end && free_edge == -1; ++head) {
         const int v = visited_vertices_[head];
-        for (const int f : h_.incidence[v]) {
+        for (const int f : h_.incidence(v)) {
           if (prev_vertex_of_edge_[f] != kUnvisited || blocked_edge[f])
             continue;
           prev_vertex_of_edge_[f] = v;
@@ -102,10 +103,9 @@ void apply_augmenting_path(std::vector<int>& grabbed_edge,
 
 HegResult solve_heg(const Hypergraph& h, LocalContext& ctx) {
   DefaultPhase scope(ctx, "heg");
-  DC_CHECK_MSG(static_cast<int>(h.incidence.size()) == h.num_vertices,
-               "call build_incidence() before solve_heg");
+  DC_CHECK_MSG(h.has_incidence(), "call build_incidence() before solve_heg");
   HegResult res;
-  const int num_edges = static_cast<int>(h.edges.size());
+  const int num_edges = h.num_edges();
   res.grabbed_edge.assign(h.num_vertices, -1);
   res.grabber.assign(num_edges, -1);
 
@@ -115,7 +115,7 @@ HegResult solve_heg(const Hypergraph& h, LocalContext& ctx) {
   for (int wave = 0; wave < 3; ++wave) {
     for (int v = 0; v < h.num_vertices; ++v) {
       if (res.grabbed_edge[v] != -1) continue;
-      for (const int f : h.incidence[v]) {
+      for (const int f : h.incidence(v)) {
         if (res.grabber[f] == -1) {
           res.grabber[f] = v;
           res.grabbed_edge[v] = f;
@@ -170,15 +170,15 @@ HegResult solve_heg(const Hypergraph& h, LocalContext& ctx) {
 }
 
 HegResult solve_heg_centralized(const Hypergraph& h) {
-  DC_CHECK(static_cast<int>(h.incidence.size()) == h.num_vertices);
+  DC_CHECK(h.has_incidence());
   HegResult res;
-  const int num_edges = static_cast<int>(h.edges.size());
+  const int num_edges = h.num_edges();
   res.grabbed_edge.assign(h.num_vertices, -1);
   res.grabber.assign(num_edges, -1);
   // Kuhn's algorithm with DFS augmentation (simple, exact).
   std::vector<int> stamp(num_edges, -1);
   auto try_augment = [&](auto&& self, int v, int iteration) -> bool {
-    for (const int f : h.incidence[v]) {
+    for (const int f : h.incidence(v)) {
       if (stamp[f] == iteration) continue;
       stamp[f] = iteration;
       if (res.grabber[f] == -1 ||
@@ -199,17 +199,17 @@ HegResult solve_heg_centralized(const Hypergraph& h) {
 bool is_valid_heg(const Hypergraph& h, const HegResult& r,
                   bool require_complete) {
   if (static_cast<int>(r.grabbed_edge.size()) != h.num_vertices) return false;
-  std::vector<int> grab_count(h.edges.size(), 0);
+  std::vector<int> grab_count(static_cast<std::size_t>(h.num_edges()), 0);
   for (int v = 0; v < h.num_vertices; ++v) {
     const int f = r.grabbed_edge[v];
     if (f == -1) {
       if (require_complete) return false;
       continue;
     }
-    if (f < 0 || f >= static_cast<int>(h.edges.size())) return false;
+    if (f < 0 || f >= h.num_edges()) return false;
     // Grab must be incident.
-    if (std::find(h.edges[f].begin(), h.edges[f].end(), v) ==
-        h.edges[f].end())
+    const auto members = h.edge(f);
+    if (std::find(members.begin(), members.end(), v) == members.end())
       return false;
     if (++grab_count[f] > 1) return false;
   }

@@ -32,6 +32,7 @@ struct HegResult {
 };
 
 /// Distributed-flavored HEG solver. `h` must have build_incidence() called.
+/// Reads H through its CSR spans (edge(f), incidence(v)).
 /// The augmenting-path search is a centralized stand-in for the BMN+25
 /// algorithm (see the substitution note above): it is order-dependent, so
 /// it is *not* stepped through the engine; only round accounting and the

@@ -64,13 +64,11 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
 
 namespace {
 
-/// Panconesi-Rizzi per-node engine state for the proposal rounds.
+/// Panconesi-Rizzi per-node engine state for the matching slots.
 struct PrState {
   std::uint8_t matched = 0;
-  NodeId proposal = kNoNode;  ///< forest parent this node proposed to
-  NodeId accepted = kNoNode;  ///< smallest-id proposer this parent accepted
-  EdgeId matched_edge = kNoEdge;
-  bool operator==(const PrState&) const = default;
+  NodeId accepted = kNoNode;  ///< the child this node matched as a parent
+  EdgeId matched_edge = kNoEdge;  ///< set on the child side of a match
 };
 
 }  // namespace
@@ -119,63 +117,71 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
   }
   ctx.charge(1 + coloring_rounds);  // orientation + parallel CV
 
-  // Sequential forests, one (forest, class) slot per 3 engine rounds:
-  // propose (free class-c nodes point at their free forest parent), accept
-  // (a parent picks its smallest-identifier proposer), commit (both sides
-  // fold the handshake into their state — bookkeeping, not an extra
-  // message, hence the 2-rounds-per-class charge below). The slot schedule
-  // is round-indexed, so frontier mode is off.
+  // child_classes[f][v]: bit c set iff v has a class-c child in forest f.
+  // It only narrows which nodes a slot steps: a parent without a class-c
+  // child would accept nobody there.
+  std::vector<std::vector<std::uint8_t>> child_classes(
+      static_cast<std::size_t>(delta),
+      std::vector<std::uint8_t>(g.num_nodes(), 0));
+  for (std::size_t f = 0; f < static_cast<std::size_t>(delta); ++f)
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const NodeId p = parent_in[f][v];
+      if (p == kNoNode) continue;
+      DC_DCHECK(forest_color[f][v] != forest_color[f][p]);
+      child_classes[f][p] |=
+          static_cast<std::uint8_t>(1u << forest_color[f][v]);
+    }
+
+  // Sequential forests, one (forest, class) slot per 2 engine rounds, in
+  // which each node acts at most once. Round 0 (accept): a free parent
+  // with a class-c child picks its smallest-identifier free class-c child
+  // and marks itself matched. That child's proposal is a function of its
+  // state at the slot's start, which the parent reads directly, so no
+  // separate proposal round is simulated. Round 1 (commit): a free class-c
+  // child commits if its parent accepted it. A proper coloring keeps the
+  // two sides apart: a class-c node has no class-c child.
   SyncRunner<PrState> runner(g, std::vector<PrState>(g.num_nodes()),
                              ctx.round_indexed_engine());
-  const auto step = [&parent_in, &parent_edge, &forest_color,
-                     &g](const auto& v) -> PrState {
-    PrState s = v.self();
-    const int slot = v.round() / 3;
-    const std::size_t f = static_cast<std::size_t>(slot / 3);
-    const Color cls = slot % 3;
-    switch (v.round() % 3) {
-      case 0: {  // propose
-        s.proposal = kNoNode;
-        if (s.matched || forest_color[f][v.node()] != cls) return s;
-        const NodeId p = parent_in[f][v.node()];
-        if (p != kNoNode && !v.neighbor(p).matched) s.proposal = p;
-        return s;
-      }
-      case 1: {  // accept the smallest-identifier proposer
-        s.accepted = kNoNode;
-        v.for_each_neighbor([&](NodeId u) {
-          if (parent_in[f][u] != v.node()) return;
-          if (v.neighbor(u).proposal != v.node()) return;
-          if (s.accepted == kNoNode || g.id(u) < g.id(s.accepted))
-            s.accepted = u;
-        });
-        return s;
-      }
-      default: {  // commit
-        if (s.accepted != kNoNode) {  // parent side of a handshake
+  for (std::size_t f = 0; f < static_cast<std::size_t>(delta); ++f) {
+    for (Color cls = 0; cls < 3; ++cls) {
+      // Round 0 for a free parent of a class-c child, round 1 for a free
+      // class-c child with a parent, -1 otherwise. Branch-free on purpose:
+      // the roles follow no pattern along the node order and the engine
+      // evaluates the key twice per node, so an if-chain mispredicts on
+      // most nodes.
+      const auto key = [&](NodeId v, const PrState& s) {
+        const int parent = (child_classes[f][v] >> cls) & 1;
+        const int child =
+            (forest_color[f][v] == cls) & (parent_in[f][v] != kNoNode);
+        const int acts = (s.matched ^ 1) & (parent | child);
+        return acts * (2 - parent) - 1;
+      };
+      const auto step = [&](const auto& v) -> PrState {
+        PrState s = v.self();
+        if (v.round() == 0) {  // accept the smallest-identifier child
+          v.for_each_neighbor([&](NodeId u) {
+            if (parent_in[f][u] != v.node() || forest_color[f][u] != cls ||
+                v.neighbor(u).matched)
+              return;
+            if (s.accepted == kNoNode || g.id(u) < g.id(s.accepted))
+              s.accepted = u;
+          });
+          if (s.accepted != kNoNode) s.matched = 1;
+        } else if (v.neighbor(parent_in[f][v.node()]).accepted == v.node()) {
           s.matched = 1;
-          s.accepted = kNoNode;
-          s.proposal = kNoNode;
-          return s;
-        }
-        if (s.proposal != kNoNode) {  // child side: did the parent accept?
-          if (v.neighbor(s.proposal).accepted == v.node()) {
-            s.matched = 1;
-            s.matched_edge = parent_edge[f][v.node()];
-          }
-          s.proposal = kNoNode;
+          s.matched_edge = parent_edge[f][v.node()];
         }
         return s;
-      }
+      };
+      runner.run_keyed(2, key, step);
     }
-  };
-  runner.run_rounds(3 * 3 * delta, step);
+  }
   const auto& states = runner.states();
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     if (states[v].matched_edge != kNoEdge)
       in_matching[states[v].matched_edge] = true;
 
-  ctx.charge(2 * 3 * delta);  // propose + accept per class
+  ctx.charge(2 * 3 * delta);  // two rounds per (forest, class) slot
   DC_DCHECK(is_matching(g, in_matching));
   return in_matching;
 }

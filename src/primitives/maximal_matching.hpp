@@ -25,9 +25,10 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
 /// into <= Delta rooted forests (the i-th out-edge of every node forms
 /// forest i; identifiers increase along edges, so each forest is acyclic),
 /// 3-color all forests at once with Cole-Vishkin, then process forests
-/// sequentially — within a forest, three proposal rounds (one per color
-/// class, children propose to parents) leave no free tree edge. Default
-/// phase "maximal-matching-pr".
+/// sequentially — within a forest, one two-round slot per color class (a
+/// free parent accepts its smallest-identifier free child of that class,
+/// then that child commits) leaves no free tree edge. Default phase
+/// "maximal-matching-pr".
 std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx);
 
 }  // namespace deltacolor

@@ -416,5 +416,43 @@ TEST(CsrFileHostile, PayloadChecksumMismatch) {
   }
 }
 
+TEST(CsrFile, LoaderRejectsDuplicateIds) {
+  // The algorithms break symmetry by id, and from_external trusts its
+  // arrays: a file whose ids section repeats a value must fail to load,
+  // whatever the verification policy. Node 0's id is copied onto a clique
+  // neighbor, then onto a node in another clique (the case only det used
+  // to notice, deep in Phase 1).
+  CliqueInstanceOptions opt;
+  opt.num_cliques = 64;
+  opt.delta = 16;
+  opt.clique_size = 16;
+  opt.seed = 1;
+  const CliqueInstance inst = clique_blowup_instance(opt);
+  const Graph& g = inst.graph;
+  ASSERT_EQ(g.num_nodes(), 1024u);
+  NodeId far = 1;
+  while (g.has_edge(0, far)) ++far;
+  for (const NodeId copy_to : {g.neighbors(0)[0], far}) {
+    std::vector<std::uint64_t> ids(g.num_nodes());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) ids[v] = g.id(v);
+    ids[copy_to] = ids[0];
+    Graph::ExternalCsr csr = g.external_view();
+    csr.ids = ids.data();
+    const std::string path = tmp_path("dup_ids.dcsr");
+    write_csr_file(path, Graph::from_external(csr, nullptr));
+    for (const CsrVerify verify : {CsrVerify::kAlways, CsrVerify::kNever}) {
+      std::string message;
+      EXPECT_EQ(load_kind(path, verify, &message),
+                CsrErrorKind::kDuplicateIds)
+          << "copy_to=" << copy_to;
+      EXPECT_NE(message.find("repeats LOCAL identifier " +
+                             std::to_string(ids[0])),
+                std::string::npos)
+          << message;
+    }
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace deltacolor

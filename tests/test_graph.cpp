@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -88,6 +92,63 @@ TEST(Graph, ShuffledIdsArePermutation) {
   auto ids = shuffled_ids(100, 42);
   std::sort(ids.begin(), ids.end());
   for (NodeId i = 0; i < 100; ++i) EXPECT_EQ(ids[i], i);
+}
+
+// find_duplicate_id against the sort it replaced where ids are dense: the
+// verdicts must agree, and a reported id must really repeat. The cases
+// cover both paths (dense ids take the bitmap, wide 64-bit ids the sort),
+// max id on either side of the bitmap cutoff, and a duplicate at the first,
+// last and adjacent positions.
+TEST(Graph, SetIdsCheckMatchesSort) {
+  const auto expect_matches_sort = [](const std::vector<std::uint64_t>& ids,
+                                      const std::string& label) {
+    auto sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    const bool unique =
+        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+    const auto duplicate = find_duplicate_id(ids);
+    EXPECT_EQ(!duplicate.has_value(), unique) << label;
+    if (duplicate)
+      EXPECT_GE(std::count(ids.begin(), ids.end(), *duplicate), 2) << label;
+    Graph g(static_cast<NodeId>(ids.size()), {});
+    if (unique)
+      EXPECT_NO_THROW(g.set_ids(ids)) << label;
+    else
+      EXPECT_THROW(g.set_ids(ids), std::logic_error) << label;
+  };
+  constexpr NodeId kN = 1000;
+  Rng rng(17);
+  std::vector<std::vector<std::uint64_t>> bases;
+  bases.push_back(shuffled_ids(kN, 3));  // dense: bitmap
+  {
+    std::vector<std::uint64_t> wide(kN);  // 64-bit: sort
+    for (auto& id : wide) id = rng();
+    wide[kN / 2] = ~std::uint64_t{0};
+    bases.push_back(std::move(wide));
+  }
+  // max id / 64 == n is the last bitmap case, n + 1 the first sorted one.
+  for (const std::uint64_t max_id : {std::uint64_t{64} * kN + 63,
+                                     std::uint64_t{64} * (kN + 1)}) {
+    auto ids = shuffled_ids(kN, 5);
+    ids[kN / 3] = max_id;
+    bases.push_back(std::move(ids));
+  }
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    const std::string base = "base " + std::to_string(b);
+    expect_matches_sort(bases[b], base + " unique");
+    const std::vector<std::pair<std::size_t, std::size_t>> copies = {
+        {1, 0}, {kN - 1, 0}, {0, kN - 1}, {kN / 2, kN - 1},
+        {kN / 2, kN / 2 + 1}, {kN / 2 + 1, kN / 2}};
+    for (const auto& [from, to] : copies) {
+      auto ids = bases[b];
+      ids[to] = ids[from];
+      expect_matches_sort(ids, base + " copy " + std::to_string(from) +
+                                   "->" + std::to_string(to));
+    }
+  }
+  expect_matches_sort({}, "empty");
+  expect_matches_sort({~std::uint64_t{0}}, "single max id");
+  expect_matches_sort({0, 0}, "two zeros");
 }
 
 TEST(Graph, WithinDistance) {

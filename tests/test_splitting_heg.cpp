@@ -113,15 +113,15 @@ Hypergraph random_heg_instance(int num_vertices, int delta, int rank,
       members.push_back(static_cast<int>(rng.below(num_vertices)));
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()), members.end());
-    h.edges.push_back(std::move(members));
+    h.add_edge(members);
   }
   // Patch degrees.
   std::vector<int> deg(num_vertices, 0);
-  for (const auto& e : h.edges)
-    for (const int v : e) ++deg[v];
+  for (int f = 0; f < h.num_edges(); ++f)
+    for (const int v : h.edge(f)) ++deg[v];
   for (int v = 0; v < num_vertices; ++v)
     while (deg[v] < delta) {
-      h.edges.push_back({v});
+      h.add_edge({v});
       ++deg[v];
     }
   h.build_incidence();
@@ -131,7 +131,9 @@ Hypergraph random_heg_instance(int num_vertices, int delta, int rank,
 TEST(Heg, RankAndDegreeAccessors) {
   Hypergraph h;
   h.num_vertices = 3;
-  h.edges = {{0, 1}, {1, 2, 0}, {2}};
+  h.add_edge({0, 1});
+  h.add_edge({1, 2, 0});
+  h.add_edge({2});
   h.build_incidence();
   EXPECT_EQ(h.rank(), 3);
   EXPECT_EQ(h.min_degree(), 2);
@@ -164,7 +166,7 @@ TEST(Heg, SinklessOrientationViaHeg) {
   Hypergraph h;
   h.num_vertices = static_cast<int>(g.num_nodes());
   for (const auto& [u, v] : g.edges())
-    h.edges.push_back({static_cast<int>(u), static_cast<int>(v)});
+    h.add_edge({static_cast<int>(u), static_cast<int>(v)});
   h.build_incidence();
   EXPECT_EQ(h.rank(), 2);
   EXPECT_EQ(h.min_degree(), 3);
@@ -179,7 +181,7 @@ TEST(Heg, InfeasibleInstanceReportsIncomplete) {
   // Two vertices, one shared hyperedge: only one can grab it.
   Hypergraph h;
   h.num_vertices = 2;
-  h.edges = {{0, 1}};
+  h.add_edge({0, 1});
   h.build_incidence();
   RoundLedger ledger;
   LocalContext ctx(ledger);
@@ -200,7 +202,7 @@ std::vector<int> reference_find_augmenting_path(
     const Hypergraph& h, const std::vector<int>& grabber, int source,
     int depth_cap, const NodeMask& blocked_vertex,
     const NodeMask& blocked_edge) {
-  const int num_edges = static_cast<int>(h.edges.size());
+  const int num_edges = h.num_edges();
   std::vector<int> prev_vertex_of_edge(num_edges, -2);  // -2 = unvisited
   std::vector<int> prev_edge_of_vertex(h.num_vertices, -2);
   std::queue<int> frontier;  // vertices
@@ -213,7 +215,7 @@ std::vector<int> reference_find_augmenting_path(
     while (!frontier.empty() && free_edge == -1) {
       const int v = frontier.front();
       frontier.pop();
-      for (const int f : h.incidence[v]) {
+      for (const int f : h.incidence(v)) {
         if (prev_vertex_of_edge[f] != -2 || blocked_edge[f]) continue;
         prev_vertex_of_edge[f] = v;
         const int w = grabber[f];
@@ -245,13 +247,13 @@ std::vector<int> reference_find_augmenting_path(
 
 HegResult reference_solve_heg(const Hypergraph& h, int* searches) {
   HegResult res;
-  const int num_edges = static_cast<int>(h.edges.size());
+  const int num_edges = h.num_edges();
   res.grabbed_edge.assign(h.num_vertices, -1);
   res.grabber.assign(num_edges, -1);
   for (int wave = 0; wave < 3; ++wave) {
     for (int v = 0; v < h.num_vertices; ++v) {
       if (res.grabbed_edge[v] != -1) continue;
-      for (const int f : h.incidence[v]) {
+      for (const int f : h.incidence(v)) {
         if (res.grabber[f] == -1) {
           res.grabber[f] = v;
           res.grabbed_edge[v] = f;
@@ -318,9 +320,7 @@ Hypergraph blowup_shaped_heg(int cliques, int k, int per_vertex,
     for (int j = 0; j < per_vertex; ++j) {
       int other = static_cast<int>(rng.below(n - k));
       if (other >= clique * k) other += k;  // skip v's own clique
-      std::vector<int> members = {id[v], id[other]};
-      std::sort(members.begin(), members.end());
-      h.edges.push_back(std::move(members));
+      h.add_edge({std::min(id[v], id[other]), std::max(id[v], id[other])});
     }
   }
   h.build_incidence();
@@ -361,7 +361,9 @@ TEST(HegReference, RandomInstancesMatch) {
 TEST(Heg, ValidityCheckerCatchesBadGrabs) {
   Hypergraph h;
   h.num_vertices = 2;
-  h.edges = {{0}, {1}, {0, 1}};
+  h.add_edge({0});
+  h.add_edge({1});
+  h.add_edge({0, 1});
   h.build_incidence();
   HegResult r;
   r.grabbed_edge = {2, 2};  // double grab

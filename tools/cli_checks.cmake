@@ -265,6 +265,37 @@ elseif(CHECK STREQUAL "import-edges-snap")
   edges: offset=448 bytes=56 checksum=bf4e98c0a242ca74
   ids: offset=512 bytes=72 checksum=49614f10fb0856cd
 ")
+elseif(CHECK STREQUAL "import-edges-bad-input")
+  # The readers check every number and pair themselves: an id or a node
+  # count past 32 bits, an endpoint >= n (or >= --nodes) and a dc self loop
+  # each exit 3 with one "<path>:<line>:" line, never the library's
+  # DC_CHECK text, and write nothing.
+  file(WRITE "${WORK_DIR}/wide.txt" "# SNAP\n0 1\n0 4294967297\n")
+  expect_exit(3 edges wide.txt w.dcsr)
+  expect_stderr("wide.txt:3: node id 4294967297 does not fit a 32-bit node id")
+  file(WRITE "${WORK_DIR}/wide-n.txt" "4294967297 1\n0 1\n")
+  expect_exit(3 edges wide-n.txt w.dcsr)
+  expect_stderr("wide-n.txt:1: node count 4294967297 does not fit")
+  file(WRITE "${WORK_DIR}/negative.txt" "3 2\n0 1\n1 -1\n")
+  expect_exit(3 edges negative.txt w.dcsr)
+  expect_stderr("negative.txt:3: node id 18446744073709551615 does not fit")
+  file(WRITE "${WORK_DIR}/range.txt" "4 2\n0 1\n1 9\n")
+  expect_exit(3 edges range.txt w.dcsr)
+  expect_stderr("range.txt:3: edge (1, 9) has an endpoint >= n=4")
+  file(WRITE "${WORK_DIR}/loop.txt" "3 1\n2 2\n")
+  expect_exit(3 edges loop.txt w.dcsr)
+  expect_stderr("loop.txt:2: self loop at node 2")
+  file(WRITE "${WORK_DIR}/snap.txt" "# SNAP\n0 1\n1 5\n")
+  expect_exit(3 edges snap.txt w.dcsr --nodes=4)
+  expect_stderr("snap.txt:3: edge (1, 5) has an endpoint >= n=4")
+  string(FIND "${LAST_STDERR}" "DC_CHECK" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "library check text leaked:\n${LAST_STDERR}")
+  endif()
+  expect_no_file(w.dcsr)
+  # Without --nodes the same SNAP file imports, n = max id + 1.
+  expect_exit(0 edges snap.txt w.dcsr)
+  expect_stdout("n=6 m=2")
 elseif(CHECK STREQUAL "import-numeric-args")
   # Every number must parse as a whole token in range; junk exits 2 naming
   # the argument and writes nothing.

@@ -28,6 +28,11 @@
 // every section checksum (load with DELTACOLOR_CSR_VERIFY-independent
 // forced verification).
 //
+// `edges` checks every pair as it reads it: an id that does not fit a
+// 32-bit node id (>= 2^32 - 1), a dc header n >= 2^32, an endpoint >= n
+// (or >= --nodes) and a dc self loop each stop the import with one
+// "<path>:<line>: ..." line.
+//
 // Exit codes: 0 success; 2 usage error (including a malformed or
 // out-of-range number); 3 unreadable or malformed input, or failed
 // verification.
@@ -37,6 +42,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -81,36 +87,114 @@ int usage() {
   return kExitUsage;
 }
 
-/// "n m" header, then "u v" pairs until EOF (the io.hpp format). Returns
-/// the header's n.
-NodeId read_dc(std::istream& in, const std::string& path, EdgeList* edges) {
+/// One bad input line: cmd_edges prints it as "<path>:<line>: <what>".
+[[noreturn]] void bad_line(const std::string& path, std::size_t line,
+                           const std::string& what) {
+  throw std::runtime_error(path + ":" + std::to_string(line) + ": " + what);
+}
+
+/// Node ids are 32-bit and kNoNode is reserved, so an id fits below it. A
+/// negative or 64-bit-overflowing token reads as a huge value and fails
+/// here too.
+void check_id(std::uint64_t id, const std::string& path, std::size_t line) {
+  if (id >= kNoNode)
+    bad_line(path, line,
+             "node id " + std::to_string(id) +
+                 " does not fit a 32-bit node id (max " +
+                 std::to_string(kNoNode - 1) + ")");
+}
+
+/// Both endpoints of (u, v) must be node ids below n.
+void check_endpoints(std::uint64_t u, std::uint64_t v, std::uint64_t n,
+                     const std::string& path, std::size_t line) {
+  if (u >= n || v >= n)
+    bad_line(path, line,
+             "edge (" + std::to_string(u) + ", " + std::to_string(v) +
+                 ") has an endpoint >= n=" + std::to_string(n));
+}
+
+/// Whitespace-separated unsigned numbers across lines, each with the line
+/// it came from. next() fails at the end of input and at the first token
+/// that is not a number, which ends the list; a number past 64 bits reads
+/// as the largest value, which check_id rejects.
+class NumberTokens {
+ public:
+  explicit NumberTokens(std::istream& in) : in_(in) {}
+
+  bool next(std::uint64_t* value) {
+    for (;;) {
+      *value = 0;
+      if (tokens_ >> *value) return true;
+      // A failed read leaves 0 at junk or at the end of the line, and the
+      // largest value at an overflow.
+      if (*value == std::numeric_limits<std::uint64_t>::max()) return true;
+      if (!tokens_.eof()) return false;
+      std::string text;
+      if (!std::getline(in_, text)) return false;
+      ++line_;
+      tokens_.clear();
+      tokens_.str(text);
+    }
+  }
+
+  /// The line of the last number read (1-based).
+  std::size_t line() const { return line_; }
+
+ private:
+  std::istream& in_;
+  std::istringstream tokens_;
+  std::size_t line_ = 0;
+};
+
+/// "n m" header, then "u v" pairs until EOF (the io.hpp format). Every
+/// pair is checked against n (or `nodes` when given) as it is read.
+/// Returns the header's n.
+NodeId read_dc(std::istream& in, const std::string& path,
+               std::optional<NodeId> nodes, EdgeList* edges) {
+  NumberTokens tokens(in);
   std::uint64_t n = 0, m = 0;
-  if (!(in >> n >> m))
+  if (!tokens.next(&n) || !tokens.next(&m))
     throw std::runtime_error("malformed edge list in '" + path +
                              "' (expected \"n m\" header)");
-  for (std::uint64_t u = 0, v = 0; in >> u >> v;)
+  if (n > kNoNode)
+    bad_line(path, tokens.line(),
+             "node count " + std::to_string(n) +
+                 " does not fit a 32-bit node id (max " +
+                 std::to_string(kNoNode) + ")");
+  const std::uint64_t limit = nodes.value_or(static_cast<NodeId>(n));
+  for (std::uint64_t u = 0, v = 0; tokens.next(&u) && tokens.next(&v);) {
+    check_id(u, path, tokens.line());
+    check_id(v, path, tokens.line());
+    if (u == v) bad_line(path, tokens.line(), "self loop at node " +
+                                                  std::to_string(u));
+    check_endpoints(u, v, limit, path, tokens.line());
     edges->emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+  }
   return static_cast<NodeId>(n);
 }
 
 /// SNAP-style: '#' comments and blank lines anywhere, whitespace-separated
 /// pairs, self loops silently skipped (SNAP dumps contain them routinely).
-/// Returns max id + 1 over the kept pairs, 0 when there are none.
-NodeId read_snap(std::istream& in, EdgeList* edges) {
+/// Every kept pair is checked against `nodes` when given. Returns max id +
+/// 1 over the kept pairs, 0 when there are none.
+NodeId read_snap(std::istream& in, const std::string& path,
+                 std::optional<NodeId> nodes, EdgeList* edges) {
   std::uint64_t max_id = 0;
   bool any = false;
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t number = 1; std::getline(in, line); ++number) {
     const std::size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream ls(line);
     std::uint64_t u = 0, v = 0;
     if (!(ls >> u >> v))
-      throw std::runtime_error("malformed snap line: " + line);
+      bad_line(path, number, "malformed snap line: " + line);
+    check_id(u, path, number);
+    check_id(v, path, number);
     if (u == v) continue;
-    const auto& [a, b] =
-        edges->emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
-    max_id = std::max<std::uint64_t>({max_id, a, b});
+    if (nodes) check_endpoints(u, v, *nodes, path, number);
+    edges->emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    max_id = std::max({max_id, u, v});
     any = true;
   }
   return any ? static_cast<NodeId>(max_id + 1) : 0;
@@ -129,8 +213,7 @@ void write_graph(const std::string& out, const Graph& g,
 
 int cmd_edges(int argc, char** argv) {
   std::string format = "auto";
-  NodeId nodes = 0;
-  bool have_nodes = false;
+  std::optional<NodeId> nodes;
   std::vector<std::string> positional;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -142,8 +225,9 @@ int cmd_edges(int argc, char** argv) {
         return kExitUsage;
       }
     } else if (arg.rfind("--nodes=", 0) == 0) {
-      if (!parse_number(arg.substr(8), "--nodes", &nodes)) return kExitUsage;
-      have_nodes = true;
+      NodeId value = 0;
+      if (!parse_number(arg.substr(8), "--nodes", &value)) return kExitUsage;
+      nodes = value;
     } else {
       positional.push_back(arg);
     }
@@ -168,9 +252,10 @@ int cmd_edges(int argc, char** argv) {
 
   try {
     EdgeList edges;
-    const NodeId found = format == "dc" ? read_dc(in, in_path, &edges)
-                                        : read_snap(in, &edges);
-    const NodeId n = have_nodes ? nodes : found;
+    const NodeId found = format == "dc"
+                             ? read_dc(in, in_path, nodes, &edges)
+                             : read_snap(in, in_path, nodes, &edges);
+    const NodeId n = nodes.value_or(found);
     const std::uint64_t input_edges = edges.size();
     write_graph(out_path, Graph(n, std::move(edges)), input_edges);
   } catch (const std::exception& e) {
