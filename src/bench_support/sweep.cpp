@@ -39,8 +39,6 @@ SweepOptions sweep_options_from_env(SweepOptions base) {
   double ms = 0;
   if (env_double("DELTACOLOR_SWEEP_DEADLINE_MS", &ms) && ms >= 0)
     base.retry.deadline_ms = ms;
-  if (env_int64("DELTACOLOR_SWEEP_ARENA_LIMIT", &n) && n >= 0)
-    base.retry.arena_limit_bytes = static_cast<std::size_t>(n);
   if (env_int64("DELTACOLOR_SWEEP_QUARANTINE", &n))
     base.retry.quarantine = n != 0;
   if (const char* path = std::getenv("DELTACOLOR_SWEEP_JOURNAL");

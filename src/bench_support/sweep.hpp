@@ -24,11 +24,11 @@
 //    is the *legacy* policy; see the robustness layer below.
 //
 // Robustness layer (see DESIGN.md §fault-tolerance): SweepOptions::retry
-// configures per-cell round budgets, wall-clock deadlines, arena byte
-// limits, bounded retry with seed perturbation, and quarantine. With
-// quarantine enabled a persistently failing cell keeps its default row,
-// its CellOutcome records status/category/error, and every other cell's
-// row survives — partial-result tables instead of a torn-down sweep. A
+// configures per-cell round budgets, wall-clock deadlines, bounded retry
+// with seed perturbation, and quarantine. With quarantine enabled a
+// persistently failing cell keeps its default row, its CellOutcome
+// records status/category/error, and every other cell's row survives —
+// partial-result tables instead of a torn-down sweep. A
 // SweepJournal checkpoints each finished cell (JSONL, keyed by the
 // caller's key_fn: instance-cache key + algorithm + seed) so a killed
 // sweep resumes from completed cells. Everything is off by default and
@@ -74,17 +74,13 @@ struct RetryPolicy {
   /// Max wall-clock per attempt, milliseconds; 0 = unlimited. Exceeding it
   /// fails the attempt with kWallClockTimeout.
   double deadline_ms = 0;
-  /// ScratchArena byte budget installed on the cell thread for the
-  /// attempt; 0 = unlimited. (Covers the cell thread's arena — i.e. the
-  /// whole cell under a parallel sweep, where cell engines are serial.)
-  std::size_t arena_limit_bytes = 0;
   /// After max_attempts failures: true = quarantine the cell (default row,
   /// status recorded, other cells unaffected); false = legacy rethrow.
   bool quarantine = false;
 
   bool is_default() const {
     return max_attempts <= 1 && round_budget == 0 && deadline_ms == 0 &&
-           arena_limit_bytes == 0 && !quarantine;
+           !quarantine;
   }
 };
 
@@ -105,7 +101,6 @@ struct SweepOptions {
 ///   DELTACOLOR_SWEEP_RETRIES      max attempts per cell
 ///   DELTACOLOR_SWEEP_ROUND_BUDGET per-attempt simulated-round budget
 ///   DELTACOLOR_SWEEP_DEADLINE_MS  per-attempt wall-clock deadline
-///   DELTACOLOR_SWEEP_ARENA_LIMIT  per-cell scratch-arena byte budget
 ///   DELTACOLOR_SWEEP_QUARANTINE   1 = quarantine instead of rethrow
 ///   DELTACOLOR_SWEEP_JOURNAL      JSONL journal path
 ///   DELTACOLOR_SWEEP_RESUME      1 = load the journal and skip done cells
@@ -274,7 +269,6 @@ class SweepDriver {
         ctx.attempt_ = attempt;
         FaultInjector::CellScope scope(static_cast<std::int64_t>(i),
                                        attempt);
-        ScratchArena::local().set_limit(policy.arena_limit_bytes);
         const std::int64_t rounds_before = ctx.ledger().total();
         const double attempt_start = steady_ms();
         bool failed = false;
@@ -299,7 +293,6 @@ class SweepDriver {
           error = "unknown exception";
           raw = std::current_exception();
         }
-        ScratchArena::local().set_limit(0);
         if (!failed) {
           const std::int64_t used = ctx.ledger().total() - rounds_before;
           if (policy.round_budget > 0 && used > policy.round_budget) {

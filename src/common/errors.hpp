@@ -32,7 +32,6 @@ enum class FaultCategory {
   kInvariantViolation,   ///< oracle found an improper partial/final coloring
   kRoundBudgetExceeded,  ///< cell consumed more simulated rounds than allowed
   kWallClockTimeout,     ///< cell exceeded its wall-clock deadline
-  kAllocationLimit,      ///< scratch arena byte budget exhausted
   kEngineException,      ///< any other exception escaping the cell
   kProcessKill,          ///< injector-only: hard process exit (resume tests)
 };
@@ -42,7 +41,6 @@ constexpr std::string_view to_string(FaultCategory c) {
     case FaultCategory::kInvariantViolation: return "invariant-violation";
     case FaultCategory::kRoundBudgetExceeded: return "round-budget-exceeded";
     case FaultCategory::kWallClockTimeout: return "wall-clock-timeout";
-    case FaultCategory::kAllocationLimit: return "allocation-limit";
     case FaultCategory::kEngineException: return "engine-exception";
     case FaultCategory::kProcessKill: return "process-kill";
   }
@@ -54,8 +52,8 @@ constexpr std::string_view to_string(FaultCategory c) {
 inline bool parse_fault_category(std::string_view name, FaultCategory* out) {
   for (const FaultCategory c :
        {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,
-        FaultCategory::kWallClockTimeout, FaultCategory::kAllocationLimit,
-        FaultCategory::kEngineException, FaultCategory::kProcessKill}) {
+        FaultCategory::kWallClockTimeout, FaultCategory::kEngineException,
+        FaultCategory::kProcessKill}) {
     if (name == to_string(c)) {
       *out = c;
       return true;

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 
@@ -28,11 +27,6 @@ std::uint64_t fnv1a(std::string_view s) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-void fault_alloc_probe(std::size_t bytes) {
-  if (FaultInjector::armed())
-    FaultInjector::global().on_alloc_growth(bytes);
 }
 
 bool parse_int(std::string_view v, std::int64_t* out) {
@@ -94,8 +88,8 @@ std::vector<std::string_view> category_names() {
   std::vector<std::string_view> names;
   for (const FaultCategory c :
        {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,
-        FaultCategory::kWallClockTimeout, FaultCategory::kAllocationLimit,
-        FaultCategory::kEngineException, FaultCategory::kProcessKill})
+        FaultCategory::kWallClockTimeout, FaultCategory::kEngineException,
+        FaultCategory::kProcessKill})
     names.push_back(to_string(c));
   return names;
 }
@@ -239,13 +233,11 @@ void FaultInjector::arm(std::vector<FaultSpec> plan, std::uint64_t seed) {
     fired_ = 0;
     any = !plan_.empty();
   }
-  ScratchArena::set_alloc_probe(&fault_alloc_probe);
   armed_flag().store(any, std::memory_order_relaxed);
 }
 
 void FaultInjector::disarm() {
   armed_flag().store(false, std::memory_order_relaxed);
-  ScratchArena::set_alloc_probe(nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   plan_.clear();
 }
@@ -325,16 +317,6 @@ void FaultInjector::on_engine_round(int round) {
   if (claim(FaultCategory::kEngineException, round, {}, &spec))
     throw std::runtime_error("injected engine exception (round " +
                              std::to_string(round) + ")");
-}
-
-void FaultInjector::on_alloc_growth(std::size_t bytes) {
-  FaultSpec spec;
-  if (claim(FaultCategory::kAllocationLimit, -1, {}, &spec))
-    throw CellError(
-        FaultCategory::kAllocationLimit,
-        "injected arena allocation failure (" + std::to_string(bytes) +
-            " bytes requested)",
-        {.node = -1, .round = -1});
 }
 
 void FaultInjector::maybe_corrupt_coloring(std::string_view phase,

@@ -7,8 +7,6 @@
 //
 //   kEngineException    — throw from inside the cell (cell start, a phase
 //                         charge, or an exact engine round)
-//   kAllocationLimit    — fail the next ScratchArena growth with a
-//                         structured allocation-limit CellError
 //   kRoundBudgetExceeded— inflate a phase charge by `extra_rounds` so the
 //                         driver's round-budget enforcement trips naturally
 //   kWallClockTimeout   — sleep `sleep_ms` inside the cell so the driver's
@@ -139,10 +137,6 @@ class FaultInjector {
   /// SyncRunner round loop: fires exact-round engine exceptions and
   /// timeout stalls.
   void on_engine_round(int round);
-
-  /// ScratchArena growth (installed as the arena's alloc probe while
-  /// armed): throws an allocation-limit CellError on match.
-  void on_alloc_growth(std::size_t bytes);
 
   /// Validation-oracle site in the composed pipelines: corrupts the
   /// partial coloring (creates a monochromatic edge) on match, so the

@@ -34,11 +34,11 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/graph.hpp"
@@ -386,14 +386,11 @@ class SyncRunner {
   /// per worker (worker 0 owns the whole range when serial, i.e. when
   /// options_.num_threads == 1). The worker index is for worker-private
   /// bookkeeping only (e.g. dense-round changed lists); results must not
-  /// depend on it. Each worker's ScratchArena is reset before its chunk:
-  /// round-local scratch carved by step kernels never survives into the
-  /// next round (arena.hpp contract), and the reset is free once arenas
-  /// are warm.
+  /// depend on it. The pool gets `fn` by std::ref, so its std::function
+  /// never copies (or heap-allocates) the step's closure.
   template <typename ChunkFn>
   void each_chunk(std::size_t size, ChunkFn&& fn) {
     if (pool_ == nullptr || pool_->num_workers() == 1) {
-      ScratchArena::local().reset();
       fn(0, std::size_t{0}, size);
       return;
     }
@@ -411,20 +408,11 @@ class SyncRunner {
                       g.num_edges();
                     }) {
         if (chunk_bounds_.empty()) compute_chunk_bounds();
-        pool_->for_chunks(
-            chunk_bounds_,
-            [&](int worker, std::size_t begin, std::size_t end) {
-              ScratchArena::local().reset();
-              fn(worker, begin, end);
-            });
+        pool_->for_chunks(chunk_bounds_, std::ref(fn));
         return;
       }
     }
-    pool_->for_range(0, size,
-                     [&](int worker, std::size_t begin, std::size_t end) {
-                       ScratchArena::local().reset();
-                       fn(worker, begin, end);
-                     });
+    pool_->for_range(0, size, std::ref(fn));
   }
 
   /// Degree-balanced 64-node-aligned chunk bounds over [0, n): worker w

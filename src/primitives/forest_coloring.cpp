@@ -62,20 +62,27 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
                    "forest_3_coloring: duplicate ids along an edge");
   const ParentPointerView view{&parent, &ids};
 
-  // Cole-Vishkin reduction until the palette stabilizes at {0..5}.
-  SyncRunner<std::uint64_t, ParentPointerView> cv(
-      view, ids, ctx.round_indexed_engine());
-  const auto cv_step = [&](const auto& v) -> std::uint64_t {
-    const std::uint64_t mine = v.self();
-    const std::uint64_t other = parent[v.node()] == kNoNode
-                                    ? (mine ^ 1)
-                                    : v.neighbor(parent[v.node()]);
-    const int i = lowest_differing_bit(mine, other);
-    return 2 * static_cast<std::uint64_t>(i) + ((mine >> i) & 1);
-  };
-  const auto cv_done = [](NodeId, const std::uint64_t& s) { return s < 6; };
-  res.rounds = cv.run_until(80, cv_step, cv_done);
-  DC_CHECK_MSG(res.rounds < 80, "Cole-Vishkin failed to converge");
+  // Cole-Vishkin reduction until the palette stabilizes at {0..5}. The
+  // runner lives only in this block, so its buffers are freed before the
+  // elimination runner allocates its own.
+  std::vector<ShiftState> elim_initial(n);
+  {
+    SyncRunner<std::uint64_t, ParentPointerView> cv(
+        view, ids, ctx.round_indexed_engine());
+    const auto cv_step = [&](const auto& v) -> std::uint64_t {
+      const std::uint64_t mine = v.self();
+      const std::uint64_t other = parent[v.node()] == kNoNode
+                                      ? (mine ^ 1)
+                                      : v.neighbor(parent[v.node()]);
+      const int i = lowest_differing_bit(mine, other);
+      return 2 * static_cast<std::uint64_t>(i) + ((mine >> i) & 1);
+    };
+    const auto cv_done = [](NodeId, const std::uint64_t& s) { return s < 6; };
+    res.rounds = cv.run_until(80, cv_step, cv_done);
+    DC_CHECK_MSG(res.rounds < 80, "Cole-Vishkin failed to converge");
+    const auto& colors = cv.states();
+    for (std::size_t v = 0; v < n; ++v) elim_initial[v].color = colors[v];
+  }
 
   // Eliminate colors 5, 4, 3, two engine rounds each: round 2j shifts down
   // (adopt the parent's color; roots pick a fresh one — siblings then
@@ -83,11 +90,6 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
   // Post-shift holders form an independent set (v and its parent both
   // holding 5-j would mean v's parent and grandparent shared a color
   // pre-shift), so the double-buffered recolor equals the sequential one.
-  std::vector<ShiftState> elim_initial(n);
-  {
-    const auto& colors = cv.states();
-    for (std::size_t v = 0; v < n; ++v) elim_initial[v].color = colors[v];
-  }
   SyncRunner<ShiftState, ParentPointerView> elim(
       view, std::move(elim_initial), ctx.round_indexed_engine());
   const auto elim_step = [&](const auto& v) -> ShiftState {

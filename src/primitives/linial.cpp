@@ -1,6 +1,7 @@
 #include "primitives/linial.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/generators.hpp"  // next_prime
 
@@ -39,6 +40,12 @@ std::pair<std::uint64_t, int> linial_choose_field(int delta,
   }
 }
 
+std::uint32_t* linial_scratch(std::size_t words) {
+  thread_local std::vector<std::uint32_t> scratch;
+  if (scratch.size() < words) scratch.resize(words);
+  return scratch.data();
+}
+
 }  // namespace detail
 
 LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
@@ -50,11 +57,9 @@ LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
     return empty;
   }
 
-  // Vertex coloring first (palette chi = O(Delta^2)); its rounds are
-  // accounted separately below, so it runs against a throwaway ledger.
-  RoundLedger vertex_ledger;
-  LocalContext vertex_ctx(vertex_ledger, ctx.engine(), ctx.seed());
-  const LinialResult vertex = linial_coloring(g, vertex_ctx);
+  // Vertex coloring first (palette chi = O(Delta^2)); its rounds are real
+  // rounds, charged to the same phase as the line-graph rounds.
+  const LinialResult vertex = linial_coloring(g, ctx);
 
   // Compose a proper initial edge coloring: for edge (u, v) combine
   // (c_u, port_u(v)) and (c_v, port_v(u)) as an unordered pair, where
@@ -91,9 +96,7 @@ LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
   // view's dilation() inside linial_reduce's charge.
   const LineGraphView line(g);
   LinialResult res = linial_reduce(line, initial, ctx);
-  const int line_rounds = res.rounds;
-  res.rounds = vertex.rounds + 2 * line_rounds;
-  ctx.charge(vertex.rounds);  // the vertex coloring's rounds are real rounds
+  res.rounds = vertex.rounds + 2 * res.rounds;
   return res;
 }
 

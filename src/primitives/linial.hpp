@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "graph/graph.hpp"
 #include "graph/graph_view.hpp"
@@ -43,6 +42,12 @@ int linial_degree_for(std::uint64_t q, std::uint64_t max_val);
 /// Smallest prime q with q > delta * degree and q^(degree+1) > max_val.
 std::pair<std::uint64_t, int> linial_choose_field(int delta,
                                                   std::uint64_t max_val);
+
+/// The calling thread's scratch for the step's collision path, at least
+/// `words` long. It only grows, and one buffer per thread serves every
+/// view type. The step writes each word before it reads it within the
+/// same call, so no value crosses a round and nothing needs a reset.
+std::uint32_t* linial_scratch(std::size_t words);
 
 /// Exact division by a fixed q >= 2 through a precomputed reciprocal
 /// (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation"):
@@ -112,8 +117,9 @@ LinialResult linial_reduce(const ViewT& view,
 
   // One stage = one engine round with stage-specific (q, d); the step
   // closure is rebuilt per stage with those scalars (and q's reciprocal)
-  // captured by value. The step allocates nothing beyond its arena frame
-  // and keeps no per-node state between rounds.
+  // captured by value. Once each worker's scratch has grown to the
+  // largest neighborhood, the step allocates nothing, and it keeps no
+  // per-node state between rounds.
   const auto make_step = [&](std::uint64_t q, int d) {
     return [rq = detail::LinialReciprocal(q), q, d,
             &failed](const auto& v) -> std::uint64_t {
@@ -128,15 +134,12 @@ LinialResult linial_reduce(const ViewT& view,
     if (!collides) return mine0;  // x * q + p(x) at x = 0
     // Decompose the closed neighborhood's colors into base-q coefficient
     // vectors (the "message" each neighbor publishes is its polynomial).
-    // Scratch lives in the worker's round-local arena (one frame per
-    // step): degree() bounds the neighbor count, so the whole table is
-    // carved up front and the round allocates nothing once arenas are
-    // warm.
+    // degree() + 1 bounds the neighbor rows, so the node's own row and
+    // theirs are taken from the worker's scratch up front.
     const std::size_t terms = static_cast<std::size_t>(d) + 1;
-    ScratchArena::Frame frame(ScratchArena::local());
-    std::uint32_t* self_coeff = frame.alloc<std::uint32_t>(terms);
-    std::uint32_t* nbr_coeff = frame.alloc<std::uint32_t>(
-        (static_cast<std::size_t>(v.degree()) + 1) * terms);
+    std::uint32_t* self_coeff = detail::linial_scratch(
+        (static_cast<std::size_t>(v.degree()) + 2) * terms);
+    std::uint32_t* nbr_coeff = self_coeff + terms;
     const auto decompose = [&](std::uint64_t c, std::uint32_t* out) {
       for (std::size_t i = 0; i < terms; ++i) {
         const std::uint64_t next = rq.div(c);

@@ -85,9 +85,7 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   // schedule, the sweep's memory peak.
   active_nodes.clear();
   active_nodes.shrink_to_fit();
-  RoundLedger sub_ledger;  // schedule rounds are re-charged below
-  LocalContext sub_ctx(sub_ledger, ctx.engine(), ctx.seed());
-  const LinialResult lin = schedule_coloring(sub, sub_ctx);
+  const LinialResult lin = schedule_coloring(sub, ctx);
 
   // Class sweep on the *host* graph (exclusions come from all neighbors,
   // active or not): engine round t colors schedule class t, so the sweep
@@ -120,11 +118,9 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
                "class-greedy ran out of colors");
   color = runner.take_states();
 
-  const int rounds = lin.rounds + lin.num_colors;
-  // The schedule's own rounds went into sub_ledger; charge them to the
-  // caller's phase together with the class sweep.
-  ctx.charge(rounds);
-  return rounds;
+  // The schedule charged its own rounds; the sweep is one round per class.
+  ctx.charge(lin.num_colors);
+  return lin.rounds + lin.num_colors;
 }
 
 ColorLists uniform_lists(const Graph& g, int num_colors) {

@@ -26,20 +26,12 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   // Proper edge coloring on the lazy line-graph view, reduced to 2*Delta-1
   // classes, then one virtual round per color class: an edge joins if no
   // adjacent edge (= line-graph neighbor = edge sharing an endpoint) did.
-  // Edges of a class share no endpoint. The coloring rounds are recharged
-  // below with their dilation already folded in, so the nested calls run
-  // against a throwaway ledger.
+  // Edges of a class share no endpoint. The nested calls charge the
+  // coloring rounds, with the line graph's dilation, to this phase.
   const LineGraphView line(g);
-  RoundLedger ec_ledger;
-  LocalContext ec_ctx(ec_ledger, ctx.engine(), ctx.seed());
-  LinialResult ec = linial_edge_coloring(g, ec_ctx);
-  {
-    LinialResult reduced = kw_reduce(line, std::move(ec.color),
-                                     ec.num_colors, line.max_degree() + 1,
-                                     ec_ctx);
-    reduced.rounds = ec.rounds + 2 * reduced.rounds;  // line-graph dilation
-    ec = std::move(reduced);
-  }
+  LinialResult ec = linial_edge_coloring(g, ctx);
+  ec = kw_reduce(line, std::move(ec.color), ec.num_colors,
+                 line.max_degree() + 1, ctx);
 
   SyncRunner<std::uint8_t, LineGraphView> runner(
       line, std::vector<std::uint8_t>(g.num_edges(), 0),
@@ -57,7 +49,6 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   const auto& states = runner.states();
   for (EdgeId e = 0; e < g.num_edges(); ++e) in_matching[e] = states[e] != 0;
 
-  ctx.charge(ec.rounds);  // edge-coloring rounds (dilation inside)
   ctx.charge(ec.num_colors, kLineGraphDilation);
   return in_matching;
 }

@@ -15,7 +15,6 @@
 
 #include "bench_support/sweep.hpp"
 #include "bench_support/workloads.hpp"
-#include "common/arena.hpp"
 #include "common/errors.hpp"
 #include "graph/generators.hpp"
 #include "local/context.hpp"
@@ -120,6 +119,17 @@ TEST(FaultGrammar, MalformedPairsAndValuesAreRejected) {
   EXPECT_FALSE(error.empty());
 }
 
+// allocation-limit named the scratch arena's byte budget, which is gone: a
+// plan that names it must fail to parse like any other unknown category.
+TEST(FaultGrammar, RetiredAllocationLimitIsRejected) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("allocation-limit@cell=0", &spec, &error));
+  EXPECT_NE(error.find("unknown fault category 'allocation-limit'"),
+            std::string::npos)
+      << error;
+}
+
 // process-kill fires only at cell start, which probes with no round; a
 // round= coordinate would parse and then never fire.
 TEST(FaultGrammar, ProcessKillRejectsARoundCoordinate) {
@@ -207,49 +217,6 @@ TEST(FaultMatrix, InjectedStallTripsTheRealDeadline) {
   EXPECT_EQ(result.outcomes[1].status, CellStatus::kQuarantined);
   EXPECT_EQ(result.outcomes[1].category, FaultCategory::kWallClockTimeout);
   EXPECT_EQ(result.outcomes[0].status, CellStatus::kOk);
-}
-
-TEST(FaultMatrix, ArenaFaultSurfacesAsAllocationLimit) {
-  ArmedScope armed({spec_of("allocation-limit@cell=0,attempts=0")});
-  SweepOptions opt;
-  opt.workers = 1;
-  opt.retry.quarantine = true;
-  SweepDriver driver(opt);
-  const auto result = driver.run_cells<int>(2, [](std::size_t i,
-                                                  CellContext& ctx) {
-    // An allocation big enough to force arena growth, so the alloc probe
-    // runs (overflow blocks are not reused until reset, so this grows
-    // even if earlier tests warmed the thread's arena).
-    ScratchArena::Frame frame;
-    (void)frame.alloc<std::uint64_t>(1 << 20);
-    return run_work_cell(i, ctx);
-  });
-  EXPECT_EQ(result.outcomes[0].status, CellStatus::kQuarantined);
-  EXPECT_EQ(result.outcomes[0].category, FaultCategory::kAllocationLimit);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kOk);
-}
-
-TEST(FaultMatrix, ArenaByteBudgetLimitIsStructured) {
-  // No injector at all: the RetryPolicy's real arena byte budget must
-  // produce the same structured category.
-  SweepOptions opt;
-  opt.workers = 1;
-  opt.retry.arena_limit_bytes = 1024;
-  opt.retry.quarantine = true;
-  SweepDriver driver(opt);
-  const auto result =
-      driver.run_cells<int>(2, [](std::size_t i, CellContext& ctx) {
-        if (i == 0) {
-          ScratchArena::Frame frame;
-          (void)frame.alloc<std::uint64_t>(1 << 22);
-        }
-        return run_work_cell(i, ctx);
-      });
-  EXPECT_EQ(result.outcomes[0].status, CellStatus::kQuarantined);
-  EXPECT_EQ(result.outcomes[0].category, FaultCategory::kAllocationLimit);
-  EXPECT_NE(result.outcomes[0].error.find("byte budget"), std::string::npos);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kOk)
-      << "the limit is per-attempt and must be lifted after the cell";
 }
 
 TEST(FaultMatrix, CorruptedColoringIsCaughtByThePhaseOracle) {

@@ -108,8 +108,9 @@ TEST(Graph, SetIdsCheckMatchesSort) {
         std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
     const auto duplicate = find_duplicate_id(ids);
     EXPECT_EQ(!duplicate.has_value(), unique) << label;
-    if (duplicate)
+    if (duplicate) {
       EXPECT_GE(std::count(ids.begin(), ids.end(), *duplicate), 2) << label;
+    }
     Graph g(static_cast<NodeId>(ids.size()), {});
     if (unique)
       EXPECT_NO_THROW(g.set_ids(ids)) << label;

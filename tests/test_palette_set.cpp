@@ -1,11 +1,9 @@
 // Oracle-parity and boundary tests for the word-parallel palette kernels
-// (common/palette.hpp) and the per-worker scratch arena (common/arena.hpp),
-// plus the allocation-counting hook that pins the "no heap allocation in a
-// steady-state engine round" contract.
+// (common/palette.hpp), plus the allocation-counting hook that pins the
+// "no heap allocation in a steady-state engine round" contract.
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <set>
 #include <vector>
@@ -13,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "bench_support/workloads.hpp"
-#include "common/arena.hpp"
 #include "common/palette.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -231,148 +228,23 @@ TEST(ColorLists, EmptyStates) {
 }
 
 // ---------------------------------------------------------------------------
-// ScratchArena
-// ---------------------------------------------------------------------------
-
-// An over-aligned scratch type: operator new promises only 16 bytes for
-// the arena's blocks, so the arena must align by address.
-struct alignas(1024) Page {
-  std::uint8_t bytes[1024];
-};
-
-template <typename T>
-bool aligned_to_type(const T* p) {
-  return reinterpret_cast<std::uintptr_t>(p) % alignof(T) == 0;
-}
-
-TEST(ScratchArena, AllocationsAre32ByteAligned) {
-  // Every allocation lands on a multiple of alignof(T): byte runs that
-  // leave the bump offset odd, words, over-aligned pages, overflow-path
-  // blocks, and re-used capacity after reset().
-  ScratchArena arena;
-  for (int round = 0; round < 3; ++round) {
-    for (const std::size_t count : {1u, 7u, 64u, 1000u}) {
-      EXPECT_TRUE(aligned_to_type(arena.alloc<std::uint8_t>(count)));
-      EXPECT_TRUE(aligned_to_type(arena.alloc<std::uint64_t>(count)));
-      EXPECT_TRUE(aligned_to_type(arena.alloc<Page>(count % 5 + 1)));
-    }
-    arena.reset();  // coalesces overflow; next round exercises warm path
-  }
-}
-
-TEST(ScratchArena, OverAlignedOverflowStaysInsideItsBlock) {
-  // A fresh arena opens a 4096-byte overflow block for 993 bytes. By
-  // block offset, three 1024-aligned pages still fit (1024 + 3072 = 4096).
-  // By address they start at the first page boundary past those bytes,
-  // 2048 - (address mod 1024) into the block once address mod 1024 >= 32,
-  // and would end past it: the arena must open a new block. Every byte of
-  // each span is written so the sanitizers see any write past a block;
-  // a span that shares the first block is also bounds-checked against it.
-  constexpr std::size_t kHead = 1024 - 31;
-  ScratchArena arenas[8];  // alive together, so their blocks differ
-  for (ScratchArena& arena : arenas) {
-    std::uint8_t* head = arena.alloc<std::uint8_t>(kHead);
-    Page* pages = arena.alloc<Page>(3);
-    ASSERT_TRUE(aligned_to_type(pages));
-    std::memset(head, 0xcd, kHead);
-    std::memset(pages, 0xab, 3 * sizeof(Page));
-    EXPECT_EQ(head[kHead - 1], 0xcd);
-    if (arena.growth_count() == 1) {
-      // One block, which the first allocation starts (alignof 1).
-      const auto block = reinterpret_cast<std::uintptr_t>(head);
-      EXPECT_LE(reinterpret_cast<std::uintptr_t>(pages + 3),
-                block + arena.total_capacity());
-    }
-  }
-}
-
-TEST(ScratchArena, FrameRestoresBumpPointer) {
-  ScratchArena arena;
-  {
-    ScratchArena::Frame warm(arena);
-    warm.alloc<int>(1024);
-  }
-  arena.reset();  // coalesce: the primary buffer now has capacity
-  {
-    ScratchArena::Frame outer(arena);
-    int* a = outer.alloc<int>(8);
-    ASSERT_NE(a, nullptr);
-    const std::size_t after_outer = arena.used();
-    {
-      ScratchArena::Frame inner(arena);
-      double* b = inner.alloc<double>(4);
-      ASSERT_NE(b, nullptr);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(double), 0u);
-      EXPECT_GT(arena.used(), after_outer);
-    }
-    EXPECT_EQ(arena.used(), after_outer);
-  }
-  EXPECT_EQ(arena.used(), 0u);
-}
-
-TEST(ScratchArena, OverflowCoalescesAtReset) {
-  ScratchArena arena;
-  arena.reset();
-  const std::size_t before_growth = arena.growth_count();
-  {
-    ScratchArena::Frame f(arena);
-    // Force repeated overflow in one epoch; writes must not alias.
-    std::uint64_t* p1 = f.alloc<std::uint64_t>(1000);
-    std::uint64_t* p2 = f.alloc<std::uint64_t>(2000);
-    std::uint64_t* p3 = f.alloc<std::uint64_t>(4000);
-    for (int i = 0; i < 1000; ++i) p1[i] = 1;
-    for (int i = 0; i < 2000; ++i) p2[i] = 2;
-    for (int i = 0; i < 4000; ++i) p3[i] = 3;
-    EXPECT_EQ(p1[999], 1u);
-    EXPECT_EQ(p2[0], 2u);
-    EXPECT_EQ(p3[3999], 3u);
-  }
-  EXPECT_GT(arena.growth_count(), before_growth);
-  arena.reset();  // coalesce: capacity now covers the whole epoch
-  const std::size_t warm_growth = arena.growth_count();
-  const std::size_t warm_capacity = arena.capacity();
-  {
-    ScratchArena::Frame f(arena);
-    f.alloc<std::uint64_t>(1000);
-    f.alloc<std::uint64_t>(2000);
-    f.alloc<std::uint64_t>(4000);
-  }
-  EXPECT_EQ(arena.growth_count(), warm_growth) << "warm epoch re-grew";
-  EXPECT_EQ(arena.capacity(), warm_capacity);
-}
-
-TEST(ScratchArena, ManySmallOverflowsStayGeometric) {
-  // A cold chunk with thousands of small frames must open O(log) overflow
-  // blocks, not one per frame (the bump-within-last-block path).
-  ScratchArena arena;
-  arena.reset();
-  {
-    ScratchArena::Frame f(arena);
-    f.alloc<std::byte>(1);  // consume the (empty) primary buffer
-    for (int i = 0; i < 10000; ++i) {
-      int* p = f.alloc<int>(16);
-      p[0] = i;
-    }
-  }
-  EXPECT_LT(arena.growth_count(), 16u);
-}
-
-// ---------------------------------------------------------------------------
 // Steady-state allocation contract
 // ---------------------------------------------------------------------------
 
-// A linial-style step: per node, carve (degree+1) scratch from the frame and
-// fold neighbor states through it. Once the arena and engine buffers are
-// warm, additional rounds must perform zero heap allocations.
+// A linial-style step: per node, take (degree+1) words of a thread_local
+// scratch buffer that only grows, and fold neighbor states through it.
+// Once that buffer and the engine's are warm, additional rounds must
+// perform zero heap allocations.
 TEST(SteadyState, EngineRoundsAreAllocationFree) {
   const Graph g = random_regular(64, 6, 1);
   std::vector<int> init(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) init[v] = static_cast<int>(v);
   SyncRunner<int> runner(g, init, EngineOptions{.num_threads = 1});
   auto step = [](const SyncRunner<int>::View& view) {
-    ScratchArena::Frame frame(ScratchArena::local());
+    thread_local std::vector<int> buffer;
     const std::size_t n = static_cast<std::size_t>(view.degree()) + 1;
-    int* scratch = frame.alloc<int>(n);
+    if (buffer.size() < n) buffer.resize(n);
+    int* scratch = buffer.data();
     std::size_t i = 0;
     scratch[i++] = view.self();
     for (const NodeId u : view.neighbors()) scratch[i++] = view.neighbor(u);
@@ -383,7 +255,7 @@ TEST(SteadyState, EngineRoundsAreAllocationFree) {
     return static_cast<int>(acc);
   };
   auto never = [](const std::vector<int>&) { return false; };
-  runner.run(4, step, never);  // warm-up: arena reaches high water
+  runner.run(4, step, never);  // warm-up: scratch reaches high water
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   const int rounds = runner.run(64, step, never);
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -421,7 +293,7 @@ TEST(SteadyState, KeyedRoundsAreAllocationFree) {
 // End-to-end: repeated warm runs of the deg+1 list-coloring engine allocate
 // a flat amount (setup only — state buffers, result vector), i.e. the
 // per-round path adds nothing. Asserting run2 == run3 avoids counting the
-// one-time thread_local/arena warm-up of the first run.
+// one-time thread_local warm-up of the first run.
 TEST(SteadyState, DegPlusOneAllocationsFlatAcrossWarmRuns) {
   const Graph g = bench::hard_instance(32, 12, 5).graph;
   const ColorLists lists = uniform_lists(g, g.max_degree() + 1);

@@ -45,7 +45,9 @@ TEST_P(PipelineSweep, DeterministicValidAndLemmasHold) {
   // Lemma 12: every hard clique is Type I (C_HEG) or Type II.
   EXPECT_EQ(st.type1 + st.type2, st.num_hard);
   // Lemma 13 outcome: every C_HEG clique ends with two outgoing edges.
-  if (st.num_heg_cliques > 0) EXPECT_EQ(st.min_outgoing_f3, 2);
+  if (st.num_heg_cliques > 0) {
+    EXPECT_EQ(st.min_outgoing_f3, 2);
+  }
   // Lemma 15 iii): structurally, slack pair vertices per clique are
   // bounded by the clique's incoming F3 edges plus its own pair member;
   // the paper's numeric bound additionally needs Lemma 13's epsilon-tight
@@ -106,8 +108,9 @@ TEST_P(RandomizedSweep, ValidColoringAndConsistentStats) {
   EXPECT_EQ(res.stats.tnodes_placed + res.stats.failed_cliques,
             res.stats.num_hard);
   EXPECT_GE(res.stats.tnodes_placed, 1);
-  if (res.stats.components == 0)
+  if (res.stats.components == 0) {
     EXPECT_EQ(res.stats.max_component_vertices, 0);
+  }
   EXPECT_LE(res.stats.max_component_rounds, res.ledger.total());
 }
 

@@ -60,8 +60,9 @@ TEST(Registry, RunProducesValidatedResults) {
     EXPECT_FALSE(res.summary.empty()) << e.name;
     // Every entry yields a coloring or a set; never neither.
     EXPECT_TRUE(!res.color.empty() || !res.in_set.empty()) << e.name;
-    if (!res.color.empty() && res.palette > 0)
+    if (!res.color.empty() && res.palette > 0) {
       EXPECT_TRUE(is_proper_coloring(g, res.color, res.palette)) << e.name;
+    }
   }
 }
 

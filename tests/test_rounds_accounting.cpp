@@ -116,8 +116,11 @@ TEST(RoundAccounting, DeterministicChargesWallClockToEveryPhase) {
     const auto res = delta_color_dense(c.inst.graph, scaled_options(16));
     ASSERT_TRUE(res.valid);
     EXPECT_EQ(res.ledger.phases(), c.rounds);
-    for (const auto& [phase, rounds] : res.ledger.phases())
-      if (rounds > 0) EXPECT_GT(res.ledger.phase_time(phase), 0.0) << phase;
+    for (const auto& [phase, rounds] : res.ledger.phases()) {
+      if (rounds > 0) {
+        EXPECT_GT(res.ledger.phase_time(phase), 0.0) << phase;
+      }
+    }
   }
 }
 

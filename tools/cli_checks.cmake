@@ -154,6 +154,28 @@ elseif(CHECK STREQUAL "check-negative-color")
   expect_exit(1 check g.txt c.txt)
   expect_stdout("INCOMPLETE")
   expect_stdout("uncolored=1")
+elseif(CHECK STREQUAL "check-malformed-coloring")
+  # check compares the coloring's header with the graph's node count
+  # before it allocates anything, and every other non-blank line must be
+  # exactly "node color": both exit 3 naming the file. A node the file
+  # leaves out is uncolored (exit 1).
+  file(WRITE "${WORK_DIR}/g.txt" "3 2\n0 1\n1 2\n")
+  file(WRITE "${WORK_DIR}/junk.txt" "3\n0 1\n1 x\n2 0\n")
+  expect_exit(3 check g.txt junk.txt)
+  expect_stderr("junk.txt:3: expected \"node color\", got '1 x'")
+  file(WRITE "${WORK_DIR}/lone.txt" "3\n0 1\n1\n")
+  expect_exit(3 check g.txt lone.txt)
+  expect_stderr("lone.txt:3: expected \"node color\", got '1'")
+  file(WRITE "${WORK_DIR}/trailing.txt" "3\n0 1 2\n")
+  expect_exit(3 check g.txt trailing.txt)
+  expect_stderr("trailing.txt:2: expected \"node color\", got '0 1 2'")
+  file(WRITE "${WORK_DIR}/huge.txt" "1000000000000\n0 1\n")
+  expect_exit(3 check g.txt huge.txt)
+  expect_stderr("coloring has 1000000000000 nodes but the graph has 3")
+  file(WRITE "${WORK_DIR}/gaps.txt" "3\n\n0 1\n\n2 0\n")
+  expect_exit(1 check g.txt gaps.txt)
+  expect_stdout("INCOMPLETE")
+  expect_stdout("uncolored=1")
 elseif(CHECK STREQUAL "gen-regular-dense")
   # High-degree random regular graphs: the repair pass is near-linear, so
   # this finishes well inside the ctest TIMEOUT set in CMakeLists.txt.
@@ -267,9 +289,9 @@ elseif(CHECK STREQUAL "import-edges-snap")
 ")
 elseif(CHECK STREQUAL "import-edges-bad-input")
   # The readers check every number and pair themselves: an id or a node
-  # count past 32 bits, an endpoint >= n (or >= --nodes) and a dc self loop
-  # each exit 3 with one "<path>:<line>:" line, never the library's
-  # DC_CHECK text, and write nothing.
+  # count past 32 bits, an endpoint >= n (or >= --nodes), a dc self loop
+  # and a malformed dc pair list each exit 3 with one "<path>:<line>:"
+  # line, never the library's DC_CHECK text, and write nothing.
   file(WRITE "${WORK_DIR}/wide.txt" "# SNAP\n0 1\n0 4294967297\n")
   expect_exit(3 edges wide.txt w.dcsr)
   expect_stderr("wide.txt:3: node id 4294967297 does not fit a 32-bit node id")
@@ -288,6 +310,21 @@ elseif(CHECK STREQUAL "import-edges-bad-input")
   file(WRITE "${WORK_DIR}/snap.txt" "# SNAP\n0 1\n1 5\n")
   expect_exit(3 edges snap.txt w.dcsr --nodes=4)
   expect_stderr("snap.txt:3: edge (1, 5) has an endpoint >= n=4")
+  # A dc file holds exactly the header's m pairs of numbers: a token that
+  # is not a number, a dangling last number and a pair count either way
+  # off each exit 3 too.
+  file(WRITE "${WORK_DIR}/junk.txt" "3 2\n0 1\n1 x\n")
+  expect_exit(3 edges junk.txt w.dcsr)
+  expect_stderr("junk.txt:3: 'x' is not a number")
+  file(WRITE "${WORK_DIR}/dangling.txt" "3 2\n0\n1 2\n")
+  expect_exit(3 edges dangling.txt w.dcsr)
+  expect_stderr("dangling.txt:3: node 2 has no partner")
+  file(WRITE "${WORK_DIR}/short.txt" "3 3\n0 1\n1 2\n")
+  expect_exit(3 edges short.txt w.dcsr)
+  expect_stderr("short.txt:1: header declares m=3 but the file has 2 pairs")
+  file(WRITE "${WORK_DIR}/long.txt" "3 1\n0 1\n1 2\n")
+  expect_exit(3 edges long.txt w.dcsr)
+  expect_stderr("long.txt:1: header declares m=1 but the file has 2 pairs")
   string(FIND "${LAST_STDERR}" "DC_CHECK" at)
   if(NOT at EQUAL -1)
     message(FATAL_ERROR "library check text leaked:\n${LAST_STDERR}")

@@ -232,29 +232,60 @@ void write_coloring(const std::string& path, const std::vector<Color>& c) {
   for (std::size_t v = 0; v < c.size(); ++v) os << v << ' ' << c[v] << '\n';
 }
 
-std::optional<std::vector<Color>> try_read_coloring(
-    const std::string& path) {
+/// Reads a coloring of a graph with `n` nodes: a node-count header, then
+/// "node color" lines (blank lines skipped; the last line for a node wins,
+/// and a node with no line stays uncolored). The header is compared with
+/// `n` before anything is allocated. A line that is not exactly two
+/// integers, or names a node outside [0, n), fails with "<path>:<line>:".
+std::optional<std::vector<Color>> try_read_coloring(const std::string& path,
+                                                    NodeId n) {
   std::ifstream is(path);
   if (!is.good()) {
     std::cerr << "dcolor: cannot open coloring file '" << path << "'\n";
     return std::nullopt;
   }
-  std::size_t n = 0;
-  if (!(is >> n)) {
+  std::string text;
+  std::size_t line = 0;
+  std::istringstream fields;
+  // Loads the next non-blank line into `fields`; false at end of file.
+  const auto next_line = [&] {
+    while (std::getline(is, text)) {
+      ++line;
+      if (text.find_first_not_of(" \t\r") == std::string::npos) continue;
+      fields.clear();
+      fields.str(text);
+      return true;
+    }
+    return false;
+  };
+  // True when nothing but blanks is left on the line.
+  const auto at_end = [&] { return (fields >> std::ws).eof(); };
+  std::int64_t declared = 0;
+  if (!next_line() || !(fields >> declared) || !at_end()) {
     std::cerr << "dcolor: malformed coloring file '" << path
               << "' (expected node count header)\n";
     return std::nullopt;
   }
+  if (declared != static_cast<std::int64_t>(n)) {
+    std::cerr << "dcolor: coloring has " << declared
+              << " nodes but the graph has " << n << "\n";
+    return std::nullopt;
+  }
   std::vector<Color> c(n, kNoColor);
-  std::size_t v = 0;
-  Color col = 0;
-  while (is >> v >> col) {
-    if (v >= n) {
-      std::cerr << "dcolor: coloring file '" << path << "' names node " << v
-                << " but declares only " << n << " nodes\n";
+  while (next_line()) {
+    std::int64_t v = 0;
+    Color col = 0;
+    if (!(fields >> v >> col) || !at_end()) {
+      std::cerr << "dcolor: " << path << ":" << line
+                << ": expected \"node color\", got '" << text << "'\n";
       return std::nullopt;
     }
-    c[v] = col;
+    if (v < 0 || v >= static_cast<std::int64_t>(n)) {
+      std::cerr << "dcolor: " << path << ":" << line << ": node " << v
+                << " is outside [0, " << n << ")\n";
+      return std::nullopt;
+    }
+    c[static_cast<std::size_t>(v)] = col;
   }
   return c;
 }
@@ -547,13 +578,8 @@ int cmd_check(int argc, char** argv) {
   const auto g = try_load_graph(g_load_path.empty() ? argv[2] : g_load_path,
                                 /*apply_ids=*/false);
   if (!g) return kExitBadFile;
-  const auto color = try_read_coloring(argv[base]);
+  const auto color = try_read_coloring(argv[base], g->num_nodes());
   if (!color) return kExitBadFile;
-  if (color->size() != g->num_nodes()) {
-    std::cerr << "dcolor: coloring has " << color->size()
-              << " nodes but the graph has " << g->num_nodes() << "\n";
-    return kExitBadFile;
-  }
   const auto report = check_coloring(*g, *color);
   std::cout << report.describe() << "\n";
   return report.proper && report.complete &&

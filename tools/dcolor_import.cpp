@@ -30,13 +30,15 @@
 //
 // `edges` checks every pair as it reads it: an id that does not fit a
 // 32-bit node id (>= 2^32 - 1), a dc header n >= 2^32, an endpoint >= n
-// (or >= --nodes) and a dc self loop each stop the import with one
-// "<path>:<line>: ..." line.
+// (or >= --nodes), and in a dc file a self loop, a token that is not a
+// number, a dangling last number and a pair count other than the header's
+// m each stop the import with one "<path>:<line>: ..." line.
 //
 // Exit codes: 0 success; 2 usage error (including a malformed or
 // out-of-range number); 3 unreadable or malformed input, or failed
 // verification.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -46,6 +48,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -114,27 +117,35 @@ void check_endpoints(std::uint64_t u, std::uint64_t v, std::uint64_t n,
 }
 
 /// Whitespace-separated unsigned numbers across lines, each with the line
-/// it came from. next() fails at the end of input and at the first token
-/// that is not a number, which ends the list; a number past 64 bits reads
-/// as the largest value, which check_id rejects.
+/// it came from. As with strtoull, a leading '-' wraps the value modulo
+/// 2^64 and a number past 64 bits reads as the largest value; check_id
+/// rejects both. Any other token that is not a number stops the import.
 class NumberTokens {
  public:
-  explicit NumberTokens(std::istream& in) : in_(in) {}
+  NumberTokens(std::istream& in, const std::string& path)
+      : in_(in), path_(path) {}
 
+  /// Reads the next number; false at the end of the input.
   bool next(std::uint64_t* value) {
-    for (;;) {
-      *value = 0;
-      if (tokens_ >> *value) return true;
-      // A failed read leaves 0 at junk or at the end of the line, and the
-      // largest value at an overflow.
-      if (*value == std::numeric_limits<std::uint64_t>::max()) return true;
-      if (!tokens_.eof()) return false;
+    std::string token;
+    while (!(tokens_ >> token)) {
       std::string text;
       if (!std::getline(in_, text)) return false;
       ++line_;
       tokens_.clear();
       tokens_.str(text);
     }
+    const bool negative = token[0] == '-';
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] =
+        std::from_chars(token.data() + (negative ? 1 : 0), end, *value);
+    if (ec == std::errc::invalid_argument || ptr != end)
+      bad_line(path_, line_, "'" + token + "' is not a number");
+    if (ec == std::errc::result_out_of_range)
+      *value = std::numeric_limits<std::uint64_t>::max();
+    else if (negative)
+      *value = 0 - *value;
+    return true;
   }
 
   /// The line of the last number read (1-based).
@@ -142,27 +153,33 @@ class NumberTokens {
 
  private:
   std::istream& in_;
+  const std::string& path_;
   std::istringstream tokens_;
   std::size_t line_ = 0;
 };
 
-/// "n m" header, then "u v" pairs until EOF (the io.hpp format). Every
+/// "n m" header, then exactly m "u v" pairs (the io.hpp format). Every
 /// pair is checked against n (or `nodes` when given) as it is read.
 /// Returns the header's n.
 NodeId read_dc(std::istream& in, const std::string& path,
                std::optional<NodeId> nodes, EdgeList* edges) {
-  NumberTokens tokens(in);
+  NumberTokens tokens(in, path);
   std::uint64_t n = 0, m = 0;
   if (!tokens.next(&n) || !tokens.next(&m))
     throw std::runtime_error("malformed edge list in '" + path +
                              "' (expected \"n m\" header)");
+  const std::size_t header_line = tokens.line();
   if (n > kNoNode)
-    bad_line(path, tokens.line(),
+    bad_line(path, header_line,
              "node count " + std::to_string(n) +
                  " does not fit a 32-bit node id (max " +
                  std::to_string(kNoNode) + ")");
   const std::uint64_t limit = nodes.value_or(static_cast<NodeId>(n));
-  for (std::uint64_t u = 0, v = 0; tokens.next(&u) && tokens.next(&v);) {
+  std::uint64_t pairs = 0;
+  for (std::uint64_t u = 0, v = 0; tokens.next(&u); ++pairs) {
+    const std::size_t u_line = tokens.line();
+    if (!tokens.next(&v))
+      bad_line(path, u_line, "node " + std::to_string(u) + " has no partner");
     check_id(u, path, tokens.line());
     check_id(v, path, tokens.line());
     if (u == v) bad_line(path, tokens.line(), "self loop at node " +
@@ -170,6 +187,10 @@ NodeId read_dc(std::istream& in, const std::string& path,
     check_endpoints(u, v, limit, path, tokens.line());
     edges->emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
+  if (pairs != m)
+    bad_line(path, header_line,
+             "header declares m=" + std::to_string(m) + " but the file has " +
+                 std::to_string(pairs) + " pairs");
   return static_cast<NodeId>(n);
 }
 
