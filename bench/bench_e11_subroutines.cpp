@@ -87,12 +87,9 @@ void run_tables() {
 // The composed Theorem 1 pipeline (not a demo algorithm) under the worker
 // knob: every nested engine stage inherits the request's EngineOptions
 // through LocalContext, so `--threads` reaches Linial, KW reduction,
-// matching, HEG scheduling, and the deg+1 instances end to end. Every one
-// of those stages is round-indexed (LocalContext::round_indexed_engine
-// clears the frontier flag), so a `--frontier` row would time the serial
-// row again; there is none. Colorings are asserted bit-identical across
-// worker counts. Serial on purpose: this section measures engine
-// wall-clock.
+// matching, HEG scheduling, and the deg+1 instances end to end. Colorings
+// are asserted bit-identical across worker counts. Serial on purpose: this
+// section measures engine wall-clock.
 void run_engine_tables() {
   banner("E11b", "composed det pipeline under --threads");
   const auto inst = cached_hard(512, 16, 3);

@@ -163,34 +163,27 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-// Execution-engine head-to-head on the largest seed workload: the same
-// color-trial protocol under full sweeps vs sparse activation (frontier),
-// serial vs the parallel partitioner, against the full-sweep serial row.
-// Rounds are identical by construction (the engine is deterministic);
-// wall-clock is what changes.
+// Execution-engine head-to-head on the largest seed workload: the
+// color-trial protocol (sparse activation) serial vs the parallel
+// partitioner, against the serial row. Rounds are identical by
+// construction (the engine is deterministic); wall-clock is what changes.
 void run_engine_tables(bool quick = false) {
-  banner("E6b", "round engine: full sweeps vs sparse activation "
-                "(color trials, largest workload)");
+  banner("E6b", "round engine by worker count (color trials, largest "
+                "workload)");
   // --quick (CI perf-smoke): a quarter-size workload and single reps keep
   // the job under a minute while exercising every engine configuration.
   const auto inst = cached_hard(quick ? 512 : 2048, 16, 21);
   const Graph& g = inst->graph;
   std::cout << "n = " << g.num_nodes() << ", Delta = " << g.max_degree()
             << "\n";
-  Table t({"engine", "workers", "frontier", "rounds", "wall(ms)",
-           "speedup", "valid"});
+  Table t({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
   double baseline_ms = 0.0;
   std::vector<Color> baseline_color;
   struct Config {
     const char* name;
     EngineOptions opts;
   };
-  const Config configs[] = {
-      {"full-sweep serial", {1, false}},
-      {"frontier serial", {1, true}},
-      {"full-sweep 4 workers", {4, false}},
-      {"frontier 4 workers", {4, true}},
-  };
+  const Config configs[] = {{"serial", {1}}, {"4 workers", {4}}};
   for (const Config& cfg : configs) {
     RoundLedger ledger;
     const auto t0 = std::chrono::steady_clock::now();
@@ -199,20 +192,18 @@ void run_engine_tables(bool quick = false) {
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    if (baseline_color.empty()) {  // the full-sweep serial row
+    if (baseline_color.empty()) {  // the serial row
       baseline_ms = ms;
       baseline_color = color;
     }
     const bool valid = is_proper_coloring(g, color, g.max_degree() + 1) &&
                        color == baseline_color;
-    t.row(cfg.name, cfg.opts.num_threads, cfg.opts.frontier ? "yes" : "no",
-          ledger.total(), ms, baseline_ms / std::max(ms, 1e-9),
-          valid ? "yes" : "NO");
+    t.row(cfg.name, cfg.opts.num_threads, ledger.total(), ms,
+          baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
     BenchJson("E6")
         .field("workload", "color-trial-engine")
         .field("engine", cfg.name)
         .field("workers", cfg.opts.num_threads)
-        .field("frontier", cfg.opts.frontier)
         .field("n", g.num_nodes())
         .field("valid", valid)
         .field("wall_ms", ms)
@@ -221,16 +212,13 @@ void run_engine_tables(bool quick = false) {
         .print();
   }
   t.print();
-  std::cout << "speedup is vs the full-sweep serial row; colorings are "
-               "asserted bit-identical across all rows\n";
+  std::cout << "speedup is vs the serial row; colorings are asserted "
+               "bit-identical across all rows\n";
 
   // The composed Theorem 2 pipeline under the worker knob: EngineOptions
   // flow through LocalContext into every nested subroutine (shattered
   // components included), so this measures the paper pipeline, not a demo
-  // protocol. Its engine stages are all round-indexed
-  // (LocalContext::round_indexed_engine clears the frontier flag), so
-  // frontier rows would time the full-sweep rows again; there are none.
-  // Bit-identical colorings asserted across worker counts.
+  // protocol. Bit-identical colorings asserted across worker counts.
   const unsigned hw = std::thread::hardware_concurrency();
   std::cout << "\ncomposed randomized pipeline by worker count (hardware "
                "threads = "
@@ -238,9 +226,7 @@ void run_engine_tables(bool quick = false) {
   Table t3({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
   double pipeline_baseline_ms = 0.0;
   std::vector<Color> pipeline_baseline_color;
-  const Config pipeline_configs[] = {{"serial", {1, false}},
-                                     {"4 workers", {4, false}}};
-  for (const Config& cfg : pipeline_configs) {
+  for (const Config& cfg : configs) {
     AlgorithmRequest req;
     req.seed = 21;
     req.engine = cfg.opts;
@@ -277,8 +263,7 @@ void run_engine_tables(bool quick = false) {
   }
   t3.print();
   std::cout << "the 4-worker row can only beat serial when hardware threads "
-               "> 1; --frontier does not reach this pipeline (every engine "
-               "stage is round-indexed)\n";
+               "> 1\n";
 }
 
 void BM_RandomizedColoring(benchmark::State& state) {

@@ -73,7 +73,7 @@ void run_tables() {
     row.n = g.num_nodes();
     switch (c.algorithm) {
       case 0: {  // greedy Delta+1
-        LocalContext lctx(row.ledger);
+        LocalContext lctx(row.ledger, ctx.engine());
         const auto t0 = std::chrono::steady_clock::now();
         const auto color = greedy_delta_plus_one(g, lctx);
         row.ms = ms_since(t0);
@@ -89,7 +89,7 @@ void run_tables() {
         RoundLedger tmp;
         const Acd acd = compute_acd(g, tmp, p);
         const auto lps = find_loopholes_dense(g, acd, tmp);
-        LocalContext lctx(row.ledger);
+        LocalContext lctx(row.ledger, ctx.engine());
         const auto t0 = std::chrono::steady_clock::now();
         const auto res = layered_loophole_coloring(g, lps, lctx);
         row.ms = ms_since(t0);
@@ -174,21 +174,18 @@ void run_tables() {
   }
   std::cout << driver.report() << "\n";
 
-  // Engine configurations head-to-head on the same protocol: the round
-  // engine's sparse-activation mode against full sweeps, on the message-
-  // passing color-trial workload (the engine's hot path). Serial on
+  // The round engine by worker count on the message-passing color-trial
+  // workload (the engine's hot path, with sparse activation). Serial on
   // purpose — this section measures engine wall-clock, so cells must not
   // share the machine.
-  banner("E7b", "round engine configurations (color trials, hard blow-up)");
+  banner("E7b", "round engine by worker count (color trials, hard "
+                "blow-up)");
   {
     const auto inst = cached_hard(512, 16, 17);
     const Graph& g = inst->graph;
     Table t({"engine", "rounds", "wall(ms)", "valid"});
     const std::pair<const char*, EngineOptions> configs[] = {
-        {"full-sweep serial", {1, false}},
-        {"frontier serial", {1, true}},
-        {"frontier 4 workers", {4, true}},
-    };
+        {"serial", {1}}, {"4 workers", {4}}};
     for (const auto& [name, opts] : configs) {
       RoundLedger ledger;
       const auto t0 = std::chrono::steady_clock::now();

@@ -2,51 +2,30 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+
+#include "common/parse.hpp"
 
 namespace deltacolor::bench {
 
-namespace {
-
-bool env_int64(const char* name, std::int64_t* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* rest = nullptr;
-  const long long n = std::strtoll(v, &rest, 10);
-  if (rest == v || *rest != '\0') return false;
-  *out = n;
-  return true;
-}
-
-bool env_double(const char* name, double* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* rest = nullptr;
-  const double x = std::strtod(v, &rest);
-  if (rest == v || *rest != '\0') return false;
-  *out = x;
-  return true;
-}
-
-}  // namespace
-
 SweepOptions sweep_options_from_env(SweepOptions base) {
-  std::int64_t n = 0;
-  if (env_int64("DELTACOLOR_SWEEP_RETRIES", &n) && n >= 1)
-    base.retry.max_attempts = static_cast<int>(n);
-  if (env_int64("DELTACOLOR_SWEEP_ROUND_BUDGET", &n) && n >= 0)
-    base.retry.round_budget = n;
-  double ms = 0;
-  if (env_double("DELTACOLOR_SWEEP_DEADLINE_MS", &ms) && ms >= 0)
-    base.retry.deadline_ms = ms;
-  if (env_int64("DELTACOLOR_SWEEP_QUARANTINE", &n))
-    base.retry.quarantine = n != 0;
+  if (const auto n = env_number("DELTACOLOR_SWEEP_RETRIES", 1,
+                                std::numeric_limits<int>::max()))
+    base.retry.max_attempts = *n;
+  if (const auto n = env_number<std::int64_t>(
+          "DELTACOLOR_SWEEP_ROUND_BUDGET", 0,
+          std::numeric_limits<std::int64_t>::max()))
+    base.retry.round_budget = *n;
+  if (const auto ms = env_number("DELTACOLOR_SWEEP_DEADLINE_MS", 0.0,
+                                 std::numeric_limits<double>::max()))
+    base.retry.deadline_ms = *ms;
+  if (const auto q = env_number("DELTACOLOR_SWEEP_QUARANTINE", 0, 1))
+    base.retry.quarantine = *q != 0;
+  const auto resume = env_number("DELTACOLOR_SWEEP_RESUME", 0, 1);
   if (const char* path = std::getenv("DELTACOLOR_SWEEP_JOURNAL");
-      path != nullptr && *path != '\0') {
-    std::int64_t resume = 0;
-    env_int64("DELTACOLOR_SWEEP_RESUME", &resume);
-    base.journal = std::make_shared<SweepJournal>(path, resume != 0);
-  }
+      path != nullptr && *path != '\0')
+    base.journal = std::make_shared<SweepJournal>(path, resume == 1);
   return base;
 }
 

@@ -98,12 +98,14 @@ struct SweepOptions {
 
 /// Overlays DELTACOLOR_SWEEP_* environment variables on `base`, so every
 /// bench binary is retry/journal-capable without per-binary flags:
-///   DELTACOLOR_SWEEP_RETRIES      max attempts per cell
+///   DELTACOLOR_SWEEP_RETRIES      max attempts per cell (>= 1)
 ///   DELTACOLOR_SWEEP_ROUND_BUDGET per-attempt simulated-round budget
 ///   DELTACOLOR_SWEEP_DEADLINE_MS  per-attempt wall-clock deadline
 ///   DELTACOLOR_SWEEP_QUARANTINE   1 = quarantine instead of rethrow
 ///   DELTACOLOR_SWEEP_JOURNAL      JSONL journal path
-///   DELTACOLOR_SWEEP_RESUME      1 = load the journal and skip done cells
+///   DELTACOLOR_SWEEP_RESUME       1 = load the journal and skip done cells
+/// A set number that is not a whole number in range (QUARANTINE and RESUME
+/// take 0 or 1) exits 2 naming the variable (env_number, common/parse.hpp).
 SweepOptions sweep_options_from_env(SweepOptions base = {});
 
 /// Terminal record of one cell. `category`/`error` are meaningful only
@@ -361,8 +363,7 @@ class SweepDriver {
       // One pool slot per sweep worker; inside a slot, cells are claimed
       // off a shared counter so a slow cell does not idle the other
       // workers. Cell i only ever writes rows[i] / ledgers[i] / errors[i].
-      EngineOptions serial = options_.cell_engine;  // keeps frontier
-      serial.num_threads = 1;
+      const EngineOptions serial{.num_threads = 1};
       std::vector<std::exception_ptr> errors(num_cells);
       std::atomic<std::size_t> next{0};
       ThreadPool::shared(workers).for_range(

@@ -1,10 +1,11 @@
 #include "common/thread_pool.hpp"
 
 #include <atomic>
-#include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace deltacolor {
 
@@ -146,11 +147,11 @@ void ThreadPool::worker_loop(int worker) {
 int ThreadPool::default_workers() {
   const int overridden = g_default_workers.load(std::memory_order_relaxed);
   if (overridden > 0) return overridden;
-  if (const char* env = std::getenv("DELTACOLOR_THREADS")) {
-    char* rest = nullptr;
-    const long n = std::strtol(env, &rest, 10);
-    if (rest != env && n > 0) return clamp_workers(n);
-  }
+  // 0 (like unset) means all hardware threads.
+  const int n = env_number("DELTACOLOR_THREADS", 0,
+                           std::numeric_limits<int>::max())
+                    .value_or(0);
+  if (n > 0) return clamp_workers(n);
   return clamp_workers(
       static_cast<long>(std::thread::hardware_concurrency()));
 }

@@ -5,7 +5,8 @@
 // so the schedule cannot leak into results).
 //
 // Worker count resolution order: explicit constructor argument >
-// set_default_workers() (CLI) > DELTACOLOR_THREADS env var >
+// set_default_workers() (CLI) > DELTACOLOR_THREADS env var (0 = unset; a
+// value that is not a whole number >= 0 exits 2) >
 // std::thread::hardware_concurrency().
 #pragma once
 

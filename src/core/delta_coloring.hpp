@@ -21,10 +21,9 @@ namespace deltacolor {
 struct DeltaColoringOptions {
   AcdParams acd;
   HardColoringParams hard;
-  /// Execution-layer knobs (worker threads, frontier sweeps) threaded into
-  /// every engine-stepped subroutine via LocalContext. Purely about *how*
-  /// the simulation executes — the coloring is bit-identical across
-  /// settings.
+  /// Execution-layer options (worker threads) threaded into every
+  /// engine-stepped subroutine via LocalContext. Purely about *how* the
+  /// simulation executes — the coloring is bit-identical across settings.
   EngineOptions engine;
   /// Opt-in validation oracle (errors.hpp): kEnd turns a final-checker
   /// failure into a structured invariant-violation CellError (instead of

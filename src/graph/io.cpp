@@ -3,6 +3,8 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -16,14 +18,20 @@ void write_edge_list(std::ostream& os, const Graph& g) {
 Graph read_edge_list(std::istream& is) {
   NodeId n = 0;
   EdgeId m = 0;
-  DC_CHECK_MSG(static_cast<bool>(is >> n >> m), "bad edge-list header");
+  if (!(is >> n >> m)) throw std::runtime_error("bad \"n m\" header");
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(m);
   for (EdgeId e = 0; e < m; ++e) {
     NodeId u = 0, v = 0;
-    DC_CHECK_MSG(static_cast<bool>(is >> u >> v), "truncated edge list");
+    if (!(is >> u >> v))
+      throw std::runtime_error("pair " + std::to_string(e + 1) + " of m = " +
+                               std::to_string(m) + " is missing or bad");
     edges.emplace_back(u, v);
   }
+  // Anything after the m-th pair would be an edge the graph silently lost.
+  if (!(is >> std::ws).eof())
+    throw std::runtime_error("more pairs than the header's m = " +
+                             std::to_string(m));
   return Graph(n, std::move(edges));
 }
 

@@ -10,6 +10,8 @@
 namespace deltacolor {
 
 void write_edge_list(std::ostream& os, const Graph& g);
+/// Reads exactly the header's m pairs: a bad header, a missing pair or
+/// anything but whitespace after the m-th throws std::runtime_error.
 Graph read_edge_list(std::istream& is);
 
 void save_edge_list(const std::string& path, const Graph& g);

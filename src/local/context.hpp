@@ -4,8 +4,8 @@
 //
 // A context bundles
 //   - the RoundLedger round/wall-clock accounting sink,
-//   - the EngineOptions (worker threads, sparse-activation frontier) every
-//     SyncRunner spawned below this call inherits,
+//   - the EngineOptions (worker threads) every SyncRunner spawned below
+//     this call inherits,
 //   - the random seed randomized subroutines draw from, and
 //   - a scoped *phase stack*: charges always go to the innermost pushed
 //     phase label, so a composed pipeline (e.g. hard-clique Phase 1 calling
@@ -19,15 +19,6 @@
 // to "mis" standalone but to "phase1-matching" when called under that
 // scope, and a caller that wants its own label opens a ScopedPhase around
 // the call.
-//
-// Engine semantics: round-homogeneous transitions (trial/commit protocols
-// whose non-fixpoint nodes change state every round) may run with the
-// user's frontier setting; transitions keyed on the global round number
-// (class sweeps, KW offset schedules, bit peeling, per-forest proposal
-// slots) must re-step quiet nodes when their slot arrives, so they take
-// round_indexed_engine(), which clears the frontier flag but keeps the
-// worker count. Results are bit-identical either way; only legality of the
-// sparse-activation optimization differs.
 #pragma once
 
 #include <cstdint>
@@ -54,15 +45,6 @@ class LocalContext {
   RoundLedger& ledger() const { return *ledger_; }
   const EngineOptions& engine() const { return engine_; }
   std::uint64_t seed() const { return seed_; }
-
-  /// Engine options for transitions keyed on the global round number:
-  /// frontier mode is unsound for those (a quiet node must still act when
-  /// its round slot arrives), so only the worker count is kept.
-  EngineOptions round_indexed_engine() const {
-    EngineOptions opts = engine_;
-    opts.frontier = false;
-    return opts;
-  }
 
   bool has_phase() const { return !stack_.empty(); }
 

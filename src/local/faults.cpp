@@ -1,13 +1,13 @@
 #include "local/faults.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <thread>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
 
@@ -27,29 +27,6 @@ std::uint64_t fnv1a(std::string_view s) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-bool parse_int(std::string_view v, std::int64_t* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* rest = nullptr;
-  // `rest` points into `text`, so the string outlives the check.
-  const std::string text(v);
-  const long long n = std::strtoll(text.c_str(), &rest, 10);
-  if (errno != 0 || rest == nullptr || *rest != '\0') return false;
-  *out = n;
-  return true;
-}
-
-bool parse_double(std::string_view v, double* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* rest = nullptr;
-  const std::string text(v);
-  const double x = std::strtod(text.c_str(), &rest);
-  if (errno != 0 || rest == nullptr || *rest != '\0') return false;
-  *out = x;
-  return true;
 }
 
 /// Edit distance for the did-you-mean suggestions: small strings only, so
@@ -139,21 +116,17 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out,
     }
     const std::string_view key = pair.substr(0, eq);
     const std::string_view value = pair.substr(eq + 1);
-    std::int64_t n = 0;
-    if (key == "cell" && parse_int(value, &spec.cell)) continue;
-    if (key == "round" && parse_int(value, &spec.round)) continue;
-    if (key == "node" && parse_int(value, &spec.node)) continue;
+    if (key == "cell" && parse_whole(value, &spec.cell)) continue;
+    if (key == "round" && parse_whole(value, &spec.round)) continue;
+    if (key == "node" && parse_whole(value, &spec.node)) continue;
     if (key == "phase" && !value.empty()) {
       spec.phase = std::string(value);
       continue;
     }
-    if (key == "attempts" && parse_int(value, &n)) {
-      spec.attempts = static_cast<int>(n);
+    if (key == "attempts" && parse_whole(value, &spec.attempts)) continue;
+    if (key == "extra_rounds" && parse_whole(value, &spec.extra_rounds))
       continue;
-    }
-    if (key == "extra_rounds" && parse_int(value, &spec.extra_rounds))
-      continue;
-    if (key == "sleep_ms" && parse_double(value, &spec.sleep_ms)) continue;
+    if (key == "sleep_ms" && parse_whole(value, &spec.sleep_ms)) continue;
     // A recognized key with an unparsable value is a value error; an
     // unrecognized key gets the did-you-mean treatment.
     bool known = false;
@@ -189,6 +162,9 @@ FaultInjector& FaultInjector::global() {
 }
 
 FaultInjector::FaultInjector() {
+  const std::uint64_t seed =
+      env_number<std::uint64_t>("DELTACOLOR_FAULT_SEED", 0, ~std::uint64_t{0})
+          .value_or(1);
   const char* env = std::getenv("DELTACOLOR_FAULTS");
   if (env == nullptr || *env == '\0') return;
   std::vector<FaultSpec> plan;
@@ -203,17 +179,12 @@ FaultInjector::FaultInjector() {
     std::string error;
     if (!parse_fault_spec(one, &spec, &error)) {
       // A fault plan that silently half-parses leaves the chaos test
-      // believing it injected and didn't; fail loudly and immediately.
+      // believing it injected and didn't; fail loudly (see env_number).
       std::cerr << "deltacolor: invalid DELTACOLOR_FAULTS spec '" << one
                 << "': " << error << "\n";
-      std::exit(2);
+      std::_Exit(2);
     }
     plan.push_back(std::move(spec));
-  }
-  std::uint64_t seed = 1;
-  if (const char* s = std::getenv("DELTACOLOR_FAULT_SEED")) {
-    std::int64_t n = 0;
-    if (parse_int(s, &n)) seed = static_cast<std::uint64_t>(n);
   }
   if (!plan.empty()) arm(std::move(plan), seed);
 }

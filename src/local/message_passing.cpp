@@ -15,8 +15,6 @@ enum class MisStatus : std::uint8_t { kUndecided, kCandidate, kIn, kOut };
 struct MisState {
   MisStatus status = MisStatus::kUndecided;
   std::uint64_t draw = 0;
-
-  bool operator==(const MisState&) const = default;
 };
 
 }  // namespace
@@ -157,10 +155,12 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
   const auto done_node = [](NodeId, const TrialState& s) {
     return s.color != kNoColor;
   };
+  // Sound: undecided nodes change state every round, committed ones never.
+  // Most nodes commit early, so later rounds step only the remainder.
   int rounds;
   {
     ScopedPhaseTimer timer(ledger, phase);
-    rounds = runner.run_until(max_rounds, step, done_node);
+    rounds = runner.run_sparse_until(max_rounds, step, done_node);
   }
   DC_CHECK_MSG(rounds < max_rounds,
                "color_trial_message_passing did not converge");

@@ -6,12 +6,12 @@
 //
 // Both algorithms accept EngineOptions: results are bit-identical across
 // worker counts (per-node randomness keys on (seed, id, round), so the
-// schedule cannot leak in) and across frontier vs. full-sweep execution
-// (decided/committed nodes return their state unchanged, so the frontier
-// soundness condition holds). Both keep a RoundLedger& signature — the
-// registry and the benchmark harness call them that way — and charge
-// their rounds through a LocalContext on it (the fault probe), with the
-// wall-clock next to the round count (RoundLedger::charge_time).
+// schedule cannot leak in). The color trials run with sparse activation
+// (SyncRunner::run_sparse_until); MIS runs full sweeps, because its
+// undecided set stays wide until it halts. Both keep a RoundLedger&
+// signature — the registry and the benchmark harness call them that way —
+// and charge their rounds through a LocalContext on it (the fault probe),
+// with the wall-clock next to the round count (RoundLedger::charge_time).
 #pragma once
 
 #include <cstdint>

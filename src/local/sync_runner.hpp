@@ -1,5 +1,5 @@
 // Double-buffered synchronous execution engine for LOCAL-model node
-// programs, with optional multi-threaded stepping and sparse activation.
+// programs, with multi-threaded stepping.
 //
 // Fidelity contract: in round t, a node's transition function sees only its
 // own round-(t-1) state and the round-(t-1) states of its direct neighbors
@@ -7,31 +7,18 @@
 // message). The engine enforces this structurally: transitions write into a
 // shadow buffer that becomes visible only after every node has stepped.
 //
-// Execution engine. `run()` is a template over the step functor, so the
-// per-node call is devirtualized and inlined (no std::function in the hot
-// loop). Nodes are partitioned into contiguous chunks across a thread pool
-// each round; because every transition writes only its own slot of the
-// shadow buffer, the schedule cannot affect results — states are
-// bit-identical across worker counts and to the serial engine.
-//
-// Frontier mode (opt-in, EngineOptions::frontier) re-steps only nodes whose
-// *closed neighborhood* changed state in the previous round. This is sound
-// whenever the transition is a function of the closed neighborhood's
-// previous states (plus node identity and the global round number, provided
-// quiesced states are fixpoints for every later round — true for all
-// engine algorithms in this library, whose decided/committed nodes return
-// their state unchanged regardless of the round). Unchanged closed
-// neighborhood => unchanged output, so skipped nodes already hold the right
-// state. Many phases (color trials, MIS elimination, color reduction)
-// quiesce region-by-region, so late rounds touch a small frontier; round
-// counts and fixpoints are identical to full sweeps. The engine is
-// adaptive: while the changed set is wide it keeps sweeping everyone
-// (list bookkeeping would cost more than it saves) and drops to the
-// sparse active list once the frontier shrinks below a degree-aware
-// cutoff, switching back if it re-widens.
+// Execution engine. Each run entry is a template over the step functor, so
+// the per-node call is devirtualized and inlined (no std::function in the
+// hot loop). Nodes are partitioned into contiguous chunks across a thread
+// pool each round; because every transition writes only its own slot of
+// the shadow buffer, the schedule cannot affect results — states are
+// bit-identical across worker counts and to the serial engine. Each stage
+// picks its run entry (full, keyed or sparse rounds) in code; the worker
+// count is the engine's only option.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <functional>
@@ -48,17 +35,12 @@
 namespace deltacolor {
 
 /// Execution options for SyncRunner (and the engine algorithms built on
-/// it). The defaults reproduce the library-wide default worker count
-/// (DELTACOLOR_THREADS / hardware_concurrency) with full sweeps.
+/// it). The default reproduces the library-wide default worker count
+/// (DELTACOLOR_THREADS / hardware_concurrency).
 struct EngineOptions {
   /// Worker threads stepping nodes each round. 0 = library default
   /// (ThreadPool::default_workers()), 1 = serial in the calling thread.
   int num_threads = 0;
-  /// Re-step only nodes whose closed neighborhood changed last round.
-  /// Requires State to be equality-comparable; results and round counts
-  /// are identical to full sweeps (see header comment for the soundness
-  /// argument).
-  bool frontier = false;
 };
 
 /// `GraphT` is any type modeling the GraphView concept (graph_view.hpp):
@@ -121,60 +103,131 @@ class SyncRunner {
 
   SyncRunner(const GraphT& g, std::vector<State> initial,
              EngineOptions options = {})
-      : g_(g), options_(options), cur_(std::move(initial)) {
+      : g_(g), cur_(std::move(initial)) {
     DC_CHECK(cur_.size() == g_.num_nodes());
-    if (options_.num_threads == 1) {
+    if (options.num_threads == 1) {
       pool_ = nullptr;  // serial: no pool, step inline
-    } else if (options_.num_threads <= 0) {
+    } else if (options.num_threads <= 0) {
       pool_ = &ThreadPool::global();
     } else {
       // Cached process-wide pool for this worker count: runners are
       // constructed per primitive call, and spawning/joining OS threads
       // per runner would swamp the per-round parallel gains in composed
       // pipelines (see ThreadPool::shared).
-      pool_ = &ThreadPool::shared(options_.num_threads);
+      pool_ = &ThreadPool::shared(options.num_threads);
     }
   }
 
   SyncRunner(const SyncRunner&) = delete;
   SyncRunner& operator=(const SyncRunner&) = delete;
 
-  /// Runs until `done` or `max_rounds`; returns rounds executed.
-  /// StepFn: State(const View&). DoneFn: bool(const std::vector<State>&).
-  template <typename StepFn, typename DoneFn>
-  int run(int max_rounds, StepFn&& step, DoneFn&& done) {
-    if (options_.frontier) {
-      if constexpr (std::equality_comparable<State>) {
-        return run_frontier(max_rounds, step, done);
-      } else {
-        DC_CHECK_MSG(false,
-                     "frontier mode requires an equality-comparable State");
-      }
-    }
-    return run_full(max_rounds, step, done);
-  }
-
-  /// Runs until every node satisfies `done_node(v, state_v)` — a halting
-  /// predicate that decomposes as a conjunction over nodes, which is what
-  /// every engine algorithm in the library actually checks — or until
-  /// `max_rounds`. Identical to run() with the equivalent vector predicate.
-  /// DoneNodeFn: bool(NodeId, const State&).
+  /// Runs full sweeps until every node satisfies `done_node(v, state_v)`
+  /// — a halting predicate that decomposes as a conjunction over nodes —
+  /// or until `max_rounds`; returns rounds executed.
+  /// StepFn: State(const View&). DoneNodeFn: bool(NodeId, const State&).
   template <typename StepFn, typename DoneNodeFn>
   int run_until(int max_rounds, StepFn&& step, DoneNodeFn&& done_node) {
-    return run(max_rounds, step, [&](const std::vector<State>& states) {
-      for (std::size_t v = 0; v < states.size(); ++v)
-        if (!done_node(static_cast<NodeId>(v), states[v])) return false;
-      return true;
-    });
+    return run(max_rounds, step, [&] { return all_done(done_node); });
   }
 
-  /// Runs exactly `max_rounds` rounds (schedule-driven stages: class
-  /// sweeps, KW offset schedules, bit peeling). Identical to run() with a
-  /// constant-false predicate.
+  /// Runs exactly `max_rounds` full sweeps (schedule-driven stages: class
+  /// sweeps, KW offset schedules, bit peeling).
   template <typename StepFn>
   int run_rounds(int max_rounds, StepFn&& step) {
-    return run(max_rounds, step,
-               [](const std::vector<State>&) { return false; });
+    return run(max_rounds, step, [] { return false; });
+  }
+
+  /// run_until with sparse activation: the same rounds and states, but a
+  /// round re-steps only the nodes whose closed neighborhood changed state
+  /// in the previous round. Soundness contract, the caller's to keep:
+  /// adjacency is symmetric, and a node whose closed neighborhood did not
+  /// change last round returns its state unchanged (whatever the round
+  /// number) — so a skipped node already holds its next state. Protocols
+  /// whose undecided nodes change state every round and whose decided
+  /// nodes are fixpoints, such as the color trials, meet it. The schedule
+  /// adapts: while the changed set is wide every node is stepped (list
+  /// bookkeeping would cost more than it saves); once it falls below a
+  /// degree-aware cutoff only the active list is, and a re-widened set
+  /// switches back. Host graphs only (the cutoff needs the edge count).
+  template <typename StepFn, typename DoneNodeFn>
+    requires std::equality_comparable<State> &&
+             requires(const GraphT& g) { g.num_edges(); }
+  int run_sparse_until(int max_rounds, StepFn&& step,
+                       DoneNodeFn&& done_node) {
+    const NodeId n = g_.num_nodes();
+    nxt_.resize(cur_.size());
+    changed_.assign(n, 0);
+    queued_.assign(n, 0);
+    // Cost model: a sparse round pays ~deg+1 per active node to step plus
+    // ~deg+1 per changed node to rebuild the active list; a dense round
+    // pays ~deg+1 per node. Sparse rounds only win once the changed set is
+    // well below n / (avg_deg + 2).
+    const std::size_t avg_deg_plus_2 =
+        n == 0 ? 2 : 2 * g_.num_edges() / n + 2;
+    const std::size_t sparse_cutoff =
+        std::max<std::size_t>(1, n / (2 * avg_deg_plus_2));
+    std::vector<NodeId> active, changed_nodes;
+    bool dense = true;  // the first round steps everyone
+
+    // Invariant at the top of each sparse round: for every node NOT on the
+    // active list, nxt_[v] == cur_[v] (its state cannot change, and the
+    // shadow slot already agrees). A dense round establishes it — every
+    // shadow slot is written, and unchanged nodes get equal values — and
+    // sparse rounds preserve it because a node whose step output differs
+    // from its previous state is in its own closed neighborhood and
+    // therefore re-activated.
+    int rounds = 0;
+    while (rounds < max_rounds && !all_done(done_node)) {
+      if (FaultInjector::armed())
+        FaultInjector::global().on_engine_round(rounds);
+      const int r = rounds;
+      if (dense) {
+        // Each step marks changed_[v]; each chunk adds its count once. Only
+        // a switch to sparse rounds scans changed_, in ascending order, so
+        // the active list (hence every later round) is schedule-free.
+        std::atomic<std::size_t> changed_count{0};
+        each_chunk(n, [&](int, std::size_t begin, std::size_t end) {
+          std::size_t here = 0;
+          for (std::size_t i = begin; i < end; ++i) {
+            const NodeId v = static_cast<NodeId>(i);
+            State s = step(View(g_, v, cur_, r));
+            changed_[v] = !(s == cur_[v]);
+            here += changed_[v];
+            nxt_[v] = std::move(s);
+          }
+          changed_count += here;
+        });
+        cur_.swap(nxt_);
+        if (changed_count <= sparse_cutoff) {
+          changed_nodes.clear();
+          for (NodeId v = 0; v < n; ++v)
+            if (changed_[v]) changed_nodes.push_back(v);
+          activate_neighborhoods(changed_nodes, active);
+          dense = false;
+        }
+      } else if (!active.empty()) {
+        each_chunk(active.size(),
+                   [&](int, std::size_t begin, std::size_t end) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       const NodeId v = active[i];
+                       State s = step(View(g_, v, cur_, r));
+                       changed_[v] = !(s == cur_[v]);
+                       nxt_[v] = std::move(s);
+                     }
+                   });
+        cur_.swap(nxt_);
+        changed_nodes.clear();
+        for (const NodeId v : active)
+          if (changed_[v]) changed_nodes.push_back(v);
+        if (changed_nodes.size() > sparse_cutoff) {
+          dense = true;  // the changed set re-widened; sweep everyone again
+        } else {
+          activate_neighborhoods(changed_nodes, active);
+        }
+      }
+      ++rounds;
+    }
+    return rounds;
   }
 
   /// Keyed sparse rounds for schedule-driven stages in which every node
@@ -187,8 +240,7 @@ class SyncRunner {
   /// and each round steps its bucket into a side buffer before writing the
   /// new states back, so a bucket reads only round-(r-1) states. No
   /// allocation per round. KeyFn: int(NodeId, const State&), a pure
-  /// function (the bucketing evaluates it twice per node). Frontier mode
-  /// is irrelevant here.
+  /// function (the bucketing evaluates it twice per node).
   template <typename KeyFn, typename StepFn>
   int run_keyed(int rounds, KeyFn&& key, StepFn&& step) {
     const NodeId n = g_.num_nodes();
@@ -245,12 +297,14 @@ class SyncRunner {
   }
 
  private:
+  /// Full sweeps while `done()` is false, up to `max_rounds`; returns the
+  /// rounds executed.
   template <typename StepFn, typename DoneFn>
-  int run_full(int max_rounds, StepFn& step, DoneFn& done) {
+  int run(int max_rounds, StepFn& step, DoneFn&& done) {
     const NodeId n = g_.num_nodes();
     nxt_.resize(cur_.size());  // the shadow buffer; keyed runners need none
     int rounds = 0;
-    while (rounds < max_rounds && !done(cur_)) {
+    while (rounds < max_rounds && !done()) {
       if (FaultInjector::armed())
         FaultInjector::global().on_engine_round(rounds);
       const int r = rounds;
@@ -266,106 +320,18 @@ class SyncRunner {
     return rounds;
   }
 
-  template <typename StepFn, typename DoneFn>
-  int run_frontier(int max_rounds, StepFn& step, DoneFn& done) {
-    const NodeId n = g_.num_nodes();
-    nxt_.resize(cur_.size());
-    changed_.assign(n, 0);
-    queued_.assign(n, 0);
-    // Cost model: a sparse round pays ~deg+1 per active node to step plus
-    // ~deg+1 per changed node to rebuild the frontier; a dense round pays
-    // ~deg+1 per node with no list bookkeeping. Sparse activation only
-    // wins once the changed set is well below n / (avg_deg + 2), so the
-    // engine runs dense sweeps while the frontier is wide and switches to
-    // the sparse list once it shrinks (re-widening switches back). Both
-    // round kinds are bit-identical in outcome; only the schedule differs.
-    std::size_t avg_deg_plus_2 = 2;
-    if constexpr (requires(const GraphT& g) { g.num_edges(); }) {
-      if (n != 0) avg_deg_plus_2 = 2 * g_.num_edges() / n + 2;
-    } else {
-      // Lazy views expose no global edge count; the max degree is a
-      // conservative stand-in (cutoff only tunes when sparse mode kicks
-      // in, never results).
-      avg_deg_plus_2 = static_cast<std::size_t>(g_.max_degree()) + 2;
-    }
-    const std::size_t sparse_cutoff =
-        std::max<std::size_t>(1, n / (2 * avg_deg_plus_2));
-    std::vector<NodeId> active, next_active;
-    bool dense = true;  // the first sweep steps everyone
-    // Dense-round bookkeeping is single-pass: each worker appends the
-    // changed nodes of its own contiguous chunk to a private list while it
-    // steps them, so no post-round O(n) count or rebuild scan runs. After
-    // the barrier the list sizes are reduced for the cutoff test, and on a
-    // dense -> sparse transition the lists are concatenated in chunk order
-    // — chunks are ascending contiguous node ranges, so the concatenation
-    // is exactly the ascending scan order the rebuild pass produced, and
-    // the active list (hence every later round) is bit-identical.
-    chunk_changed_.resize(
-        pool_ == nullptr ? 1 : static_cast<std::size_t>(pool_->num_workers()));
-
-    // Invariant at the top of each SPARSE round: for every node NOT on the
-    // active list, nxt_[v] == cur_[v] (its state cannot change, and the
-    // shadow slot already agrees). A dense round establishes it — every
-    // shadow slot is written, and unchanged nodes get equal values — and
-    // sparse rounds preserve it because a node whose step output differs
-    // from its previous state is in its own closed neighborhood and
-    // therefore re-activated.
-    int rounds = 0;
-    while (rounds < max_rounds && !done(cur_)) {
-      if (FaultInjector::armed())
-        FaultInjector::global().on_engine_round(rounds);
-      const int r = rounds;
-      if (dense) {
-        for (auto& list : chunk_changed_) list.clear();
-        each_chunk(n, [&](int worker, std::size_t begin, std::size_t end) {
-          auto& changed_here = chunk_changed_[static_cast<std::size_t>(worker)];
-          for (std::size_t i = begin; i < end; ++i) {
-            const NodeId v = static_cast<NodeId>(i);
-            State s = step(View(g_, v, cur_, r));
-            if (!(s == cur_[v])) changed_here.push_back(v);
-            nxt_[v] = std::move(s);
-          }
-        });
-        cur_.swap(nxt_);
-        std::size_t changed_count = 0;
-        for (const auto& list : chunk_changed_) changed_count += list.size();
-        if (changed_count <= sparse_cutoff) {
-          next_active.clear();
-          for (const auto& list : chunk_changed_)
-            next_active.insert(next_active.end(), list.begin(), list.end());
-          expand_frontier(next_active, active);
-          dense = false;
-        }
-      } else if (!active.empty()) {
-        each_chunk(active.size(),
-                   [&](int, std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const NodeId v = active[i];
-                       State s = step(View(g_, v, cur_, r));
-                       changed_[v] = !(s == cur_[v]);
-                       nxt_[v] = std::move(s);
-                     }
-                   });
-        cur_.swap(nxt_);
-        next_active.clear();
-        for (const NodeId v : active)
-          if (changed_[v]) next_active.push_back(v);
-        if (next_active.size() > sparse_cutoff) {
-          dense = true;  // frontier re-widened; sweep everyone again
-        } else {
-          expand_frontier(next_active, active);
-        }
-      }
-      ++rounds;
-    }
-    return rounds;
+  template <typename DoneNodeFn>
+  bool all_done(DoneNodeFn& done_node) const {
+    for (std::size_t v = 0; v < cur_.size(); ++v)
+      if (!done_node(static_cast<NodeId>(v), cur_[v])) return false;
+    return true;
   }
 
-  /// CSR reverse scan: in an undirected graph the nodes whose view of the
-  /// last round included a changed node are exactly the changed nodes'
+  /// The next active list: in an undirected graph the nodes whose view of
+  /// the last round included a changed node are exactly the changed nodes'
   /// closed neighborhoods. `queued_` dedups; `out` is rebuilt in place.
-  void expand_frontier(const std::vector<NodeId>& changed,
-                       std::vector<NodeId>& out) {
+  void activate_neighborhoods(const std::vector<NodeId>& changed,
+                              std::vector<NodeId>& out) {
     out.clear();
     for (const NodeId v : changed) {
       if (!queued_[v]) {
@@ -384,10 +350,9 @@ class SyncRunner {
 
   /// Runs fn(worker, begin, end) over contiguous chunks of [0, size), one
   /// per worker (worker 0 owns the whole range when serial, i.e. when
-  /// options_.num_threads == 1). The worker index is for worker-private
-  /// bookkeeping only (e.g. dense-round changed lists); results must not
-  /// depend on it. The pool gets `fn` by std::ref, so its std::function
-  /// never copies (or heap-allocates) the step's closure.
+  /// the runner has no pool); results must not depend on the worker
+  /// index. The pool gets `fn` by std::ref, so its std::function never
+  /// copies (or heap-allocates) the step's closure.
   template <typename ChunkFn>
   void each_chunk(std::size_t size, ChunkFn&& fn) {
     if (pool_ == nullptr || pool_->num_workers() == 1) {
@@ -399,9 +364,7 @@ class SyncRunner {
     // CSR/state pages a worker faulted in (first touch) stay its own, and
     // skewed-degree graphs don't leave the high-degree stripe's worker as
     // the round's straggler. Bounds depend only on the degree sequence and
-    // worker count — chunks stay contiguous ascending ranges, so results
-    // (and the dense-round changed-list concatenation order) are
-    // bit-identical to uniform striping.
+    // worker count, and results are bit-identical to uniform striping.
     if (size == g_.num_nodes() && size > 0) {
       if constexpr (requires(const GraphT& g, NodeId v) {
                       g.neighbors(v);
@@ -427,7 +390,6 @@ class SyncRunner {
   }
 
   const GraphT& g_;
-  EngineOptions options_;
   ThreadPool* pool_ = nullptr;
   std::vector<State> cur_;
   std::vector<State> nxt_;
@@ -438,12 +400,10 @@ class SyncRunner {
   std::vector<std::size_t> keyed_fill_;
   std::vector<NodeId> keyed_nodes_;
   std::vector<State> keyed_next_;
-  std::vector<std::uint8_t> changed_;  // frontier: state changed last round
-  std::vector<std::uint8_t> queued_;   // frontier: dedup for the next list
-  // Dense rounds: per-worker changed-node lists (ascending within each
-  // worker's contiguous chunk), concatenated in chunk order on a
-  // dense -> sparse transition.
-  std::vector<std::vector<NodeId>> chunk_changed_;
+  // Sparse activation: the state of v changed in its last step, and the
+  // dedup marks of the active list being built.
+  std::vector<std::uint8_t> changed_;
+  std::vector<std::uint8_t> queued_;
   // Full sweeps: stable degree-balanced worker chunk bounds (see
   // compute_chunk_bounds); empty until the first full sweep needs them.
   std::vector<std::size_t> chunk_bounds_;

@@ -52,8 +52,7 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   DC_CHECK(target <= 1024);  // fixed scratch bound in the step below
   LinialResult res;
 
-  SyncRunner<Color, ViewT> runner(view, std::move(color),
-                                  ctx.round_indexed_engine());
+  SyncRunner<Color, ViewT> runner(view, std::move(color), ctx.engine());
   std::atomic<bool> failed{false};
 
   int k = num_colors;

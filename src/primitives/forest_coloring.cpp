@@ -16,10 +16,7 @@ int lowest_differing_bit(std::uint64_t a, std::uint64_t b) {
 }
 
 /// Lazy parent-pointer view: each node's only visible neighbor is its
-/// parent. The adjacency is *asymmetric* (children are invisible), so the
-/// engine's frontier expansion — which follows view edges — cannot reach
-/// the dependents of a changed node; forest runs always disable frontier
-/// mode via round_indexed_engine().
+/// parent. The adjacency is *asymmetric* (children are invisible).
 struct ParentPointerView {
   const std::vector<NodeId>* parent;
   const std::vector<std::uint64_t>* ids;
@@ -41,7 +38,6 @@ struct ParentPointerView {
 struct ShiftState {
   std::uint64_t color = 0;
   std::uint64_t pre = 0;
-  bool operator==(const ShiftState&) const = default;
 };
 
 }  // namespace
@@ -67,8 +63,7 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
   // elimination runner allocates its own.
   std::vector<ShiftState> elim_initial(n);
   {
-    SyncRunner<std::uint64_t, ParentPointerView> cv(
-        view, ids, ctx.round_indexed_engine());
+    SyncRunner<std::uint64_t, ParentPointerView> cv(view, ids, ctx.engine());
     const auto cv_step = [&](const auto& v) -> std::uint64_t {
       const std::uint64_t mine = v.self();
       const std::uint64_t other = parent[v.node()] == kNoNode
@@ -91,7 +86,7 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
   // holding 5-j would mean v's parent and grandparent shared a color
   // pre-shift), so the double-buffered recolor equals the sequential one.
   SyncRunner<ShiftState, ParentPointerView> elim(
-      view, std::move(elim_initial), ctx.round_indexed_engine());
+      view, std::move(elim_initial), ctx.engine());
   const auto elim_step = [&](const auto& v) -> ShiftState {
     ShiftState s = v.self();
     const NodeId p = parent[v.node()];

@@ -96,7 +96,7 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   std::vector<Color> class_of(g.num_nodes(), -1);
   for (NodeId i = 0; i < sub.num_nodes(); ++i)
     class_of[sub.orig_of(i)] = lin.color[i];
-  SyncRunner<Color> runner(g, color, ctx.round_indexed_engine());
+  SyncRunner<Color> runner(g, color, ctx.engine());
   std::atomic<bool> failed{false};
   const auto key = [&class_of](NodeId v, Color) { return class_of[v]; };
   const auto step = [&class_of, &lists, width,

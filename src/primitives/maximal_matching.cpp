@@ -34,8 +34,7 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
                  line.max_degree() + 1, ctx);
 
   SyncRunner<std::uint8_t, LineGraphView> runner(
-      line, std::vector<std::uint8_t>(g.num_edges(), 0),
-      ctx.round_indexed_engine());
+      line, std::vector<std::uint8_t>(g.num_edges(), 0), ctx.engine());
   const auto step = [&](const auto& e) -> std::uint8_t {
     if (e.self()) return 1;
     if (ec.color[e.node()] != e.round()) return 0;
@@ -132,7 +131,7 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
   // child commits if its parent accepted it. A proper coloring keeps the
   // two sides apart: a class-c node has no class-c child.
   SyncRunner<PrState> runner(g, std::vector<PrState>(g.num_nodes()),
-                             ctx.round_indexed_engine());
+                             ctx.engine());
   for (std::size_t f = 0; f < static_cast<std::size_t>(delta); ++f) {
     for (Color cls = 0; cls < 3; ++cls) {
       // Round 0 for a free parent of a class-c child, round 1 for a free

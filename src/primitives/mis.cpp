@@ -16,8 +16,7 @@ std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx) {
   // already did. Same-class nodes are non-adjacent, so simultaneous joins
   // are safe and the double-buffered engine matches the sequential sweep.
   SyncRunner<std::uint8_t> runner(
-      g, std::vector<std::uint8_t>(g.num_nodes(), 0),
-      ctx.round_indexed_engine());
+      g, std::vector<std::uint8_t>(g.num_nodes(), 0), ctx.engine());
   const std::span<const Color> color(lin.color);
   const auto step = [color](const auto& v) -> std::uint8_t {
     if (v.self()) return 1;

@@ -3,9 +3,8 @@
 // MIS is mis_message_passing (local/message_passing.hpp).
 //
 // The class sweep is stepped through the SyncRunner engine via
-// LocalContext, one engine round per color class (round-indexed, so
-// frontier mode is off). Results are bit-identical to the sequential
-// reference at any worker count.
+// LocalContext, one engine round per color class. Results are
+// bit-identical to the sequential reference at any worker count.
 #pragma once
 
 #include <vector>

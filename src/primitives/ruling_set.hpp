@@ -50,9 +50,9 @@ RulingSetResult ruling_set(const ViewT& view, LocalContext& ctx) {
   while ((1 << bits) < lin.num_colors) ++bits;
   res.domination_radius = bits * view.dilation();
 
-  // Engine round r peels bit (bits - 1 - r): round-indexed, frontier off.
+  // Engine round r peels bit (bits - 1 - r).
   SyncRunner<std::uint8_t, ViewT> runner(
-      view, std::vector<std::uint8_t>(n, 1), ctx.round_indexed_engine());
+      view, std::vector<std::uint8_t>(n, 1), ctx.engine());
   const std::span<const Color> label(lin.color);
   const auto step = [bits, label](const auto& v) -> std::uint8_t {
     if (!v.self()) return 0;

@@ -40,9 +40,8 @@ namespace deltacolor {
 struct RandomizedOptions {
   AcdParams acd;
   HardColoringParams hard;  ///< used for the post-shattering components
-  /// Execution-layer knobs (worker threads, frontier sweeps) threaded into
-  /// every engine-stepped subroutine; results are bit-identical across
-  /// settings.
+  /// Execution-layer options (worker threads) threaded into every
+  /// engine-stepped subroutine; results are bit-identical across settings.
   EngineOptions engine;
   std::uint64_t seed = 1;
   /// T-node spacing parameter b (Section 4): future pair vertices lie at

@@ -3,9 +3,7 @@
 // two never drift apart. Every entry accepts the same AlgorithmRequest
 // (seed + EngineOptions) and runs through the LocalContext execution
 // layer, so `--threads` reaches the nested SyncRunner stages of every
-// registered algorithm uniformly. `--frontier` acts only in stages that
-// are not round-indexed (LocalContext::round_indexed_engine): the `trial`
-// and `mis` protocols; every engine stage of `det` and `rand` clears it.
+// registered algorithm uniformly.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +22,8 @@ namespace deltacolor {
 /// Uniform input to every registered algorithm.
 struct AlgorithmRequest {
   std::uint64_t seed = 1;
-  /// Worker threads for every engine-stepped stage; frontier mode for the
-  /// stages that are not round-indexed. Results are bit-identical across
-  /// settings.
+  /// Worker threads for every engine-stepped stage. Results are
+  /// bit-identical across settings.
   EngineOptions engine;
   /// Opt-in validation oracle (dcolor --validate). The composed pipelines
   /// (det, rand) honor kEnd / kPhase by throwing structured CellErrors on

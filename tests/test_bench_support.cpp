@@ -184,13 +184,12 @@ TEST(SweepDriver, ParallelMatchesSerial) {
 TEST(SweepDriver, ParallelSweepSerializesCellEngines) {
   SweepOptions opt;
   opt.workers = 4;
-  opt.cell_engine = EngineOptions{8, true};
+  opt.cell_engine = EngineOptions{8};
   SweepDriver driver(opt);
   driver.run<int>(8, [&](std::size_t, CellContext& ctx) {
     // One layer parallelizes, never both: the sweep owns the pool, so the
-    // cell's engine must come back serial with frontier preserved.
+    // cell's engine must come back serial.
     EXPECT_EQ(ctx.engine().num_threads, 1);
-    EXPECT_TRUE(ctx.engine().frontier);
     return 0;
   });
 
@@ -200,7 +199,6 @@ TEST(SweepDriver, ParallelSweepSerializesCellEngines) {
   serial.run<int>(2, [&](std::size_t, CellContext& ctx) {
     EXPECT_EQ(ctx.engine().num_threads, 8)
         << "a serial sweep passes the caller's engine through";
-    EXPECT_TRUE(ctx.engine().frontier);
     return 0;
   });
 }

@@ -186,8 +186,7 @@ std::vector<bool> reference_matching_pr(const Graph& g, LocalContext& ctx) {
   ctx.charge(1 + coloring_rounds);
 
   SyncRunner<ReferencePrState> runner(
-      g, std::vector<ReferencePrState>(g.num_nodes()),
-      ctx.round_indexed_engine());
+      g, std::vector<ReferencePrState>(g.num_nodes()), ctx.engine());
   const auto step = [&parent_in, &parent_edge, &forest_color,
                      &g](const auto& v) -> ReferencePrState {
     ReferencePrState s = v.self();

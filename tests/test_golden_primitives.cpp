@@ -2,8 +2,7 @@
 //  (a) the result on a fixed instance hashes to a pinned golden value —
 //      any change to RNG streams, round accounting, or schedules that
 //      leaks into results fails loudly here;
-//  (b) results are bit-identical across engine configurations
-//      ({1 worker, full sweep} x {8 workers} x {frontier}) — the
+//  (b) results are bit-identical across worker counts ({1, 8}) — the
 //      SyncRunner fidelity contract, end to end through LocalContext for
 //      the composed pipelines, not just leaf primitives.
 #include <gtest/gtest.h>
@@ -37,9 +36,9 @@ struct Golden {
   std::uint64_t hash;
 };
 
-// Pinned on hard_instance(32, 12, 5) with seed 7, serial full sweeps.
+// Pinned on hard_instance(32, 12, 5) with seed 7, one engine worker.
 // Regenerate only for a deliberate semantic change (and say so in the
-// commit): run each registry entry with EngineOptions{1, false} and
+// commit): run each registry entry with EngineOptions{1} and
 // result_hash() above.
 constexpr Golden kGolden[] = {
     {"det", 0x0897fb0024162a79ULL},       // rounds=642
@@ -65,16 +64,16 @@ TEST(GoldenPrimitives, SerialResultsMatchPinnedHashes) {
   for (const Golden& golden : kGolden) {
     AlgorithmRequest req;
     req.seed = 7;
-    req.engine = {1, false};
+    req.engine = {1};
     const AlgorithmResult res = bench::run_registered(golden.name, g, req);
     EXPECT_TRUE(res.ok) << golden.name;
     EXPECT_EQ(result_hash(res), golden.hash) << golden.name;
   }
 }
 
-TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkersAndFrontier) {
+TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkers) {
   const Graph g = bench::hard_instance(32, 12, 5).graph;
-  const EngineOptions engines[] = {{1, false}, {8, false}, {8, true}};
+  const EngineOptions engines[] = {{1}, {8}};
   for (const Golden& golden : kGolden) {
     AlgorithmResult baseline;
     bool have_baseline = false;
@@ -91,8 +90,7 @@ TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkersAndFrontier) {
         continue;
       }
       EXPECT_EQ(res.color, baseline.color)
-          << golden.name << " workers=" << engine.num_threads
-          << " frontier=" << engine.frontier;
+          << golden.name << " workers=" << engine.num_threads;
       EXPECT_EQ(res.in_set, baseline.in_set)
           << golden.name << " workers=" << engine.num_threads;
       EXPECT_EQ(res.ledger.total(), baseline.ledger.total())

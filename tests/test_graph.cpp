@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -313,6 +314,24 @@ TEST(Io, RoundTrip) {
   const auto he = h.edges();
   const auto ge = g.edges();
   EXPECT_TRUE(std::equal(he.begin(), he.end(), ge.begin(), ge.end()));
+}
+
+// A header that undercounts must not drop the pairs after its m-th: the
+// graph would lose edges, and a coloring checked against it could be
+// improper on the real one. Trailing whitespace is fine.
+TEST(Io, RejectsPairsPastHeader) {
+  std::stringstream extra("3 1\n0 1\n1 2\n");
+  try {
+    read_edge_list(extra);
+    ADD_FAILURE() << "a pair past the header's m was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("header's m = 1"), std::string::npos)
+        << e.what();
+  }
+  std::stringstream junk("3 1\n0 1\nx\n");
+  EXPECT_THROW(read_edge_list(junk), std::runtime_error);
+  std::stringstream exact("3 1\n0 1\n \n\t\n");
+  EXPECT_EQ(read_edge_list(exact).num_edges(), 1u);
 }
 
 TEST(Io, DotContainsEdges) {

@@ -35,7 +35,7 @@ constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
 template <GraphView ViewT>
 LinialResult reference_linial_reduce(const ViewT& view,
                                      const std::vector<std::uint64_t>& initial,
-                                     EngineOptions engine) {
+                                     const EngineOptions& engine) {
   const NodeId n = view.num_nodes();
   LinialResult res;
   res.color.assign(n, 0);
@@ -46,7 +46,6 @@ LinialResult reference_linial_reduce(const ViewT& view,
   std::uint64_t max_val = 0;
   for (const std::uint64_t c : initial) max_val = std::max(max_val, c);
   const int max_degree = view.max_degree();
-  engine.frontier = false;
   SyncRunner<std::uint64_t, ViewT> runner(view, initial, engine);
   std::atomic<bool> failed{false};
   for (;;) {
@@ -133,8 +132,7 @@ void install_ids(Graph& g, Ids ids, std::uint64_t seed) {
   g.set_ids(std::move(id));
 }
 
-const EngineOptions kEngines[] = {
-    {1, false}, {1, true}, {8, false}, {8, true}};
+const EngineOptions kEngines[] = {{1}, {8}};
 
 // Runs the library reduction and the reference on `view` from its LOCAL
 // identifiers under every engine configuration and requires identical
@@ -146,9 +144,8 @@ LinialResult expect_matches_reference(const ViewT& view,
   for (NodeId v = 0; v < view.num_nodes(); ++v) initial[v] = view.id(v);
   LinialResult first;
   for (const EngineOptions& engine : kEngines) {
-    const std::string where = tag + " workers=" +
-                              std::to_string(engine.num_threads) +
-                              " frontier=" + std::to_string(engine.frontier);
+    const std::string where =
+        tag + " workers=" + std::to_string(engine.num_threads);
     RoundLedger ledger;
     LocalContext ctx(ledger, engine, 1);
     const LinialResult got = linial_reduce(view, initial, ctx);
@@ -266,7 +263,7 @@ TEST(LinialKernel, MaximalIdentifierTerminates) {
   EXPECT_GT(res.rounds, 0);
   EXPECT_TRUE(is_proper_coloring(g, res.color, res.num_colors));
   const LinialResult want =
-      reference_linial_reduce(g, {kMax64, 0, 7, kMax64 - 1}, {1, false});
+      reference_linial_reduce(g, {kMax64, 0, 7, kMax64 - 1}, {1});
   EXPECT_TRUE(res.color == want.color);
   EXPECT_EQ(res.rounds, want.rounds);
 }

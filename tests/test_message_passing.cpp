@@ -58,15 +58,13 @@ TEST(SyncRunnerEngine, NeighborViewSeesPreviousRoundOnly) {
   std::vector<S> init(10);
   init[0].token = 1;
   SyncRunner<S> runner(g, init);
-  const int rounds = runner.run(
-      3,
-      [&](const SyncRunner<S>::View& view) {
+  const int rounds =
+      runner.run_rounds(3, [&](const SyncRunner<S>::View& view) {
         S s = view.self();
         for (const NodeId u : view.neighbors())
           if (view.neighbor(u).token > 0) s.token = 1;
         return s;
-      },
-      [](const std::vector<S>&) { return false; });
+      });
   EXPECT_EQ(rounds, 3);
   for (NodeId v = 0; v < 10; ++v)
     EXPECT_EQ(runner.states()[v].token, v <= 3 ? 1 : 0) << "node " << v;
@@ -78,14 +76,14 @@ TEST(SyncRunnerEngine, HaltsOnDonePredicate) {
     int x = 0;
   };
   SyncRunner<S> runner(g, std::vector<S>(6));
-  const int rounds = runner.run(
+  const int rounds = runner.run_until(
       100,
       [](const SyncRunner<S>::View& view) {
         S s = view.self();
         ++s.x;
         return s;
       },
-      [](const std::vector<S>& states) { return states[0].x >= 5; });
+      [](NodeId, const S& s) { return s.x >= 5; });
   EXPECT_EQ(rounds, 5);
 }
 

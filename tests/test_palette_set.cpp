@@ -254,14 +254,39 @@ TEST(SteadyState, EngineRoundsAreAllocationFree) {
       acc ^= static_cast<unsigned>(scratch[j]) * 31u;
     return static_cast<int>(acc);
   };
-  auto never = [](const std::vector<int>&) { return false; };
-  runner.run(4, step, never);  // warm-up: scratch reaches high water
+  runner.run_rounds(4, step);  // warm-up: scratch reaches high water
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-  const int rounds = runner.run(64, step, never);
+  const int rounds = runner.run_rounds(64, step);
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(rounds, 64);
   EXPECT_EQ(after - before, 0u)
       << "warm engine rounds must not touch the heap";
+}
+
+// Sparse rounds: node 0 changes state every round and no other node ever
+// does, so after the first (dense) round every call steps only node 0's
+// closed neighborhood. A call's setup may allocate its active lists, but
+// the rounds themselves must not: a warm 64-round call allocates no more
+// than a warm 8-round one.
+TEST(SteadyState, SparseRoundsAreAllocationFree) {
+  const Graph g = random_regular(256, 6, 3);
+  SyncRunner<int> runner(g, std::vector<int>(g.num_nodes(), 0),
+                         EngineOptions{.num_threads = 1});
+  const auto step = [](const SyncRunner<int>::View& view) {
+    return view.node() == 0 ? view.self() + 1 : view.self();
+  };
+  const auto never = [](NodeId, int) { return false; };
+  const auto allocations = [&](int rounds) {
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(runner.run_sparse_until(rounds, step, never), rounds);
+    return g_alloc_count.load(std::memory_order_relaxed) - before;
+  };
+  allocations(64);  // warm-up: the runner's buffers reach size
+  const std::size_t short_call = allocations(8);
+  const std::size_t long_call = allocations(64);
+  EXPECT_LE(long_call, short_call)
+      << "warm sparse rounds must not touch the heap";
+  EXPECT_EQ(runner.states()[0], 136);
 }
 
 // Keyed sparse rounds: once a runner's bucket buffers are warm, a whole

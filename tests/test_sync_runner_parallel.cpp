@@ -1,16 +1,20 @@
-// Tests for the parallel sparse-activation execution engine:
+// Tests for the parallel execution engine:
 //  (a) states bit-identical across worker counts {1, 2, 8} and equal to an
 //      independent serial reference of the pre-change engine semantics, on
 //      Luby MIS and color-trial workloads;
-//  (b) frontier mode reaches the same fixpoint in the same number of
-//      rounds as full sweeps (odd cycle, clique blow-up);
+//  (b) sparse activation (run_sparse_until) reaches the same states in the
+//      same number of rounds as full sweeps (run_until), on an odd cycle, a
+//      clique blow-up and a wave whose changed set narrows, widens and
+//      narrows again;
 //  (c) RoundLedger wall-clock totals are monotone and merge per phase;
 //  (d) keyed sparse rounds (run_keyed) equal run_rounds for schedule-driven
 //      steps, and the keyed primitives (KW reduction, the deg+1 class
-//      sweep) are bit-identical across worker counts and frontier mode.
+//      sweep) are bit-identical across worker counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <string>
 
 #include "bench_support/workloads.hpp"
 #include "common/rng.hpp"
@@ -178,15 +182,12 @@ TEST(SyncRunnerParallel, MisBitIdenticalAcrossWorkersAndReference) {
   for (const Graph& g : family()) {
     const auto expected = reference_mis(g, 55);
     for (const int workers : {1, 2, 8}) {
-      for (const bool frontier : {false, true}) {
-        RoundLedger ledger;
-        const auto got = mis_message_passing(
-            g, 55, ledger, "mis-mp", EngineOptions{workers, frontier});
-        EXPECT_EQ(got, expected)
-            << "n=" << g.num_nodes() << " workers=" << workers
-            << " frontier=" << frontier;
-        EXPECT_TRUE(is_maximal_independent_set(g, got));
-      }
+      RoundLedger ledger;
+      const auto got =
+          mis_message_passing(g, 55, ledger, "mis-mp", EngineOptions{workers});
+      EXPECT_EQ(got, expected)
+          << "n=" << g.num_nodes() << " workers=" << workers;
+      EXPECT_TRUE(is_maximal_independent_set(g, got));
     }
   }
 }
@@ -198,23 +199,20 @@ TEST(SyncRunnerParallel, ColorTrialBitIdenticalAcrossWorkersAndReference) {
   for (const Graph& g : graphs) {
     const auto expected = reference_color_trial(g, 77);
     for (const int workers : {1, 2, 8}) {
-      for (const bool frontier : {false, true}) {
-        RoundLedger ledger;
-        const auto got = color_trial_message_passing(
-            g, 77, ledger, "trial", EngineOptions{workers, frontier});
-        EXPECT_EQ(got, expected)
-            << "n=" << g.num_nodes() << " workers=" << workers
-            << " frontier=" << frontier;
-        EXPECT_TRUE(is_proper_coloring(g, got, g.max_degree() + 1));
-      }
+      RoundLedger ledger;
+      const auto got = color_trial_message_passing(g, 77, ledger, "trial",
+                                                   EngineOptions{workers});
+      EXPECT_EQ(got, expected)
+          << "n=" << g.num_nodes() << " workers=" << workers;
+      EXPECT_TRUE(is_proper_coloring(g, got, g.max_degree() + 1));
     }
   }
 }
 
 TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
   // A round-dependent, neighbor-dependent transition on a custom state:
-  // every schedule (worker count, frontier on/off) must produce the same
-  // trajectory because writes are confined to the shadow buffer.
+  // every worker count must produce the same trajectory because writes are
+  // confined to the shadow buffer.
   struct S {
     std::uint64_t acc = 0;
     bool frozen = false;
@@ -231,14 +229,11 @@ TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
     if (s.acc % 5 == 0) s.frozen = true;
     return s;
   };
-  auto never = [](const std::vector<S>&) { return false; };
-
-  SyncRunner<S> serial(g, std::vector<S>(300), EngineOptions{1, false});
-  serial.run(40, step, never);
+  SyncRunner<S> serial(g, std::vector<S>(300), EngineOptions{1});
+  serial.run_rounds(40, step);
   for (const int workers : {2, 8}) {
-    SyncRunner<S> par(g, std::vector<S>(300),
-                      EngineOptions{workers, false});
-    par.run(40, step, never);
+    SyncRunner<S> par(g, std::vector<S>(300), EngineOptions{workers});
+    par.run_rounds(40, step);
     ASSERT_EQ(par.states().size(), serial.states().size());
     for (NodeId v = 0; v < 300; ++v)
       EXPECT_EQ(par.states()[v], serial.states()[v])
@@ -246,42 +241,122 @@ TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
   }
 }
 
-TEST(SyncRunnerFrontier, SameFixpointAndRoundsOnOddCycle) {
-  const Graph g = cycle_graph(101);
-  RoundLedger full, sparse;
-  const auto c_full = color_trial_message_passing(
-      g, 13, full, "trial", EngineOptions{1, false});
-  const auto c_sparse = color_trial_message_passing(
-      g, 13, sparse, "trial", EngineOptions{1, true});
-  EXPECT_EQ(c_full, c_sparse);
-  EXPECT_EQ(full.total(), sparse.total());
+// ---------------------------------------------------------------------------
+// Sparse activation.
 
-  RoundLedger mfull, msparse;
-  const auto m_full =
-      mis_message_passing(g, 21, mfull, "mis", EngineOptions{1, false});
-  const auto m_sparse =
-      mis_message_passing(g, 21, msparse, "mis", EngineOptions{1, true});
-  EXPECT_EQ(m_full, m_sparse);
-  EXPECT_EQ(mfull.total(), msparse.total());
+/// Color trials as a bare SyncRunner protocol: undecided nodes change state
+/// every round and committed ones are fixpoints, which is
+/// run_sparse_until's soundness contract.
+struct Trial {
+  Color color = kNoColor;
+  Color trial = kNoColor;
+  bool operator==(const Trial&) const = default;
+};
+
+auto trial_step(std::uint64_t seed, int palette) {
+  return [seed, palette](const SyncRunner<Trial>::View& view) {
+    Trial s = view.self();
+    if (s.color != kNoColor) return s;
+    if (view.round() % 2 == 0) {
+      std::uint64_t used = 0;
+      for (const NodeId u : view.neighbors())
+        if (view.neighbor(u).color != kNoColor)
+          used |= std::uint64_t{1} << view.neighbor(u).color;
+      std::vector<Color> free;
+      for (Color c = 0; c < palette; ++c)
+        if (((used >> c) & 1) == 0) free.push_back(c);
+      s.trial = free[hash_mix(seed, view.id(),
+                              static_cast<std::uint64_t>(view.round())) %
+                     free.size()];
+      return s;
+    }
+    bool clash = false;
+    for (const NodeId u : view.neighbors())
+      clash = clash || view.neighbor(u).trial == s.trial ||
+              view.neighbor(u).color == s.trial;
+    if (!clash) s.color = s.trial;
+    s.trial = kNoColor;
+    return s;
+  };
 }
 
-TEST(SyncRunnerFrontier, SameFixpointAndRoundsOnCliqueBlowup) {
-  const Graph g = bench::hard_instance(32, 12, 5).graph;
-  RoundLedger full, sparse;
-  const auto c_full = color_trial_message_passing(
-      g, 3, full, "trial", EngineOptions{1, false});
-  const auto c_sparse = color_trial_message_passing(
-      g, 3, sparse, "trial", EngineOptions{1, true});
-  EXPECT_EQ(c_full, c_sparse);
-  EXPECT_EQ(full.total(), sparse.total());
+/// Runs `step` from `init` for at most `max_rounds` with full sweeps (one
+/// worker) and with sparse activation at workers {1, 2, 8}: every sparse
+/// run must reach the same states in the same number of rounds. Returns
+/// the rounds of the full run.
+template <typename State, typename StepFn, typename DoneFn>
+int expect_sparse_matches_full(const Graph& g, const std::vector<State>& init,
+                               int max_rounds, const StepFn& step,
+                               const DoneFn& done) {
+  SyncRunner<State> full(g, init, EngineOptions{1});
+  const int full_rounds = full.run_until(max_rounds, step, done);
+  for (const int workers : {1, 2, 8}) {
+    SyncRunner<State> sparse(g, init, EngineOptions{workers});
+    EXPECT_EQ(sparse.run_sparse_until(max_rounds, step, done), full_rounds)
+        << "workers=" << workers;
+    EXPECT_EQ(sparse.states(), full.states()) << "workers=" << workers;
+  }
+  return full_rounds;
+}
 
-  RoundLedger mfull, msparse;
-  const auto m_full =
-      mis_message_passing(g, 4, mfull, "mis", EngineOptions{4, false});
-  const auto m_sparse =
-      mis_message_passing(g, 4, msparse, "mis", EngineOptions{4, true});
-  EXPECT_EQ(m_full, m_sparse);
-  EXPECT_EQ(mfull.total(), msparse.total());
+void expect_trials_sparse_match_full(const Graph& g, std::uint64_t seed) {
+  ASSERT_LE(g.max_degree(), 63);
+  const auto done = [](NodeId, const Trial& s) { return s.color != kNoColor; };
+  EXPECT_LT(expect_sparse_matches_full(g, std::vector<Trial>(g.num_nodes()),
+                                       1000,
+                                       trial_step(seed, g.max_degree() + 1),
+                                       done),
+            1000);
+}
+
+TEST(SyncRunnerSparse, SameFixpointAndRoundsOnOddCycle) {
+  expect_trials_sparse_match_full(cycle_graph(101), 13);
+}
+
+TEST(SyncRunnerSparse, SameFixpointAndRoundsOnCliqueBlowup) {
+  expect_trials_sparse_match_full(bench::hard_instance(32, 12, 5).graph, 3);
+}
+
+// Hop distances from one source: round r settles the nodes at distance
+// r + 1, so the changed set is one BFS layer — a few nodes, then most of
+// an expander, then a few, then none once the wave has passed (the runs
+// go on for a fixed number of rounds). The schedule must therefore run
+// dense, switch to sparse, re-widen to dense and switch to sparse once
+// more; per-round step counts pin that shape (a dense round steps all n
+// nodes).
+TEST(SyncRunnerSparse, WaveNarrowsWidensAndNarrowsAgain) {
+  const Graph g = random_regular(4096, 4, 7);
+  const NodeId n = g.num_nodes();
+  std::vector<int> init(n, -1);
+  init[0] = 0;
+  constexpr int kRounds = 24;  // the wave crosses the graph in ~10
+  std::vector<std::atomic<NodeId>> steps(kRounds);
+  const auto step = [&steps](const SyncRunner<int>::View& view) {
+    ++steps[static_cast<std::size_t>(view.round())];
+    if (view.self() >= 0) return view.self();
+    int dist = -1;
+    for (const NodeId u : view.neighbors()) {
+      const int du = view.neighbor(u);
+      if (du >= 0 && (dist < 0 || du + 1 < dist)) dist = du + 1;
+    }
+    return dist;
+  };
+  const auto never = [](NodeId, int) { return false; };
+  expect_sparse_matches_full(g, init, kRounds, step, never);
+
+  // One more serial sparse run, with its step counts alone.
+  for (auto& c : steps) c.store(0);
+  SyncRunner<int> sparse(g, init, EngineOptions{1});
+  sparse.run_sparse_until(kRounds, step, never);
+  for (const int d : sparse.states()) ASSERT_GE(d, 0);
+  // 'D' for a dense round, 's' for a sparse one; `runs` keeps one letter
+  // per run of equal letters.
+  std::string shape, runs;
+  for (int r = 0; r < kRounds; ++r) {
+    shape += steps[static_cast<std::size_t>(r)].load() == n ? 'D' : 's';
+    if (runs.empty() || runs.back() != shape.back()) runs += shape.back();
+  }
+  EXPECT_EQ(runs, "DsDs") << shape;
 }
 
 // ---------------------------------------------------------------------------
@@ -327,10 +402,10 @@ TEST(SyncRunnerKeyed, MatchesRunRoundsOnRandomGraphs) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     const Graph g = random_graph(400, 0.02 * static_cast<double>(seed), seed);
     const std::vector<Slotted> init = slotted_initial(g, kRounds, seed);
-    SyncRunner<Slotted> reference(g, init, EngineOptions{1, false});
+    SyncRunner<Slotted> reference(g, init, EngineOptions{1});
     reference.run_rounds(kRounds, step);
     for (const int workers : {1, 2, 8}) {
-      SyncRunner<Slotted> keyed(g, init, EngineOptions{workers, false});
+      SyncRunner<Slotted> keyed(g, init, EngineOptions{workers});
       EXPECT_EQ(keyed.run_keyed(kRounds, key, step), kRounds);
       EXPECT_EQ(keyed.states(), reference.states())
           << "seed=" << seed << " workers=" << workers;
@@ -344,8 +419,7 @@ TEST(SyncRunnerKeyed, MatchesRunRoundsOnRandomGraphs) {
 }
 
 TEST(SyncRunnerKeyed, KwAndDegPlusOneBitIdenticalAcrossEngines) {
-  const EngineOptions engines[] = {
-      {1, false}, {2, false}, {8, false}, {1, true}, {8, true}};
+  const EngineOptions engines[] = {{1}, {2}, {8}};
   for (const std::uint64_t seed : {4, 5}) {
     const Graph g = random_graph(600, 0.02, seed);
     // KW from Linial's palette to Delta + 1, on the host graph and on a
@@ -377,8 +451,7 @@ TEST(SyncRunnerKeyed, KwAndDegPlusOneBitIdenticalAcrossEngines) {
         EXPECT_EQ(color[v] != kNoColor, active[v] != 0) << v;
       EXPECT_FALSE(find_partial_conflict(g, color).has_value());
       const std::string tag = "seed=" + std::to_string(seed) +
-                              " workers=" + std::to_string(engine.num_threads) +
-                              " frontier=" + std::to_string(engine.frontier);
+                              " workers=" + std::to_string(engine.num_threads);
       if (kw_host0.empty()) {
         kw_host0 = kw_host.color;
         kw_view0 = kw_view.color;

@@ -176,6 +176,51 @@ elseif(CHECK STREQUAL "check-malformed-coloring")
   expect_exit(1 check g.txt gaps.txt)
   expect_stdout("INCOMPLETE")
   expect_stdout("uncolored=1")
+elseif(CHECK STREQUAL "color-edge-list-extra-pairs")
+  # The text loader reads exactly the header's m pairs: a header that
+  # undercounts is malformed input for color and check alike (exit 3),
+  # never a graph that silently lost the later edges.
+  file(WRITE "${WORK_DIR}/e.txt" "3 1\n0 1\n1 2\n")
+  expect_exit(3 color e.txt greedy 7 out.txt)
+  expect_stderr("more pairs than the header's m = 1")
+  expect_no_file(out.txt)
+  file(WRITE "${WORK_DIR}/c.txt" "3\n0 0\n1 1\n2 1\n")
+  expect_exit(3 check e.txt c.txt)
+  expect_stderr("more pairs than the header's m = 1")
+  file(WRITE "${WORK_DIR}/e.txt" "3 2\n0 1\n1 2\n\n")
+  expect_exit(0 color e.txt greedy 7 out.txt)
+elseif(CHECK STREQUAL "env-junk")
+  # A set DELTACOLOR_* number must be a whole number in range: junk exits 2
+  # naming the variable, instead of being ignored or truncated.
+  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
+  foreach(var IN ITEMS SWEEP_RETRIES SWEEP_ROUND_BUDGET SWEEP_DEADLINE_MS
+                       SWEEP_QUARANTINE SWEEP_RESUME FAULT_SEED THREADS)
+    set(ENV{DELTACOLOR_${var}} "2x")
+    expect_exit(2 color g.txt trial 7 --repeat=2)
+    expect_stderr("deltacolor: invalid DELTACOLOR_${var}='2x'")
+    set(ENV{DELTACOLOR_${var}} "-1")
+    expect_exit(2 color g.txt trial 7 --repeat=2)
+    unset(ENV{DELTACOLOR_${var}})
+  endforeach()
+  # A bad fault plan under --repeat is first parsed on a sweep worker; it
+  # must still exit 2, not abort or hang in exit's static destructors.
+  set(ENV{DELTACOLOR_FAULTS} "2x")
+  expect_exit(2 color g.txt trial 7 --repeat=2)
+  expect_stderr("invalid DELTACOLOR_FAULTS spec '2x'")
+  unset(ENV{DELTACOLOR_FAULTS})
+  # In range they act: 0 threads means auto, and two attempts harden the
+  # sweep (its SWEEP line gains the retry counters).
+  set(ENV{DELTACOLOR_THREADS} "0")
+  set(ENV{DELTACOLOR_SWEEP_RETRIES} "2")
+  expect_exit(0 color g.txt trial 7 --repeat=2)
+  expect_stdout("retried=0")
+elseif(CHECK STREQUAL "retired-frontier-flag")
+  # Sparse activation is no engine option any more (the color trials always
+  # run it), so the retired flag is an unknown flag like any other.
+  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
+  expect_exit(2 --frontier color g.txt trial 7 out.txt)
+  expect_stderr("unknown flag '--frontier'")
+  expect_no_file(out.txt)
 elseif(CHECK STREQUAL "gen-regular-dense")
   # High-degree random regular graphs: the repair pass is near-linear, so
   # this finishes well inside the ctest TIMEOUT set in CMakeLists.txt.

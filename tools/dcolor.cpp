@@ -20,8 +20,6 @@
 //                  pre-existing behavior for both formats
 //   --threads=N    worker threads for the round engine (also settable via
 //                  the DELTACOLOR_THREADS env var; default: all cores)
-//   --frontier     sparse activation: re-step only nodes whose closed
-//                  neighborhood changed last round (engine algorithms)
 //   --repeat=N     color only: run N seeds (seed, seed+1, ...) of the
 //                  algorithm over the shared instance as concurrent sweep
 //                  cells; print per-seed rounds and aggregate wall-clock
@@ -97,9 +95,9 @@ int usage() {
          "<graph>), --ids=auto|file|shuffled "
          "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
          "--list (registered algorithms), --threads=N (engine "
-         "workers, 0 = auto; env DELTACOLOR_THREADS), --frontier (sparse "
-         "activation), --repeat=N (color: N seeds as sweep cells, "
-         "aggregate stats), --validate=off|end|phase (oracle mode: check "
+         "workers, 0 = auto; env DELTACOLOR_THREADS), --repeat=N (color: "
+         "N seeds as sweep cells, aggregate stats), "
+         "--validate=off|end|phase (oracle mode: check "
          "the final coloring / every pipeline phase boundary), --retries=N "
          "(repeat: attempts per seed before quarantine), --journal=PATH "
          "(repeat: JSONL checkpoint), --resume (skip seeds completed in "
@@ -117,7 +115,7 @@ int usage() {
 /// never taken for a positional such as the output path.
 int unknown_flag(const std::string& arg) {
   static constexpr std::string_view kFlags[] = {
-      "list",     "load",    "ids",     "threads", "frontier", "repeat",
+      "list",    "load",    "ids",     "threads", "repeat",
       "validate", "retries", "journal", "resume",  "help"};
   const std::string name = arg.substr(2, arg.find('=') - 2);
   std::cerr << "dcolor: unknown flag '" << arg << "'";
@@ -140,7 +138,7 @@ int list_algorithms() {
   return 0;
 }
 
-EngineOptions g_engine;  // from --threads / --frontier
+EngineOptions g_engine;  // from --threads
 int g_repeat = 1;        // from --repeat=N
 ValidateMode g_validate = ValidateMode::kOff;  // from --validate=M
 int g_retries = 1;                             // from --retries=N
@@ -201,7 +199,11 @@ std::optional<Graph> try_load_graph(const std::string& path, bool apply_ids) {
     }
     try {
       g = read_edge_list(is);
-    } catch (const std::exception&) {
+    } catch (const std::runtime_error& e) {  // the reader names the fault
+      std::cerr << "dcolor: malformed edge list in '" << path << "' ("
+                << e.what() << ")\n";
+      return std::nullopt;
+    } catch (const std::exception&) {  // e.g. an endpoint the Graph rejects
       std::cerr << "dcolor: malformed edge list in '" << path
                 << "' (expected \"n m\" header then m \"u v\" lines)\n";
       return std::nullopt;
@@ -603,8 +605,6 @@ int main(int argc, char** argv) {
       // silently suggesting the flag had been applied.
       g_engine.num_threads = n;
       if (n > 0) ThreadPool::set_default_workers(n);
-    } else if (arg == "--frontier") {
-      g_engine.frontier = true;
     } else if (arg.rfind("--repeat=", 0) == 0) {
       if (!parse_number(arg.substr(9), "--repeat", &g_repeat, 1))
         return kExitUsage;
@@ -668,15 +668,16 @@ int main(int argc, char** argv) {
   }
   if (argc < 2) return usage();
   // Resolved engine configuration, printed once so "--threads=0" (auto)
-  // never silently runs with an unexpected worker count.
-  std::cerr << "dcolor: engine workers=" << ThreadPool::default_workers()
+  // never silently runs with an unexpected worker count (or junk in
+  // DELTACOLOR_THREADS exits 2 here, before the line starts).
+  const int workers = ThreadPool::default_workers();
+  std::cerr << "dcolor: engine workers=" << workers
             << " (hw_threads=" << std::thread::hardware_concurrency()
             << ", requested="
             << (g_engine.num_threads == 0 ? std::string("auto")
                                           : std::to_string(
                                                 g_engine.num_threads))
-            << "), frontier=" << (g_engine.frontier ? "on" : "off")
-            << "\n";
+            << ")\n";
   const std::string cmd = argv[1];
   try {
     if (cmd == "gen") return cmd_gen(argc, argv);
