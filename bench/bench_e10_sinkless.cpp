@@ -40,7 +40,7 @@ void run_tables() {
   {
     std::vector<int> n_grid;
     for (int n = 256; n <= 16384; n *= 4) n_grid.push_back(n);
-    SweepDriver driver(sweep_options_from_env());
+    SweepDriver driver;
     const auto rows = driver.run<Row>(
         n_grid.size(), [&](std::size_t i, CellContext& ctx) {
           const int n = n_grid[i];
@@ -72,7 +72,7 @@ void run_tables() {
     // oriented intra-clique edges give each half >= 3 candidate edges.
     // We emulate it on the clique-contraction multigraph of blow-ups.
     const std::vector<int> clique_grid = {64, 256, 1024};
-    SweepDriver driver(sweep_options_from_env());
+    SweepDriver driver;
     const auto rows = driver.run<Row>(
         clique_grid.size(), [&](std::size_t i, CellContext& ctx) {
           const auto inst =

@@ -23,7 +23,7 @@ using namespace deltacolor::bench;
 void ablate_subclique_count() {
   std::cout << "K (sub-cliques per clique) at Delta = 63, paper epsilon:\n";
   const std::vector<int> ks = {7, 14, 21, 28};
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
       ks.size(), [&](std::size_t i, CellContext& ctx) {
         const auto inst = cached_hard(48, 63, 5, &ctx.ledger());
@@ -55,7 +55,7 @@ void ablate_splitter() {
   std::vector<Cell> cells;
   for (const int levels : {1, 2})
     for (const int segment : {16, 100, 400}) cells.push_back({levels, segment});
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
       cells.size(), [&](std::size_t i, CellContext& ctx) {
         const auto inst = cached_hard(64, 32, 6, &ctx.ledger());
@@ -86,7 +86,7 @@ void ablate_easy_fraction() {
   std::cout << "easy fraction at Delta = 16 (work shifting from Algorithm 2 "
                "to Algorithm 3):\n";
   const std::vector<double> fractions = {0.0, 0.1, 0.3, 0.6, 1.0};
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
       fractions.size(), [&](std::size_t i, CellContext& ctx) {
         const auto inst =
@@ -121,7 +121,7 @@ void ablate_easy_fraction() {
 void ablate_tnode_spacing() {
   std::cout << "randomized T-node spacing b at Delta = 16:\n";
   const std::vector<int> spacings = {0, 1, 2, 3};
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<RandomizedResult>(
       spacings.size(), [&](std::size_t i, CellContext& ctx) {
         const auto inst = cached_hard(128, 16, 9, &ctx.ledger());

@@ -15,7 +15,6 @@
 
 #include <chrono>
 
-#include "bench_support/codec.hpp"
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -39,9 +38,6 @@ void run_tables() {
     for (int cliques = 32; cliques <= 2048; cliques *= 2)
       cells.push_back({delta, cliques});
 
-  // Scalar row + stored ledger, so the sweep is journalable: with
-  // DELTACOLOR_SWEEP_JOURNAL / _RESUME set, completed cells round-trip
-  // through the JSONL checkpoint instead of re-running.
   struct Row {
     NodeId n = 0;
     double wall_ms = 0;
@@ -49,29 +45,8 @@ void run_tables() {
     std::int64_t triads = 0;
     RoundLedger ledger;
   };
-  const CellCodec<Row> codec{
-      [](const Row& row) {
-        return FieldWriter()
-            .add(row.n)
-            .add(row.wall_ms)
-            .add(row.valid ? 1 : 0)
-            .add(row.triads)
-            .add(encode_ledger(row.ledger))
-            .str();
-      },
-      [](std::string_view text, Row* row) {
-        FieldReader in(text);
-        std::int64_t n = 0;
-        std::string_view ledger;
-        if (!in.next_int(&n) || !in.next_double(&row->wall_ms) ||
-            !in.next_bool(&row->valid) || !in.next_int(&row->triads) ||
-            !in.next(&ledger))
-          return false;
-        row->n = static_cast<NodeId>(n);
-        return decode_ledger(ledger, &row->ledger);
-      }};
-  SweepDriver driver(sweep_options_from_env());
-  const auto result = driver.run_cells<Row>(
+  SweepDriver driver;
+  const auto rows = driver.run<Row>(
       cells.size(),
       [&](std::size_t i, CellContext& ctx) {
         const auto inst = cached_hard(cells[i].cliques, cells[i].delta, 1234,
@@ -89,16 +64,7 @@ void run_tables() {
         row.triads = res.hard_stats.num_triads;
         row.ledger = res.ledger;
         return row;
-      },
-      [&](std::size_t i) {
-        // Instance-cache key fields + algorithm + seed, stable across runs.
-        std::ostringstream key;
-        key << "E1/det/delta=" << cells[i].delta
-            << "/cliques=" << cells[i].cliques << "/seed=1234";
-        return key.str();
-      },
-      &codec);
-  const auto& rows = result.rows;
+      });
 
   std::size_t at = 0;
   for (const int delta : {16, 32}) {

@@ -34,7 +34,7 @@ void run_tables() {
     NodeId n = 0;
     DeltaColoringResult res;
   };
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<Row>(
       delta_grid.size(), [&](std::size_t i, CellContext& ctx) {
         const int delta = delta_grid[i];

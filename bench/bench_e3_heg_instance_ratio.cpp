@@ -34,7 +34,7 @@ void run_tables() {
         cells.push_back({delta, seed, paper_k});
       }
 
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
       cells.size(), [&](std::size_t i, CellContext& ctx) {
         const Cell& c = cells[i];

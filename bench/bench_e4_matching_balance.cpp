@@ -28,7 +28,7 @@ void run_tables() {
       for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull})
         cells.push_back({delta, easy, seed});
 
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
       cells.size(), [&](std::size_t i, CellContext& ctx) {
         const Cell& c = cells[i];

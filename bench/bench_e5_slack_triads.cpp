@@ -27,7 +27,7 @@ void run_tables() {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull})
       cells.push_back({delta, seed});
 
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
       cells.size(), [&](std::size_t i, CellContext& ctx) {
         const Cell& c = cells[i];

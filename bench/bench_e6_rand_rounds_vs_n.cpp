@@ -11,7 +11,6 @@
 #include <string_view>
 #include <thread>
 
-#include "bench_support/codec.hpp"
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -31,9 +30,6 @@ void run_tables() {
   for (int cliques = 32; cliques <= 2048; cliques *= 2)
     clique_grid.push_back(cliques);
 
-  // Scalar row + stored ledger, journalable under
-  // DELTACOLOR_SWEEP_JOURNAL / _RESUME (see sweep.hpp): completed cells
-  // round-trip through the JSONL checkpoint instead of re-running.
   struct Row {
     NodeId n = 0;
     bool valid = false;
@@ -44,34 +40,8 @@ void run_tables() {
     std::int64_t max_comp_rounds = 0;
     RoundLedger ledger;
   };
-  const CellCodec<Row> codec{
-      [](const Row& row) {
-        return FieldWriter()
-            .add(row.n)
-            .add(row.valid ? 1 : 0)
-            .add(row.tnodes)
-            .add(row.failed)
-            .add(row.components)
-            .add(row.max_comp_vertices)
-            .add(row.max_comp_rounds)
-            .add(encode_ledger(row.ledger))
-            .str();
-      },
-      [](std::string_view text, Row* row) {
-        FieldReader in(text);
-        std::int64_t n = 0;
-        std::string_view ledger;
-        if (!in.next_int(&n) || !in.next_bool(&row->valid) ||
-            !in.next_int(&row->tnodes) || !in.next_int(&row->failed) ||
-            !in.next_int(&row->components) ||
-            !in.next_int(&row->max_comp_vertices) ||
-            !in.next_int(&row->max_comp_rounds) || !in.next(&ledger))
-          return false;
-        row->n = static_cast<NodeId>(n);
-        return decode_ledger(ledger, &row->ledger);
-      }};
-  SweepDriver driver(sweep_options_from_env());
-  const auto result = driver.run_cells<Row>(
+  SweepDriver driver;
+  const auto rows = driver.run<Row>(
       clique_grid.size(),
       [&](std::size_t i, CellContext& ctx) {
         const int cliques = clique_grid[i];
@@ -89,15 +59,7 @@ void run_tables() {
         row.max_comp_rounds = res.stats.max_component_rounds;
         row.ledger = res.ledger;
         return row;
-      },
-      [&](std::size_t i) {
-        std::ostringstream key;
-        key << "E6/rand/delta=16/cliques=" << clique_grid[i]
-            << "/inst_seed=21/alg_seed=" << (1000 + clique_grid[i]);
-        return key.str();
-      },
-      &codec);
-  const auto& rows = result.rows;
+      });
 
   Table t({"n", "rounds", "tnodes", "failed", "components", "maxCompSize",
            "maxCompRounds", "valid"});

@@ -60,7 +60,7 @@ void run_tables() {
     NodeId n = 0;
     RoundLedger ledger;
   };
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<Row>(cells.size(), [&](std::size_t i,
                                                       CellContext& ctx) {
     const Cell& c = cells[i];

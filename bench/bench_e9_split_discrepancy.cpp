@@ -36,7 +36,7 @@ void run_tables() {
     int rounds = 0;
     double max_disc = 0;
   };
-  SweepDriver driver(sweep_options_from_env());
+  SweepDriver driver;
   const auto rows = driver.run<Row>(
       cells.size(), [&](std::size_t i, CellContext& ctx) {
         const Cell& c = cells[i];

@@ -1,7 +1,7 @@
 // Whole-token number parsing, the one rule for every number the library
-// and its tools read from outside (environment variables, fault specs,
-// command-line arguments): the whole token must be one number in range, so
-// junk is an error, never a truncated, wrapped or ignored value.
+// and its tools read from outside (environment variables, command-line
+// arguments): the whole token must be one number in range, so junk is an
+// error, never a truncated, wrapped or ignored value.
 #pragma once
 
 #include <charconv>
@@ -33,10 +33,10 @@ bool parse_whole(std::string_view token, T* out,
 
 /// The number in environment variable `name`, or nullopt when it is unset
 /// or empty. Any other value must be a whole T in [lo, hi], or the process
-/// exits 2 with one line naming the variable, as a malformed
-/// DELTACOLOR_FAULTS does: an ignored knob makes a run measure something
-/// other than what was asked for. std::_Exit, because a pool worker may
-/// read first, and std::exit's static destructors would join it.
+/// exits 2 with one line naming the variable: an ignored knob makes a run
+/// measure something other than what was asked for. std::_Exit, because
+/// a pool worker may read first, and std::exit's static destructors would
+/// join it.
 template <typename T>
 std::optional<T> env_number(const char* name, T lo, T hi) {
   const char* text = std::getenv(name);

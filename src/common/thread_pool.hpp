@@ -44,9 +44,9 @@ class ThreadPool {
   /// Exception safety: a chunk that throws does not terminate the process
   /// (worker threads catch into per-worker slots); after every chunk has
   /// finished or failed, the lowest-worker-index exception is rethrown on
-  /// the calling thread. The pool itself stays usable — this is what lets
-  /// a structured CellError thrown inside an engine round unwind to the
-  /// sweep driver's retry/quarantine policy.
+  /// the calling thread. The pool itself stays usable, so an exception
+  /// thrown inside an engine round unwinds to the caller (a sweep cell,
+  /// say) and the next call runs normally.
   void for_range(std::size_t begin, std::size_t end, const RangeFn& fn);
 
   /// Like for_range, but the caller fixes the chunk boundaries: worker w

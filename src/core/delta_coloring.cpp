@@ -83,8 +83,6 @@ DeltaColoringResult delta_color_dense(const Graph& g,
       color_easy_and_loopholes(g, loopholes, res.color, lctx);
   validate_partial_coloring(g, res.color, "easy", options.validate);
 
-  if (options.validate != ValidateMode::kOff && FaultInjector::armed())
-    FaultInjector::global().maybe_corrupt_coloring("final", g, res.color);
   res.valid = is_delta_coloring(g, res.color);
   if (options.validate != ValidateMode::kOff) {
     validate_final_coloring(g, res.color, res.valid, "final",

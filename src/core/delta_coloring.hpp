@@ -26,10 +26,10 @@ struct DeltaColoringOptions {
   /// simulation executes — the coloring is bit-identical across settings.
   EngineOptions engine;
   /// Opt-in validation oracle (errors.hpp): kEnd turns a final-checker
-  /// failure into a structured invariant-violation CellError (instead of
-  /// the legacy CHECK abort); kPhase additionally checks the partial
-  /// coloring at every pipeline phase boundary. kOff is bit-identical to
-  /// the pre-oracle behavior.
+  /// failure into an InvariantViolation (instead of the DC_CHECK abort);
+  /// kPhase additionally checks the partial coloring at every pipeline
+  /// phase boundary. The checks charge no round, so every mode gives the
+  /// same coloring and ledger.
   ValidateMode validate = ValidateMode::kOff;
   /// Maximum demotion retries (phi-collision witnesses re-classifying a
   /// clique as easy; only reachable on multi-cross-edge instances).

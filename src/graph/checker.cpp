@@ -61,8 +61,7 @@ std::optional<std::pair<NodeId, NodeId>> find_partial_conflict(
 
 bool is_proper_coloring(const Graph& g, const std::vector<Color>& color,
                         int num_colors) {
-  const auto r = check_coloring(g, color);
-  return r.proper && r.complete && r.max_color < num_colors;
+  return check_coloring(g, color).valid_for(num_colors);
 }
 
 bool is_delta_coloring(const Graph& g, const std::vector<Color>& color) {

@@ -21,6 +21,12 @@ struct ColoringReport {
   std::size_t conflicts = 0;    ///< count of monochromatic edges
   std::size_t uncolored = 0;    ///< count of uncolored (negative) nodes
   std::string describe() const;
+
+  /// True iff the checked coloring is complete and proper with colors in
+  /// {0, .., num_colors-1}: is_proper_coloring's verdict, from this report.
+  bool valid_for(int num_colors) const {
+    return proper && complete && max_color < num_colors;
+  }
 };
 
 ColoringReport check_coloring(const Graph& g, const std::vector<Color>& color);

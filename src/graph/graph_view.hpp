@@ -23,9 +23,9 @@
 // (power view). Construction is O(n) memory for the node-indexed arrays
 // (mappings, exact degrees) — never O(edges-of-the-view).
 //
-// The eager materializers in graph/subgraph.hpp (induced_subgraph,
-// power_graph, line_graph) survive as test oracles: tests assert that each
-// view enumerates exactly the materialized adjacency.
+// Eager materializers are the test oracles: tests assert that each view
+// enumerates exactly the adjacency of induced_subgraph (graph/subgraph.hpp)
+// or of the test-only power_graph and line_graph (tests/eager_graphs.hpp).
 #pragma once
 
 #include <algorithm>

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "local/faults.hpp"
 #include "local/ledger.hpp"
 #include "local/sync_runner.hpp"
 
@@ -61,15 +60,9 @@ class LocalContext {
   }
 
   /// Charges rounds to `label`, for pipelines that book a named stretch
-  /// (or a throwaway sub-ledger's total) directly. This is the fault
-  /// probe: while a FaultInjector is armed, a matching phase spec throws
-  /// or stalls here, and a round-budget spec inflates the charge — so the
-  /// sweep driver's *real* budget enforcement trips, instead of a fake
-  /// error path that never exercises the recovery code.
+  /// (or a throwaway sub-ledger's total) directly.
   void charge(std::string_view label, std::int64_t rounds,
               std::int64_t dilation = 1) {
-    if (FaultInjector::armed())
-      rounds += FaultInjector::global().on_phase_charge(label);
     ledger_->charge(label, rounds, dilation);
   }
 

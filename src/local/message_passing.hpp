@@ -10,7 +10,7 @@
 // (SyncRunner::run_sparse_until); MIS runs full sweeps, because its
 // undecided set stays wide until it halts. Both keep a RoundLedger&
 // signature — the registry and the benchmark harness call them that way —
-// and charge their rounds through a LocalContext on it (the fault probe),
+// and charge their rounds through a LocalContext on it (the one charge path),
 // with the wall-clock next to the round count (RoundLedger::charge_time).
 #pragma once
 

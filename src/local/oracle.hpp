@@ -5,14 +5,10 @@
 // must be proper at every boundary (uncolored nodes ignored) — T-node
 // pairs are placed non-adjacent, layers color against already-final
 // neighbors, so a monochromatic edge mid-pipeline is always a bug, never a
-// transient. A violation throws a structured invariant-violation CellError
-// carrying the phase label and a witness node, which the sweep driver's
-// retry / quarantine policy can act on — instead of surfacing only at the
-// final DC_CHECK, n phases later and with the witness long gone.
-//
-// The oracle site doubles as the FaultInjector's corruption hook: an armed
-// invariant-violation spec flips one edge monochromatic *here*, so the
-// recovery test exercises the real detection path end to end.
+// transient. A violation throws InvariantViolation carrying the phase
+// label and a witness node — instead of surfacing only at the final
+// DC_CHECK, n phases later and with the witness long gone. The checks
+// charge no round, so colorings and ledgers match a kOff run.
 #pragma once
 
 #include <string>
@@ -22,43 +18,36 @@
 #include "common/errors.hpp"
 #include "graph/checker.hpp"
 #include "graph/graph.hpp"
-#include "local/faults.hpp"
 
 namespace deltacolor {
 
 /// Checks the partial-coloring invariant at a phase boundary when `mode`
-/// is kPhase (no-op otherwise). Throws CellError(kInvariantViolation) on a
-/// monochromatic edge. `color` is non-const only for the fault-injection
-/// corruption hook; an unarmed run never mutates it.
+/// is kPhase (no-op otherwise). Throws InvariantViolation on a
+/// monochromatic edge, naming its lower endpoint.
 inline void validate_partial_coloring(const Graph& g,
-                                      std::vector<Color>& color,
+                                      const std::vector<Color>& color,
                                       std::string_view phase,
                                       ValidateMode mode) {
   if (mode != ValidateMode::kPhase) return;
-  if (FaultInjector::armed())
-    FaultInjector::global().maybe_corrupt_coloring(phase, g, color);
   if (const auto edge = find_partial_conflict(g, color))
-    throw CellError(
-        FaultCategory::kInvariantViolation,
+    throw InvariantViolation(
+        std::string(phase), static_cast<std::int64_t>(edge->first),
         "monochromatic edge (" + std::to_string(edge->first) + ", " +
             std::to_string(edge->second) + ") color " +
-            std::to_string(color[edge->first]),
-        {.phase = std::string(phase),
-         .node = static_cast<std::int64_t>(edge->first)});
+            std::to_string(color[edge->first]));
 }
 
 /// Final-coloring oracle for kEnd and kPhase: `valid` is the pipeline's
-/// own checker verdict; a violation becomes a structured CellError instead
-/// of the legacy DC_CHECK abort.
+/// own checker verdict; a violation becomes InvariantViolation instead of
+/// the DC_CHECK abort a kOff run takes.
 inline void validate_final_coloring(const Graph& g,
                                     const std::vector<Color>& color,
                                     bool valid, std::string_view phase,
                                     ValidateMode mode) {
   if (mode == ValidateMode::kOff || valid) return;
-  throw CellError(FaultCategory::kInvariantViolation,
-                  "final coloring invalid: " +
-                      check_coloring(g, color).describe(),
-                  {.phase = std::string(phase)});
+  throw InvariantViolation(
+      std::string(phase), -1,
+      "final coloring invalid: " + check_coloring(g, color).describe());
 }
 
 }  // namespace deltacolor

@@ -30,7 +30,6 @@
 #include "common/thread_pool.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
-#include "local/faults.hpp"
 
 namespace deltacolor {
 
@@ -178,8 +177,6 @@ class SyncRunner {
     // therefore re-activated.
     int rounds = 0;
     while (rounds < max_rounds && !all_done(done_node)) {
-      if (FaultInjector::armed())
-        FaultInjector::global().on_engine_round(rounds);
       const int r = rounds;
       if (dense) {
         // Each step marks changed_[v]; each chunk adds its count once. Only
@@ -264,8 +261,6 @@ class SyncRunner {
     }
     if (keyed_next_.size() < widest) keyed_next_.resize(widest);
     for (int r = 0; r < rounds; ++r) {
-      if (FaultInjector::armed())
-        FaultInjector::global().on_engine_round(r);
       const std::size_t begin = keyed_start_[static_cast<std::size_t>(r)];
       const std::size_t size =
           keyed_start_[static_cast<std::size_t>(r) + 1] - begin;
@@ -305,8 +300,6 @@ class SyncRunner {
     nxt_.resize(cur_.size());  // the shadow buffer; keyed runners need none
     int rounds = 0;
     while (rounds < max_rounds && !done()) {
-      if (FaultInjector::armed())
-        FaultInjector::global().on_engine_round(rounds);
       const int r = rounds;
       each_chunk(n, [&](int, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {

@@ -326,8 +326,6 @@ RandomizedResult randomized_delta_color(const Graph& g,
   laps.lap("rand-easy");
   validate_partial_coloring(g, res.color, "rand-easy", options.validate);
 
-  if (options.validate != ValidateMode::kOff && FaultInjector::armed())
-    FaultInjector::global().maybe_corrupt_coloring("final", g, res.color);
   res.valid = is_delta_coloring(g, res.color);
   if (options.validate != ValidateMode::kOff) {
     validate_final_coloring(g, res.color, res.valid, "final",

@@ -55,7 +55,7 @@ struct RandomizedOptions {
   /// uncovered remainder forms the shattered components.
   int layer_depth = 3;
   /// Opt-in validation oracle (errors.hpp): kEnd turns a final-checker
-  /// failure into a structured invariant-violation CellError; kPhase
+  /// failure into an InvariantViolation; kPhase
   /// additionally checks the partial coloring after pre-shattering,
   /// post-shattering, post-processing, and the easy phase (the partial
   /// coloring stays proper throughout — T-node pairs are non-adjacent).

@@ -62,8 +62,9 @@ AlgorithmResult run_brooks(const Graph& g, const AlgorithmRequest&) {
     return out;
   }
   out.color = res.color;
-  out.ok = is_proper_coloring(g, out.color, out.palette);
-  out.summary = "Brooks: " + check_coloring(g, out.color).describe();
+  const ColoringReport report = check_coloring(g, out.color);
+  out.ok = report.valid_for(out.palette);
+  out.summary = "Brooks: " + report.describe();
   return out;
 }
 
@@ -72,9 +73,10 @@ AlgorithmResult run_greedy(const Graph& g, const AlgorithmRequest& req) {
   LocalContext ctx(out.ledger, req.engine, req.seed);
   out.color = greedy_delta_plus_one(g, ctx);
   out.palette = g.max_degree() + 1;
-  out.ok = is_proper_coloring(g, out.color, out.palette);
+  const ColoringReport report = check_coloring(g, out.color);
+  out.ok = report.valid_for(out.palette);
   std::ostringstream os;
-  os << "greedy (Delta+1): " << check_coloring(g, out.color).describe()
+  os << "greedy (Delta+1): " << report.describe()
      << ", rounds " << out.ledger.total();
   out.summary = os.str();
   return out;
@@ -99,10 +101,9 @@ AlgorithmResult run_trial(const Graph& g, const AlgorithmRequest& req) {
   out.color = color_trial_message_passing(g, req.seed, out.ledger, "trial",
                                           req.engine);
   out.palette = g.max_degree() + 1;
-  out.ok = is_proper_coloring(g, out.color, out.palette);
-  out.summary =
-      "color trials (Delta+1, engine): " +
-      check_coloring(g, out.color).describe();
+  const ColoringReport report = check_coloring(g, out.color);
+  out.ok = report.valid_for(out.palette);
+  out.summary = "color trials (Delta+1, engine): " + report.describe();
   return out;
 }
 

@@ -26,8 +26,8 @@ struct AlgorithmRequest {
   /// bit-identical across settings.
   EngineOptions engine;
   /// Opt-in validation oracle (dcolor --validate). The composed pipelines
-  /// (det, rand) honor kEnd / kPhase by throwing structured CellErrors on
-  /// invariant violations; primitive entries ignore it (their checkers
+  /// (det, rand) honor kEnd / kPhase by throwing InvariantViolation on an
+  /// improper coloring; primitive entries ignore it (their checkers
   /// already run unconditionally and set `ok`).
   ValidateMode validate = ValidateMode::kOff;
 };

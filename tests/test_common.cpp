@@ -1,14 +1,17 @@
 // Unit tests for the common utilities: statistics/fitting, the PRNG, the
-// thread pool's caller-bounded dispatch, and the round ledger.
+// whole-token number parser, the thread pool's caller-bounded dispatch,
+// and the round ledger.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -107,6 +110,42 @@ TEST(RngTest, HashMixStableAndSpread) {
   EXPECT_EQ(hash_mix(1, 2, 3), hash_mix(1, 2, 3));
   EXPECT_NE(hash_mix(1, 2, 3), hash_mix(1, 2, 4));
   EXPECT_NE(hash_mix(1, 2, 3), hash_mix(2, 2, 3));
+}
+
+// --- whole-token number parsing ---------------------------------------------
+
+TEST(Parse, WholeToken) {
+  std::int64_t i = 42;
+  EXPECT_TRUE(parse_whole<std::int64_t>("345", &i));
+  EXPECT_EQ(i, 345);
+  // Trailing text, a trailing space, an empty token and overflow are
+  // rejected and leave the value alone.
+  EXPECT_FALSE(parse_whole<std::int64_t>("3x", &i));
+  EXPECT_FALSE(parse_whole<std::int64_t>("7 ", &i));
+  EXPECT_FALSE(parse_whole<std::int64_t>("", &i));
+  EXPECT_FALSE(parse_whole<std::int64_t>("99999999999999999999", &i));
+  EXPECT_EQ(i, 345);
+  // No sign on an unsigned value, and no leading plus on any.
+  std::uint64_t u = 0;
+  EXPECT_FALSE(parse_whole<std::uint64_t>("-1", &u));
+  EXPECT_FALSE(parse_whole<std::uint64_t>("+3", &u));
+  EXPECT_TRUE(parse_whole<std::uint64_t>("18446744073709551615", &u));
+  // The range bounds are inclusive.
+  int n = 0;
+  EXPECT_TRUE(parse_whole("1", &n, 1, 5));
+  EXPECT_TRUE(parse_whole("5", &n, 1, 5));
+  EXPECT_EQ(n, 5);
+  EXPECT_FALSE(parse_whole("0", &n, 1, 5));
+  EXPECT_FALSE(parse_whole("6", &n, 1, 5));
+  EXPECT_EQ(n, 5);
+  // A double, as `dcolor gen blowup` reads its easy%.
+  double d = 0;
+  EXPECT_TRUE(parse_whole("25.5", &d, 0.0, 100.0));
+  EXPECT_DOUBLE_EQ(d, 25.5);
+  EXPECT_FALSE(parse_whole("25%", &d, 0.0, 100.0));
+  EXPECT_FALSE(parse_whole("1.5ms", &d, 0.0, 100.0));
+  EXPECT_FALSE(parse_whole("100.5", &d, 0.0, 100.0));
+  EXPECT_DOUBLE_EQ(d, 25.5);
 }
 
 // --- ledger ----------------------------------------------------------------

@@ -15,6 +15,8 @@
 #include "graph/io.hpp"
 #include "graph/subgraph.hpp"
 
+#include "eager_graphs.hpp"
+
 namespace deltacolor {
 namespace {
 

@@ -1,8 +1,9 @@
 // Lazy GraphView parity tests: every view (InducedSubgraphView,
 // PowerGraphView, LineGraphView) must enumerate exactly the adjacency of
-// its eager materializer oracle (graph/subgraph.hpp), with matching
-// degrees, identifiers, and dilation — and view-generic primitives must
-// produce identical results on the view and on the materialized graph.
+// its eager materializer oracle (induced_subgraph in graph/subgraph.hpp,
+// power_graph and line_graph in eager_graphs.hpp), with matching degrees,
+// identifiers, and dilation — and view-generic primitives must produce
+// identical results on the view and on the materialized graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include "graph/subgraph.hpp"
 #include "local/context.hpp"
 #include "primitives/ruling_set.hpp"
+
+#include "eager_graphs.hpp"
 
 namespace deltacolor {
 namespace {

@@ -1,17 +1,47 @@
-// Tests for the round-accounting contracts: the edge coloring that backs
-// the matching subroutines, and the n-(in)dependence shape of every
-// pipeline phase that Lemma 18's decomposition predicts.
+// Tests for the round-accounting contracts: the LocalContext phase stack,
+// the edge coloring that backs the matching subroutines, and the
+// n-(in)dependence shape of every pipeline phase that Lemma 18's
+// decomposition predicts.
 #include <gtest/gtest.h>
 
 #include "bench_support/workloads.hpp"
 #include "core/delta_coloring.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
+#include "local/context.hpp"
 #include "primitives/linial.hpp"
+#include "primitives/mis.hpp"
 #include "randomized/randomized_coloring.hpp"
 
 namespace deltacolor {
 namespace {
+
+TEST(LocalContext, PhaseStackAndLabeledCharge) {
+  const Graph g = cycle_graph(12);
+  // A bare call books every nested round (schedule, Linial, KW) under the
+  // entry point's default label.
+  RoundLedger bare;
+  LocalContext bare_ctx(bare);
+  mis_deterministic(g, bare_ctx);
+  ASSERT_EQ(bare.phases().size(), 1u);
+  EXPECT_EQ(bare.phases()[0].first, "mis");
+  EXPECT_GT(bare.total(), 0);
+  // Under the caller's ScopedPhase the same call books only that label.
+  RoundLedger scoped;
+  LocalContext scoped_ctx(scoped);
+  {
+    ScopedPhase phase(scoped_ctx, "caller");
+    mis_deterministic(g, scoped_ctx);
+  }
+  ASSERT_EQ(scoped.phases().size(), 1u);
+  EXPECT_EQ(scoped.phases()[0].first, "caller");
+  EXPECT_EQ(scoped.total(), bare.total());
+  EXPECT_FALSE(scoped_ctx.has_phase());
+  // charge(label, ...) needs no open phase and books rounds * dilation to
+  // that label.
+  scoped_ctx.charge("named", 3, 2);
+  EXPECT_EQ(scoped.phase_total("named"), 6);
+}
 
 TEST(EdgeColoring, ProperOnFamilies) {
   std::vector<Graph> gs;

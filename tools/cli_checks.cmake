@@ -46,6 +46,19 @@ function(expect_stdout needle)
   endif()
 endfunction()
 
+function(expect_stdout_matches regex)
+  if(NOT LAST_STDOUT MATCHES "${regex}")
+    message(FATAL_ERROR "stdout does not match '${regex}':\n${LAST_STDOUT}")
+  endif()
+endfunction()
+
+function(expect_stdout_lacks needle)
+  string(FIND "${LAST_STDOUT}" "${needle}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "stdout holds '${needle}':\n${LAST_STDOUT}")
+  endif()
+endfunction()
+
 function(expect_no_file name)
   if(EXISTS "${WORK_DIR}/${name}")
     message(FATAL_ERROR "${TOOL} wrote '${name}' although it was rejected")
@@ -127,8 +140,6 @@ elseif(CHECK STREQUAL "numeric-args")
   expect_stderr("invalid --threads '2x'")
   expect_exit(2 --repeat=2x color g.txt trial 7 out.txt)
   expect_stderr("invalid --repeat '2x'")
-  expect_exit(2 --retries=2x --repeat=2 color g.txt trial 7 out.txt)
-  expect_stderr("invalid --retries '2x'")
   expect_exit(2 color g.txt trial abc out.txt)
   expect_stderr("invalid seed 'abc'")
   expect_exit(2 color g.txt trial -1 out.txt)
@@ -193,27 +204,15 @@ elseif(CHECK STREQUAL "env-junk")
   # A set DELTACOLOR_* number must be a whole number in range: junk exits 2
   # naming the variable, instead of being ignored or truncated.
   expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
-  foreach(var IN ITEMS SWEEP_RETRIES SWEEP_ROUND_BUDGET SWEEP_DEADLINE_MS
-                       SWEEP_QUARANTINE SWEEP_RESUME FAULT_SEED THREADS)
-    set(ENV{DELTACOLOR_${var}} "2x")
-    expect_exit(2 color g.txt trial 7 --repeat=2)
-    expect_stderr("deltacolor: invalid DELTACOLOR_${var}='2x'")
-    set(ENV{DELTACOLOR_${var}} "-1")
-    expect_exit(2 color g.txt trial 7 --repeat=2)
-    unset(ENV{DELTACOLOR_${var}})
-  endforeach()
-  # A bad fault plan under --repeat is first parsed on a sweep worker; it
-  # must still exit 2, not abort or hang in exit's static destructors.
-  set(ENV{DELTACOLOR_FAULTS} "2x")
+  set(ENV{DELTACOLOR_THREADS} "2x")
   expect_exit(2 color g.txt trial 7 --repeat=2)
-  expect_stderr("invalid DELTACOLOR_FAULTS spec '2x'")
-  unset(ENV{DELTACOLOR_FAULTS})
-  # In range they act: 0 threads means auto, and two attempts harden the
-  # sweep (its SWEEP line gains the retry counters).
+  expect_stderr("deltacolor: invalid DELTACOLOR_THREADS='2x'")
+  set(ENV{DELTACOLOR_THREADS} "-1")
+  expect_exit(2 color g.txt trial 7 --repeat=2)
+  # In range it acts: 0 threads means auto.
   set(ENV{DELTACOLOR_THREADS} "0")
-  set(ENV{DELTACOLOR_SWEEP_RETRIES} "2")
   expect_exit(0 color g.txt trial 7 --repeat=2)
-  expect_stdout("retried=0")
+  expect_stdout("SWEEP cells=2 ")
 elseif(CHECK STREQUAL "retired-frontier-flag")
   # Sparse activation is no engine option any more (the color trials always
   # run it), so the retired flag is an unknown flag like any other.
@@ -221,23 +220,39 @@ elseif(CHECK STREQUAL "retired-frontier-flag")
   expect_exit(2 --frontier color g.txt trial 7 out.txt)
   expect_stderr("unknown flag '--frontier'")
   expect_no_file(out.txt)
+elseif(CHECK STREQUAL "retired-sweep-flags")
+  # The retry, checkpoint-journal and resume flags went with the sweep's
+  # retry layer: each is an unknown flag now, and nothing runs.
+  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
+  foreach(flag IN ITEMS --retries=2 --journal=j.jsonl --resume)
+    expect_exit(2 ${flag} --repeat=2 color g.txt trial 7)
+    expect_stderr("unknown flag '${flag}'")
+    expect_exit(2 ${flag} color g.txt trial 7 out.txt)
+    expect_stderr("unknown flag '${flag}'")
+    expect_no_file(out.txt)
+    expect_no_file(j.jsonl)
+  endforeach()
+elseif(CHECK STREQUAL "repeat-batch")
+  # --repeat prints per-seed rows and writes no coloring, so an output
+  # path is a usage error caught before the graph loads.
+  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
+  expect_exit(2 --repeat=2 color g.txt trial 7 out.txt)
+  expect_stderr("--repeat writes no coloring")
+  expect_no_file(out.txt)
+  expect_exit(2 --repeat=2 --load=missing.txt color trial 7 out.txt)
+  expect_stderr("--repeat writes no coloring")
+  expect_no_file(out.txt)
+  expect_exit(0 --repeat=2 color g.txt trial 7)
+  expect_stdout_matches("seed 7: rounds=[0-9]+ wall_ms=[0-9.e+-]+ ok — ")
+  expect_stdout_matches("seed 8: rounds=[0-9]+ wall_ms=[0-9.e+-]+ ok — ")
+  expect_stdout_matches("SWEEP cells=2 workers=[0-9]+ wall_ms=")
+  expect_stdout_lacks("status=")
+  expect_stdout_lacks("retried=")
 elseif(CHECK STREQUAL "gen-regular-dense")
   # High-degree random regular graphs: the repair pass is near-linear, so
   # this finishes well inside the ctest TIMEOUT set in CMakeLists.txt.
   expect_exit(0 gen regular 4096 256 1 g.txt)
   expect_stdout("wrote g.txt: n=4096")
-elseif(CHECK STREQUAL "legacy-journal")
-  # --repeat journals written while the multi-process backend existed hold
-  # three recovery counters between wall_ms and the summary; --resume
-  # skips them and prints the summary that follows.
-  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
-  file(WRITE "${WORK_DIR}/j.jsonl"
-       "{\"key\":\"file/g.txt/alg=trial/seed=7\",\"status\":\"ok\","
-       "\"attempts\":1,\"category\":\"\",\"error\":\"\",\"payload\":"
-       "\"1\\u001f20\\u001f0.5\\u001f0\\u001f0\\u001f0\\u001fold row\"}\n")
-  expect_exit(0 color g.txt trial 7 --repeat=2 --journal=j.jsonl --resume)
-  expect_stdout("seed 7: status=ok rounds=20 wall_ms=0.5 ok (resumed) — old row")
-  expect_stdout("seed 8: status=ok")
 elseif(CHECK STREQUAL "import-gen-path")
   expect_exit(0 gen path 1000 p.dcsr)
   expect_stdout_is(

@@ -23,24 +23,21 @@
 //   --repeat=N     color only: run N seeds (seed, seed+1, ...) of the
 //                  algorithm over the shared instance as concurrent sweep
 //                  cells; print per-seed rounds and aggregate wall-clock
-//                  statistics instead of a single ledger
+//                  statistics instead of a single ledger (and write no
+//                  coloring: an [out] argument exits 2)
 //   --validate=M   oracle mode, M in {off, end, phase}: end checks the
 //                  final coloring (structured error instead of a hard
 //                  abort); phase additionally checks partial-coloring
 //                  invariants between pipeline phases (det/rand)
-//   --retries=N    color --repeat: attempts per seed before the cell is
-//                  quarantined (retries re-run with a perturbed seed)
-//   --journal=P    color --repeat: JSONL checkpoint journal at path P
-//   --resume       with --journal: skip seeds already completed in P
 //
 // Any other `--` argument is an unknown flag: it exits 2 with the closest
 // known flag names, never becoming a positional (an output path, say).
 //
-// Exit codes: 0 success; 1 runtime failure (invalid result, quarantined
-// cells, engine error); 2 usage error (unknown flag, extra argument,
-// malformed or out-of-range number, invalid flag combination, infeasible
-// `gen` sizes); 3 unreadable or malformed input file; 4 unknown algorithm
-// or generator family.
+// Exit codes: 0 success; 1 runtime failure (invalid result, engine error,
+// --validate invariant violation); 2 usage error (unknown flag, extra
+// argument, malformed or out-of-range number, invalid flag combination,
+// infeasible `gen` sizes); 3 unreadable or malformed input file; 4 unknown
+// algorithm or generator family.
 // Documented here and in `--help`.
 //
 // Graphs are plain edge lists ("n m" header then "u v" per line) or binary
@@ -52,11 +49,9 @@
 #include <sys/stat.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -96,17 +91,14 @@ int usage() {
          "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
          "--list (registered algorithms), --threads=N (engine "
          "workers, 0 = auto; env DELTACOLOR_THREADS), --repeat=N (color: "
-         "N seeds as sweep cells, aggregate stats), "
+         "N seeds as sweep cells, aggregate stats, no [out]), "
          "--validate=off|end|phase (oracle mode: check "
-         "the final coloring / every pipeline phase boundary), --retries=N "
-         "(repeat: attempts per seed before quarantine), --journal=PATH "
-         "(repeat: JSONL checkpoint), --resume (skip seeds completed in "
-         "the journal)\n"
+         "the final coloring / every pipeline phase boundary)\n"
          "exit codes: 0 success; 1 runtime failure (invalid result, "
-         "quarantined cells); 2 usage error (unknown flag, extra argument, "
-         "malformed or out-of-range number, invalid flag combination, "
-         "infeasible gen sizes); 3 unreadable or malformed input file; 4 "
-         "unknown algorithm or generator family\n";
+         "engine error, invariant violation); 2 usage error (unknown flag, "
+         "extra argument, malformed or out-of-range number, invalid flag "
+         "combination, infeasible gen sizes); 3 unreadable or malformed "
+         "input file; 4 unknown algorithm or generator family\n";
   return kExitUsage;
 }
 
@@ -115,8 +107,7 @@ int usage() {
 /// never taken for a positional such as the output path.
 int unknown_flag(const std::string& arg) {
   static constexpr std::string_view kFlags[] = {
-      "list",    "load",    "ids",     "threads", "repeat",
-      "validate", "retries", "journal", "resume",  "help"};
+      "list", "load", "ids", "threads", "repeat", "validate", "help"};
   const std::string name = arg.substr(2, arg.find('=') - 2);
   std::cerr << "dcolor: unknown flag '" << arg << "'";
   const auto suggestions = suggest_names(name, kFlags);
@@ -141,9 +132,6 @@ int list_algorithms() {
 EngineOptions g_engine;  // from --threads
 int g_repeat = 1;        // from --repeat=N
 ValidateMode g_validate = ValidateMode::kOff;  // from --validate=M
-int g_retries = 1;                             // from --retries=N
-std::string g_journal_path;                    // from --journal=P
-bool g_resume = false;                         // from --resume
 std::string g_load_path;                       // from --load=PATH
 
 enum class IdsMode { kAuto, kFile, kShuffled };
@@ -381,55 +369,13 @@ int cmd_gen(int argc, char** argv) {
   return kExitUnknownAlgorithm;
 }
 
-/// Per-seed row of the --repeat sweep table, journal-serializable so a
-/// killed batch resumes from completed seeds.
+/// Per-seed row of the --repeat sweep table.
 struct RepeatRow {
   bool ok = false;
   std::int64_t rounds = 0;
   double wall_ms = 0;
   std::string summary;
 };
-
-std::string encode_repeat_row(const RepeatRow& row) {
-  std::ostringstream os;
-  os << (row.ok ? 1 : 0) << '\x1f' << row.rounds << '\x1f' << row.wall_ms
-     << '\x1f' << row.summary;
-  return os.str();
-}
-
-bool decode_repeat_row(std::string_view text, RepeatRow* out) {
-  RepeatRow row;
-  std::size_t pos = 0;
-  const auto next = [&](std::string* field) {
-    const std::size_t sep = text.find('\x1f', pos);
-    if (sep == std::string_view::npos) return false;
-    *field = std::string(text.substr(pos, sep - pos));
-    pos = sep + 1;
-    return true;
-  };
-  std::string ok, rounds, wall;
-  if (!next(&ok) || !next(&rounds) || !next(&wall)) return false;
-  row.ok = ok == "1";
-  row.rounds = std::strtoll(rounds.c_str(), nullptr, 10);
-  row.wall_ms = std::strtod(wall.c_str(), nullptr);
-  // Journals written while the multi-process backend existed carry three
-  // recovery counters (respawns, stalls, degraded) before the summary;
-  // skip them so --resume over such a journal prints the right summaries.
-  const std::size_t before_counters = pos;
-  const auto all_digits = [](const std::string& s) {
-    if (s.empty()) return false;
-    for (const char c : s)
-      if (c < '0' || c > '9') return false;
-    return true;
-  };
-  std::string respawns, stalls, degraded;
-  if (!(next(&respawns) && next(&stalls) && next(&degraded) &&
-        all_digits(respawns) && all_digits(stalls) && all_digits(degraded)))
-    pos = before_counters;
-  row.summary = std::string(text.substr(pos));
-  *out = row;
-  return true;
-}
 
 int cmd_color(int argc, char** argv) {
   // With --load=PATH the positional <graph> argument disappears and the
@@ -439,6 +385,11 @@ int cmd_color(int argc, char** argv) {
   if (argc > base + 3) {
     std::cerr << "dcolor: unexpected extra argument '" << argv[base + 3]
               << "' (color takes [algorithm] [seed] [out])\n";
+    return kExitUsage;
+  }
+  if (g_repeat > 1 && argc > base + 2) {
+    std::cerr << "dcolor: --repeat writes no coloring (drop '"
+              << argv[base + 2] << "')\n";
     return kExitUsage;
   }
   const std::string graph_path =
@@ -475,40 +426,12 @@ int cmd_color(int argc, char** argv) {
     // Batch mode: seeds seed..seed+N-1 run as sweep cells over the one
     // loaded instance; cells are concurrent when sweep workers are
     // available (each cell's engine is then serialized, see sweep.hpp).
-    // The retry/journal robustness layer is driven by --retries /
-    // --journal / --resume plus the DELTACOLOR_SWEEP_* env overlay.
-    bench::SweepOptions sweep_opt = bench::sweep_options_from_env();
-    sweep_opt.cell_engine = g_engine;
-    if (g_retries > 1) {
-      sweep_opt.retry.max_attempts = g_retries;
-      sweep_opt.retry.quarantine = true;
-    }
-    if (!g_journal_path.empty()) {
-      sweep_opt.journal =
-          std::make_shared<bench::SweepJournal>(g_journal_path, g_resume);
-      // A journaled batch wants partial tables, not an all-or-nothing
-      // rethrow that would discard the checkpoint's value.
-      sweep_opt.retry.quarantine = true;
-    }
-    bench::SweepDriver driver(sweep_opt);
-    const bench::CellCodec<RepeatRow> codec{
-        encode_repeat_row,
-        [](std::string_view text, RepeatRow* row) {
-          return decode_repeat_row(text, row);
-        }};
-    // Cell key = instance + algorithm + seed, stable across processes.
-    const auto key_fn = [&](std::size_t i) {
-      std::ostringstream key;
-      key << "file/" << graph_path << "/alg=" << algo
-          << "/seed=" << (req.seed + i);
-      return key.str();
-    };
-    const auto result = driver.run_cells<RepeatRow>(
+    bench::SweepDriver driver({.cell_engine = g_engine});
+    const auto rows = driver.run<RepeatRow>(
         static_cast<std::size_t>(g_repeat),
         [&](std::size_t i, bench::CellContext& ctx) {
           AlgorithmRequest cell_req;
-          // Retries perturb the seed deterministically (w.h.p. re-run).
-          cell_req.seed = ctx.seed_for(req.seed + i);
+          cell_req.seed = req.seed + i;
           cell_req.engine = ctx.engine();
           cell_req.validate = g_validate;
           const auto t0 = std::chrono::steady_clock::now();
@@ -521,34 +444,21 @@ int cmd_color(int argc, char** argv) {
           row.rounds = res.ledger.total();
           row.summary = res.summary;
           return row;
-        },
-        key_fn, &codec);
+        });
     std::vector<double> rounds, wall;
     bool all_ok = true;
-    for (std::size_t i = 0; i < result.rows.size(); ++i) {
-      const RepeatRow& row = result.rows[i];
-      const bench::CellOutcome& oc = result.outcomes[i];
-      std::cout << "seed " << (req.seed + i)
-                << ": status=" << to_string(oc.status);
-      if (oc.status == bench::CellStatus::kQuarantined) {
-        std::cout << " [" << to_string(oc.category) << " after "
-                  << oc.attempts << " attempt"
-                  << (oc.attempts == 1 ? "" : "s") << "] " << oc.error
-                  << "\n";
-        all_ok = false;
-        continue;
-      }
-      std::cout << " rounds=" << row.rounds << " wall_ms=" << row.wall_ms
-                << " " << (row.ok ? "ok" : "INVALID")
-                << (oc.resumed ? " (resumed)" : "") << " — " << row.summary
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const RepeatRow& row = rows[i];
+      std::cout << "seed " << (req.seed + i) << ": rounds=" << row.rounds
+                << " wall_ms=" << row.wall_ms << " "
+                << (row.ok ? "ok" : "INVALID") << " — " << row.summary
                 << "\n";
       rounds.push_back(static_cast<double>(row.rounds));
       wall.push_back(row.wall_ms);
       all_ok = all_ok && row.ok;
     }
-    if (!rounds.empty())
-      std::cout << "rounds:  " << format_summary(summarize(rounds)) << "\n"
-                << "wall_ms: " << format_summary(summarize(wall)) << "\n";
+    std::cout << "rounds:  " << format_summary(summarize(rounds)) << "\n"
+              << "wall_ms: " << format_summary(summarize(wall)) << "\n";
     std::cout << driver.report() << "\n";
     return all_ok ? 0 : kExitFailure;
   }
@@ -584,10 +494,7 @@ int cmd_check(int argc, char** argv) {
   if (!color) return kExitBadFile;
   const auto report = check_coloring(*g, *color);
   std::cout << report.describe() << "\n";
-  return report.proper && report.complete &&
-                 report.max_color < g->max_degree()
-             ? 0
-             : kExitFailure;
+  return report.valid_for(g->max_degree()) ? 0 : kExitFailure;
 }
 
 }  // namespace
@@ -614,17 +521,6 @@ int main(int argc, char** argv) {
                   << " (modes: off, end, phase)\n";
         return kExitUsage;
       }
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      if (!parse_number(arg.substr(10), "--retries", &g_retries, 1))
-        return kExitUsage;
-    } else if (arg.rfind("--journal=", 0) == 0) {
-      g_journal_path = arg.substr(10);
-      if (g_journal_path.empty()) {
-        std::cerr << "dcolor: invalid --journal= (need a path)\n";
-        return kExitUsage;
-      }
-    } else if (arg == "--resume") {
-      g_resume = true;
     } else if (arg.rfind("--load=", 0) == 0) {
       g_load_path = arg.substr(7);
       if (g_load_path.empty()) {
@@ -656,16 +552,6 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
-  if (g_resume && g_journal_path.empty()) {
-    std::cerr << "dcolor: --resume requires --journal=PATH\n";
-    return kExitUsage;
-  }
-  if ((g_resume || !g_journal_path.empty() || g_retries > 1) &&
-      g_repeat <= 1) {
-    std::cerr << "dcolor: --journal/--resume/--retries apply to "
-                 "`color --repeat=N` batches only\n";
-    return kExitUsage;
-  }
   if (argc < 2) return usage();
   // Resolved engine configuration, printed once so "--threads=0" (auto)
   // never silently runs with an unexpected worker count (or junk in
