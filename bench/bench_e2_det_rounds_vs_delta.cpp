@@ -61,6 +61,16 @@ void run_tables() {
     totals.push_back(static_cast<double>(res.ledger.total()));
   }
   t.print();
+  for (std::size_t i = 0; i < delta_grid.size(); ++i) {
+    const auto& res = rows[i].res;
+    BenchJson("E2")
+        .field("delta", delta_grid[i])
+        .field("n", rows[i].n)
+        .field("valid", res.valid)
+        .field("heg", res.ledger.phase_total("phase1-heg"))
+        .ledger(res.ledger)
+        .print();
+  }
   // Compare a Delta^2 fit against a Delta*log2(Delta) fit: with the
   // Kuhn-Wattenhofer schedules the realized dependence is the latter.
   std::vector<double> d2(deltas.size()), dlog(deltas.size());

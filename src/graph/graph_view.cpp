@@ -2,27 +2,6 @@
 
 namespace deltacolor {
 
-InducedSubgraphView::InducedSubgraphView(const Graph& host,
-                                         const std::vector<NodeId>& nodes)
-    : host_(&host), orig_of_(nodes) {
-  std::sort(orig_of_.begin(), orig_of_.end());
-  orig_of_.erase(std::unique(orig_of_.begin(), orig_of_.end()),
-                 orig_of_.end());
-  sub_of_.assign(host.num_nodes(), kNoNode);
-  for (NodeId i = 0; i < orig_of_.size(); ++i) {
-    DC_CHECK(orig_of_[i] < host.num_nodes());
-    sub_of_[orig_of_[i]] = i;
-  }
-  degree_.assign(orig_of_.size(), 0);
-  for (NodeId i = 0; i < orig_of_.size(); ++i) {
-    int d = 0;
-    for (const NodeId u : host.neighbors(orig_of_[i]))
-      if (sub_of_[u] != kNoNode) ++d;
-    degree_[i] = d;
-    max_degree_ = std::max(max_degree_, d);
-  }
-}
-
 PowerGraphView::PowerGraphView(const Graph& host, int radius)
     : host_(&host), radius_(radius) {
   DC_CHECK(radius >= 1);

@@ -1,6 +1,6 @@
 // Lazy graph views: uniform read-only access to the host graph and to the
-// derived graphs the paper's subroutines run on (induced subgraphs, power
-// graphs G^r, line graphs), without materializing edge sets.
+// derived graphs the paper's subroutines run on (power graphs G^r, line
+// graphs), without materializing edge sets.
 //
 // The GraphView concept is the contract every view-generic subroutine
 // (linial_reduce, kw_reduce, schedule_coloring, ruling_set, SyncRunner)
@@ -13,19 +13,21 @@
 //                            each exactly once, u != v
 //   dilation()               real communication rounds needed to simulate
 //                            one synchronous round of the view on the host
-//                            network (1 for the host and induced subgraphs,
-//                            r for G^r, 2 for the line graph)
+//                            network (1 for the host, r for G^r, 2 for the
+//                            line graph)
 //
 // A host Graph models the concept itself (dilation 1), so subroutines take
 // "const ViewT&" and run unchanged on real and virtual graphs. Laziness
 // means no view stores an adjacency structure: neighbor enumeration walks
-// the host CSR on demand (induced/line views) or runs a bounded BFS
-// (power view). Construction is O(n) memory for the node-indexed arrays
-// (mappings, exact degrees) — never O(edges-of-the-view).
+// the host CSR on demand (line view) or runs a bounded BFS (power view).
+// Construction is O(n) memory for the exact degrees at most — never
+// O(edges-of-the-view). An induced subgraph needs no view: the reductions
+// step its nodes on the host graph, over an ascending node list with
+// host-indexed states (ActiveNodes, primitives/linial.hpp).
 //
 // Eager materializers are the test oracles: tests assert that each view
-// enumerates exactly the adjacency of induced_subgraph (graph/subgraph.hpp)
-// or of the test-only power_graph and line_graph (tests/eager_graphs.hpp).
+// enumerates exactly the adjacency of the test-only power_graph and
+// line_graph (tests/eager_graphs.hpp).
 #pragma once
 
 #include <algorithm>
@@ -57,44 +59,6 @@ concept GraphView =
     };
 
 static_assert(GraphView<Graph>);
-
-/// View of the subgraph induced by a node set. Nodes are re-indexed
-/// 0..k-1 in ascending host order (the same mapping induced_subgraph()
-/// produces, so schedules computed on the view are interchangeable with
-/// the materialized oracle). Identifiers are inherited from the host.
-class InducedSubgraphView {
- public:
-  /// `nodes` need not be sorted or unique. O(n + sum of host degrees).
-  InducedSubgraphView(const Graph& host, const std::vector<NodeId>& nodes);
-
-  NodeId num_nodes() const { return static_cast<NodeId>(orig_of_.size()); }
-  int degree(NodeId i) const { return degree_[i]; }
-  int max_degree() const { return max_degree_; }
-  std::uint64_t id(NodeId i) const { return host_->id(orig_of_[i]); }
-  static constexpr int dilation() { return 1; }
-
-  /// View node -> host node (ascending in the view index).
-  NodeId orig_of(NodeId i) const { return orig_of_[i]; }
-  /// Host node -> view node, kNoNode if the host node is not in the view.
-  NodeId sub_of(NodeId host_v) const { return sub_of_[host_v]; }
-
-  template <typename Fn>
-  void for_each_neighbor(NodeId i, Fn&& fn) const {
-    for (const NodeId u : host_->neighbors(orig_of_[i])) {
-      const NodeId j = sub_of_[u];
-      if (j != kNoNode) fn(j);
-    }
-  }
-
- private:
-  const Graph* host_;
-  std::vector<NodeId> orig_of_;  // sorted ascending, unique
-  std::vector<NodeId> sub_of_;   // size host n
-  std::vector<int> degree_;      // exact view degrees
-  int max_degree_ = 0;
-};
-
-static_assert(GraphView<InducedSubgraphView>);
 
 /// View of the power graph G^r: same nodes as the host, u ~ v iff
 /// 0 < dist_G(u, v) <= r. Neighbor enumeration is a depth-r BFS from the

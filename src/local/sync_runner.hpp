@@ -22,7 +22,9 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,10 +44,17 @@ struct EngineOptions {
   int num_threads = 0;
 };
 
+/// How many bucket positions ahead of the node being stepped a keyed round
+/// prefetches that node's adjacency row and state slot (host graphs only).
+/// Distances 4, 8, 16 and 32 measured alike on phase 4B's keyed rounds
+/// (EXPERIMENTS.md, "deg+1 over the active list").
+inline constexpr std::size_t kKeyedPrefetchDistance = 8;
+
 /// `GraphT` is any type modeling the GraphView concept (graph_view.hpp):
-/// the host Graph (the default), or a lazy InducedSubgraphView /
-/// PowerGraphView / LineGraphView — the engine itself never materializes
-/// virtual-graph adjacency.
+/// the host Graph (the default), or a lazy PowerGraphView / LineGraphView
+/// — the engine itself never materializes virtual-graph adjacency. Runs
+/// over part of a host graph keep host-indexed states and take the part as
+/// an ascending node list (run_keyed, mutate_states).
 template <typename State, typename GraphT = Graph>
 class SyncRunner {
  public:
@@ -236,18 +245,29 @@ class SyncRunner {
   /// counting sort per call buckets the nodes (ascending within a bucket),
   /// and each round steps its bucket into a side buffer before writing the
   /// new states back, so a bucket reads only round-(r-1) states. No
-  /// allocation per round. KeyFn: int(NodeId, const State&), a pure
-  /// function (the bucketing evaluates it twice per node).
+  /// allocation per round. KeyFn: int(NodeId, const State&), evaluated once
+  /// per candidate per call (its bucket is stored in the first pass).
+  ///
+  /// `nodes`, when given, is an ascending list of the only candidates: a
+  /// node off it is never keyed and never acts, as if keyed -1, so a stage
+  /// over part of the graph costs O(list), not O(n). Without it every node
+  /// is a candidate.
   template <typename KeyFn, typename StepFn>
-  int run_keyed(int rounds, KeyFn&& key, StepFn&& step) {
-    const NodeId n = g_.num_nodes();
+  int run_keyed(int rounds, KeyFn&& key, StepFn&& step,
+                std::optional<std::span<const NodeId>> nodes = std::nullopt) {
     const std::size_t buckets = rounds > 0 ? static_cast<std::size_t>(rounds) : 0;
-    const auto bucket_of = [&](NodeId v) -> std::size_t {
-      const int k = key(v, cur_[v]);
-      return k >= 0 && k < rounds ? static_cast<std::size_t>(k) : buckets;
-    };
+    const std::size_t candidates = nodes ? nodes->size() : g_.num_nodes();
+    const NodeId* list = nodes ? nodes->data() : nullptr;
     keyed_start_.assign(buckets + 2, 0);
-    for (NodeId v = 0; v < n; ++v) ++keyed_start_[bucket_of(v) + 1];
+    keyed_bucket_.resize(candidates);
+    for (std::size_t i = 0; i < candidates; ++i) {
+      const NodeId v = list != nullptr ? list[i] : static_cast<NodeId>(i);
+      const int k = key(v, cur_[v]);
+      const std::size_t b =
+          k >= 0 && k < rounds ? static_cast<std::size_t>(k) : buckets;
+      keyed_bucket_[i] = static_cast<std::uint32_t>(b);
+      ++keyed_start_[b + 1];
+    }
     std::size_t widest = 0;
     for (std::size_t b = 0; b < buckets; ++b) {
       widest = std::max(widest, keyed_start_[b + 1]);
@@ -255,9 +275,11 @@ class SyncRunner {
     }
     keyed_nodes_.resize(keyed_start_[buckets]);
     keyed_fill_.assign(keyed_start_.begin(), keyed_start_.end() - 1);
-    for (NodeId v = 0; v < n; ++v) {
-      const std::size_t b = bucket_of(v);
-      if (b < buckets) keyed_nodes_[keyed_fill_[b]++] = v;
+    for (std::size_t i = 0; i < candidates; ++i) {
+      const std::size_t b = keyed_bucket_[i];
+      if (b < buckets)
+        keyed_nodes_[keyed_fill_[b]++] =
+            list != nullptr ? list[i] : static_cast<NodeId>(i);
     }
     if (keyed_next_.size() < widest) keyed_next_.resize(widest);
     for (int r = 0; r < rounds; ++r) {
@@ -265,13 +287,24 @@ class SyncRunner {
       const std::size_t size =
           keyed_start_[static_cast<std::size_t>(r) + 1] - begin;
       if (size == 0) continue;
-      const NodeId* nodes = keyed_nodes_.data() + begin;
+      const NodeId* bucket = keyed_nodes_.data() + begin;
       each_chunk(size, [&](int, std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-          keyed_next_[i] = step(View(g_, nodes[i], cur_, r));
+        for (std::size_t i = b; i < e; ++i) {
+          // A bucket is a sparse walk over the node range: fetch the row
+          // and slot of a node further down the bucket while this one
+          // steps.
+          if constexpr (std::is_same_v<GraphT, Graph>) {
+            if (i + kKeyedPrefetchDistance < e) {
+              const NodeId ahead = bucket[i + kKeyedPrefetchDistance];
+              __builtin_prefetch(g_.neighbors(ahead).data());
+              __builtin_prefetch(cur_.data() + ahead);
+            }
+          }
+          keyed_next_[i] = step(View(g_, bucket[i], cur_, r));
+        }
       });
       for (std::size_t i = 0; i < size; ++i)
-        cur_[nodes[i]] = std::move(keyed_next_[i]);
+        cur_[bucket[i]] = std::move(keyed_next_[i]);
     }
     return rounds;
   }
@@ -282,13 +315,19 @@ class SyncRunner {
   /// Zero-round local relabeling: every node applies `fn` to its own state
   /// with no communication (e.g. KW palette compaction between stages).
   /// Runs on the worker pool; slots are disjoint, so results are
-  /// schedule-independent like regular rounds.
+  /// schedule-independent like regular rounds. `nodes`, when given, is an
+  /// ascending list of the only nodes relabeled, as in run_keyed.
   template <typename Fn>
-  void mutate_states(Fn&& fn) {
-    each_chunk(cur_.size(), [&](int, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        cur_[i] = fn(std::move(cur_[i]));
-    });
+  void mutate_states(Fn&& fn,
+                     std::optional<std::span<const NodeId>> nodes = std::nullopt) {
+    const NodeId* list = nodes ? nodes->data() : nullptr;
+    each_chunk(nodes ? nodes->size() : cur_.size(),
+               [&](int, std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   const std::size_t v = list != nullptr ? list[i] : i;
+                   cur_[v] = fn(std::move(cur_[v]));
+                 }
+               });
   }
 
  private:
@@ -387,9 +426,11 @@ class SyncRunner {
   std::vector<State> cur_;
   std::vector<State> nxt_;
   // Keyed rounds: bucket bounds (size buckets + 2; the last bucket holds
-  // the never-keyed nodes and is not materialized), fill cursors, the
-  // bucketed nodes, and the side buffer a bucket is stepped into.
+  // the never-keyed nodes and is not materialized), each candidate's
+  // bucket, fill cursors, the bucketed nodes, and the side buffer a bucket
+  // is stepped into.
   std::vector<std::size_t> keyed_start_;
+  std::vector<std::uint32_t> keyed_bucket_;
   std::vector<std::size_t> keyed_fill_;
   std::vector<NodeId> keyed_nodes_;
   std::vector<State> keyed_next_;

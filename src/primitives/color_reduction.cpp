@@ -7,7 +7,8 @@
 namespace deltacolor {
 
 template LinialResult kw_reduce<Graph>(const Graph&, std::vector<Color>, int,
-                                       int, LocalContext&);
-template LinialResult schedule_coloring<Graph>(const Graph&, LocalContext&);
+                                       int, LocalContext&, const ActiveNodes*);
+template LinialResult schedule_coloring<Graph>(const Graph&, LocalContext&,
+                                               const ActiveNodes*);
 
 }  // namespace deltacolor

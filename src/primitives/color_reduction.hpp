@@ -15,17 +15,23 @@
 // turning their round cost from O(Delta^2) into O(Delta log Delta).
 //
 // Generic over any GraphView: the same engine-stepped implementation runs
-// on host graphs and on the lazy LineGraphView (edge-coloring reduction).
-// Each elimination round is one SyncRunner round; since holders of the
-// eliminated color form an independent set, double-buffered reads equal
-// the sequential in-place update, so results match the pre-engine code
-// bit for bit at any worker count. A node acts at most once per stage — in
-// the round that eliminates its offset — so stages run as keyed rounds
-// (SyncRunner::run_keyed) that step only that round's holders.
+// on host graphs, on the lazy LineGraphView (edge-coloring reduction) and,
+// given an ActiveNodes list, on the subgraph a host's listed nodes induce
+// (host-indexed colors, kNoColor off the list, which no step counts as a
+// neighbor; keyed rounds and the compaction run over the list only, so it
+// stays kNoColor). Each elimination round is one
+// SyncRunner round; since holders of the eliminated color form an
+// independent set, double-buffered reads equal the sequential in-place
+// update, so results match the pre-engine code bit for bit at any worker
+// count. A node acts at most once per stage — in the round that eliminates
+// its offset — so stages run as keyed rounds (SyncRunner::run_keyed) that
+// step only that round's holders.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -38,14 +44,18 @@
 namespace deltacolor {
 
 /// Generic reduction over any GraphView. `color` must be a proper coloring
-/// of the view with values in [0, num_colors). Charges the elimination
-/// rounds (times view.dilation()) to the active phase ("kw-reduce" when the
-/// caller opened none).
+/// of the view with values in [0, num_colors) — or, with `active`, of the
+/// listed nodes' induced subgraph, with kNoColor off the list. Charges the
+/// elimination rounds (times view.dilation()) to the active phase
+/// ("kw-reduce" when the caller opened none).
 template <GraphView ViewT>
 LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
-                       int num_colors, int target, LocalContext& ctx) {
+                       int num_colors, int target, LocalContext& ctx,
+                       const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "kw-reduce");
-  const int max_degree = view.max_degree();
+  const int max_degree = active ? active->max_degree : view.max_degree();
+  std::optional<std::span<const NodeId>> nodes;
+  if (active) nodes = active->nodes;
   DC_CHECK_MSG(target >= max_degree + 1,
                "KW reduction target " << target << " below Delta+1 = "
                                       << max_degree + 1);
@@ -99,15 +109,17 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
       return c;
     };
     const int stage_rounds = hi - target;
-    runner.run_keyed(stage_rounds, key, step);
+    runner.run_keyed(stage_rounds, key, step, nodes);
     DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                  "KW: no free color during elimination");
     res.rounds += stage_rounds;
     // Compact: group g's surviving colors [g*2t, g*2t + t) -> [g*t, (g+1)*t)
     // — a zero-round renaming (pure local computation).
-    runner.mutate_states([group_size, target](Color c) {
-      return (c / group_size) * target + (c % group_size);
-    });
+    runner.mutate_states(
+        [group_size, target](Color c) {
+          return (c / group_size) * target + (c % group_size);
+        },
+        nodes);
     k = ((k + group_size - 1) / group_size) * target;
   }
   res.color = runner.take_states();
@@ -118,15 +130,18 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
 
 /// Linial followed by KW down to max_degree()+1 colors: a proper
 /// (Delta+1)-coloring of the view in O(Delta log Delta + log* n) rounds —
-/// the schedule generator used by the class-greedy subroutines. Default
-/// phase "schedule".
+/// the schedule generator used by the class-greedy subroutines. With
+/// `active`, the listed nodes' induced subgraph is colored (its maximum
+/// degree + 1 classes), host-indexed. Default phase "schedule".
 template <GraphView ViewT>
-LinialResult schedule_coloring(const ViewT& view, LocalContext& ctx) {
+LinialResult schedule_coloring(const ViewT& view, LocalContext& ctx,
+                               const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "schedule");
-  const LinialResult lin = linial_coloring(view, ctx);
-  if (view.num_nodes() == 0) return lin;
-  LinialResult res = kw_reduce(view, lin.color, lin.num_colors,
-                               view.max_degree() + 1, ctx);
+  LinialResult lin = linial_coloring(view, ctx, active);
+  if ((active ? active->nodes.size() : view.num_nodes()) == 0) return lin;
+  const int max_degree = active ? active->max_degree : view.max_degree();
+  LinialResult res = kw_reduce(view, std::move(lin.color), lin.num_colors,
+                               max_degree + 1, ctx, active);
   res.rounds += lin.rounds;
   return res;
 }

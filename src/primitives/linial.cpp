@@ -95,7 +95,7 @@ LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
   // real rounds (endpoints sync edge state over the edge), realized by the
   // view's dilation() inside linial_reduce's charge.
   const LineGraphView line(g);
-  LinialResult res = linial_reduce(line, initial, ctx);
+  LinialResult res = linial_reduce(line, std::move(initial), ctx);
   res.rounds = vertex.rounds + 2 * res.rounds;
   return res;
 }

@@ -9,16 +9,18 @@
 // fixed point q0^2, q0 ~ Delta, in O(log* k) rounds.
 //
 // The core reduction is generic over any GraphView (graph_view.hpp), so it
-// runs unchanged on host graphs, induced subgraphs, power graphs, and line
-// graphs — all without materializing the virtual graph. Each stage is one
-// synchronous round stepped through SyncRunner (multi-worker, bit-identical
-// across worker counts); rounds are charged to the LocalContext's active
-// phase with the view's dilation factor.
+// runs unchanged on host graphs, power graphs and line graphs — without
+// materializing the virtual graph — and, given an ActiveNodes list, on the
+// subgraph a host's listed nodes induce, stepped on the host. Each stage is
+// one synchronous round stepped through SyncRunner (multi-worker,
+// bit-identical across worker counts); rounds are charged to the
+// LocalContext's active phase with the view's dilation factor.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -30,9 +32,22 @@
 namespace deltacolor {
 
 struct LinialResult {
-  std::vector<Color> color;  ///< proper coloring, palette {0..num_colors-1}
+  /// Proper coloring, palette {0..num_colors-1}; kNoColor off the active
+  /// list of a run over part of the graph.
+  std::vector<Color> color;
   int num_colors = 0;
   int rounds = 0;  ///< virtual rounds of the view (not dilation-scaled)
+};
+
+/// Part of a host graph that a reduction colors instead of the whole: the
+/// ascending list of its nodes and the maximum degree of the subgraph they
+/// induce. States stay indexed by host node; a node off the list never
+/// acts and holds a sentinel that no step reads as a neighbor, so the
+/// listed nodes get exactly the colors the reduction gives their induced
+/// subgraph with host identifiers.
+struct ActiveNodes {
+  std::span<const NodeId> nodes;
+  int max_degree = 0;
 };
 
 namespace detail {
@@ -42,6 +57,10 @@ int linial_degree_for(std::uint64_t q, std::uint64_t max_val);
 /// Smallest prime q with q > delta * degree and q^(degree+1) > max_val.
 std::pair<std::uint64_t, int> linial_choose_field(int delta,
                                                   std::uint64_t max_val);
+
+/// The published digit of a node off the active list: above every q a
+/// stage can use, so it equals no node's digit.
+inline constexpr std::uint32_t kNoResidue = ~std::uint32_t{0};
 
 /// The calling thread's scratch for the step's collision path, at least
 /// `words` long. It only grows, and one buffer per thread serves every
@@ -87,46 +106,59 @@ class LinialReciprocal {
 }  // namespace detail
 
 /// Generic reduction over any GraphView. `initial` must be a proper
-/// coloring of the view (pairwise distinct along every view edge).
-/// Charges rounds * view.dilation() to the context's active phase
-/// ("linial" when the caller opened none).
+/// coloring of the view (pairwise distinct along every view edge), or of
+/// the listed nodes' induced subgraph when `active` is given; its values
+/// off the list are never read. Charges rounds * view.dilation() to the
+/// context's active phase ("linial" when the caller opened none).
 template <GraphView ViewT>
 LinialResult linial_reduce(const ViewT& view,
-                           const std::vector<std::uint64_t>& initial,
-                           LocalContext& ctx) {
+                           std::vector<std::uint64_t> initial,
+                           LocalContext& ctx,
+                           const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "linial");
   const NodeId n = view.num_nodes();
+  const std::size_t count = active ? active->nodes.size() : n;
+  const NodeId* list = active ? active->nodes.data() : nullptr;
+  const auto node_at = [list](std::size_t i) {
+    return list != nullptr ? list[i] : static_cast<NodeId>(i);
+  };
   LinialResult res;
-  res.color.assign(n, 0);
-  if (n == 0) {
+  res.color.assign(n, kNoColor);
+  if (count == 0) {
     res.num_colors = 1;
     return res;
   }
   DC_CHECK(initial.size() == n);
 
   std::uint64_t max_val = 0;
-  for (const std::uint64_t c : initial) max_val = std::max(max_val, c);
-  const int max_degree = view.max_degree();
+  for (std::size_t i = 0; i < count; ++i)
+    max_val = std::max(max_val, initial[node_at(i)]);
+  const int max_degree = active ? active->max_degree : view.max_degree();
 
   // Every stage is one engine round with its own field (q, d).
-  SyncRunner<std::uint64_t, ViewT> runner(view, initial, ctx.engine());
+  SyncRunner<std::uint64_t, ViewT> runner(view, std::move(initial),
+                                          ctx.engine());
   std::atomic<bool> failed{false};
+  // Each colored node's constant digit c mod q for the running stage,
+  // published before the stage and only read during it; nodes off the
+  // list keep kNoResidue, which equals no digit, so no step sees them.
+  std::vector<std::uint32_t> residue(n, detail::kNoResidue);
 
   // One stage = one engine round with stage-specific (q, d); the step
   // closure is rebuilt per stage with those scalars (and q's reciprocal)
   // captured by value. Once each worker's scratch has grown to the
   // largest neighborhood, the step allocates nothing, and it keeps no
   // per-node state between rounds.
-  const auto make_step = [&](std::uint64_t q, int d) {
-    return [rq = detail::LinialReciprocal(q), q, d,
+  const auto make_step = [&](const detail::LinialReciprocal& rq, int d) {
+    return [rq, q = rq.divisor(), d, digit = residue.data(),
             &failed](const auto& v) -> std::uint64_t {
     // Point x = 0 first: every polynomial evaluates there to its constant
-    // digit c mod q, so one reduction per neighbor settles the node unless
-    // some neighbor shares that digit.
-    const std::uint64_t mine0 = rq.mod(v.self());
+    // digit c mod q, so comparing published digits settles the node unless
+    // some neighbor shares its digit.
+    const std::uint32_t mine0 = digit[v.node()];
     bool collides = false;
     v.for_each_neighbor([&](NodeId u) {
-      if (u != v.node() && rq.mod(v.neighbor(u)) == mine0) collides = true;
+      if (u != v.node() && digit[u] == mine0) collides = true;
     });
     if (!collides) return mine0;  // x * q + p(x) at x = 0
     // Decompose the closed neighborhood's colors into base-q coefficient
@@ -147,7 +179,7 @@ LinialResult linial_reduce(const ViewT& view,
     decompose(v.self(), self_coeff);
     std::size_t nbrs = 0;
     v.for_each_neighbor([&](NodeId u) {
-      if (u == v.node()) return;
+      if (u == v.node() || digit[u] == detail::kNoResidue) return;
       decompose(v.neighbor(u), nbr_coeff + nbrs * terms);
       ++nbrs;
     });
@@ -174,7 +206,20 @@ LinialResult linial_reduce(const ViewT& view,
   for (;;) {
     const auto [q, d] = detail::linial_choose_field(max_degree, max_val);
     if (q * q > max_val) break;  // fixed point: no further progress
-    runner.run_rounds(1, make_step(q, d));
+    // Digits and coefficients are 32-bit; kNoResidue must stay out of range.
+    DC_CHECK(q < detail::kNoResidue);
+    const detail::LinialReciprocal rq(q);
+    const auto& states = runner.states();
+    for (std::size_t i = 0; i < count; ++i) {
+      const NodeId v = node_at(i);
+      residue[v] = static_cast<std::uint32_t>(rq.mod(states[v]));
+    }
+    if (active) {
+      runner.run_keyed(1, [](NodeId, std::uint64_t) { return 0; },
+                       make_step(rq, d), active->nodes);
+    } else {
+      runner.run_rounds(1, make_step(rq, d));
+    }
     DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                  "Linial: no collision-free point (q=" << q << ")");
     max_val = q * q - 1;
@@ -184,21 +229,29 @@ LinialResult linial_reduce(const ViewT& view,
 
   res.num_colors = static_cast<int>(max_val + 1);
   const auto& states = runner.states();
-  for (NodeId v = 0; v < n; ++v)
+  for (std::size_t i = 0; i < count; ++i) {
+    const NodeId v = node_at(i);
     res.color[v] = static_cast<Color>(states[v]);
+  }
   ctx.charge(res.rounds, view.dilation());
   return res;
 }
 
 /// O(Delta^2)-coloring of the view in O(log* n) rounds from its LOCAL
-/// identifiers (works on any GraphView; "linial" default phase).
+/// identifiers (works on any GraphView; "linial" default phase). With
+/// `active`, only the listed nodes are colored, as their induced subgraph.
 template <GraphView ViewT>
-LinialResult linial_coloring(const ViewT& view, LocalContext& ctx) {
+LinialResult linial_coloring(const ViewT& view, LocalContext& ctx,
+                             const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "linial");
   const NodeId n = view.num_nodes();
   std::vector<std::uint64_t> initial(n);
-  for (NodeId v = 0; v < n; ++v) initial[v] = view.id(v);
-  return linial_reduce(view, initial, ctx);
+  if (active) {
+    for (const NodeId v : active->nodes) initial[v] = view.id(v);
+  } else {
+    for (NodeId v = 0; v < n; ++v) initial[v] = view.id(v);
+  }
+  return linial_reduce(view, std::move(initial), ctx, active);
 }
 
 /// Proper *edge* coloring of g with an O(Delta^2)-sized palette, indexed by

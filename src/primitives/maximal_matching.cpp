@@ -136,8 +136,8 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
     for (Color cls = 0; cls < 3; ++cls) {
       // Round 0 for a free parent of a class-c child, round 1 for a free
       // class-c child with a parent, -1 otherwise. Branch-free on purpose:
-      // the roles follow no pattern along the node order and the engine
-      // evaluates the key twice per node, so an if-chain mispredicts on
+      // the engine evaluates the key once per node in node order, and the
+      // roles follow no pattern along it, so an if-chain mispredicts on
       // most nodes.
       const auto key = [&](NodeId v, const PrState& s) {
         const int parent = (child_classes[f][v] >> cls) & 1;

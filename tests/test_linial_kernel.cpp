@@ -5,9 +5,10 @@
 // detail::LinialReciprocal instead of hardware % and /. The reference
 // below is the earlier step transcribed: eager base-q decomposition of the
 // closed neighborhood with % and /, then a scan from x = 0. Both must agree
-// on every color, the palette size and the round count, on host graphs and
-// on every lazy view, for narrow and 64-bit-wide identifiers, at any
-// worker count.
+// on every color, the palette size and the round count, on host graphs, on
+// every lazy view and on an active list of a host graph (against the
+// materialized induced subgraph), for narrow and 64-bit-wide identifiers,
+// at any worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_view.hpp"
+#include "graph/subgraph.hpp"
 #include "local/context.hpp"
 #include "primitives/linial.hpp"
 
@@ -199,19 +201,47 @@ TEST(LinialKernel, HostGraphsMatchReference) {
   }
 }
 
-TEST(LinialKernel, InducedSubgraphViewsMatchReference) {
+// The library run over an ascending active list of a host graph, with
+// host-indexed states, must color the listed nodes exactly as the
+// reference colors the materialized induced subgraph (host identifiers),
+// leave kNoColor off the list, and never read the initial values there.
+TEST(LinialKernel, ActiveListsMatchReferenceOnInducedSubgraph) {
   Graph reg = random_regular(1500, 9, 31);
   Graph blow = blowup(128, 16, 16, 32).graph;
   for (Graph* g : {&reg, &blow}) {
     for (const Ids ids : kAllIds) {
       install_ids(*g, ids, 33);
-      for (const double keep : {0.3, 0.7, 1.0}) {
-        const InducedSubgraphView view(
-            *g, random_mask(g->num_nodes(), keep, 34));
-        expect_matches_reference(view, "induced n=" +
-                                           std::to_string(g->num_nodes()) +
-                                           " keep=" + std::to_string(keep) +
-                                           " ids=" + ids_name(ids));
+      for (const double keep : {0.03, 0.3, 0.7, 1.0}) {
+        const std::vector<NodeId> nodes =
+            random_mask(g->num_nodes(), keep, 34);
+        const Subgraph sub = induced_subgraph(*g, nodes);
+        const ActiveNodes act{nodes, sub.graph.max_degree()};
+        std::vector<std::uint64_t> initial(g->num_nodes());
+        for (NodeId v = 0; v < g->num_nodes(); ++v)
+          initial[v] = sub.sub_of[v] == kNoNode ? hash_mix(35, v) : g->id(v);
+        std::vector<std::uint64_t> sub_initial(sub.graph.num_nodes());
+        for (NodeId i = 0; i < sub.graph.num_nodes(); ++i)
+          sub_initial[i] = sub.graph.id(i);
+        for (const EngineOptions& engine : kEngines) {
+          const std::string where =
+              "n=" + std::to_string(g->num_nodes()) +
+              " keep=" + std::to_string(keep) + " ids=" + ids_name(ids) +
+              " workers=" + std::to_string(engine.num_threads);
+          RoundLedger ledger;
+          LocalContext ctx(ledger, engine, 1);
+          const LinialResult got = linial_reduce(*g, initial, ctx, &act);
+          const LinialResult want =
+              reference_linial_reduce(sub.graph, sub_initial, engine);
+          EXPECT_EQ(got.rounds, want.rounds) << where;
+          EXPECT_EQ(got.num_colors, want.num_colors) << where;
+          ASSERT_EQ(got.color.size(), g->num_nodes()) << where;
+          for (NodeId v = 0; v < g->num_nodes(); ++v) {
+            const NodeId i = sub.sub_of[v];
+            ASSERT_EQ(got.color[v], i == kNoNode ? kNoColor : want.color[i])
+                << where << " node " << v;
+          }
+          EXPECT_EQ(ledger.total(), got.rounds) << where;
+        }
       }
     }
   }

@@ -291,7 +291,7 @@ TEST(SteadyState, SparseRoundsAreAllocationFree) {
 
 // Keyed sparse rounds: once a runner's bucket buffers are warm, a whole
 // run_keyed call — bucketing, every round, the write-back — performs zero
-// heap allocations, so no round allocates.
+// heap allocations, so no round allocates; the same holds over a node list.
 TEST(SteadyState, KeyedRoundsAreAllocationFree) {
   const Graph g = random_regular(256, 6, 2);
   constexpr int kRounds = 40;
@@ -308,11 +308,20 @@ TEST(SteadyState, KeyedRoundsAreAllocationFree) {
     for (const NodeId u : view.neighbors()) acc ^= view.neighbor(u);
     return view.self() + kRounds * (1 + (acc & 7));
   };
+  std::vector<NodeId> list;
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) list.push_back(v);
   runner.run_keyed(kRounds, key, step);  // warm-up: buffers reach size
+  runner.run_keyed(kRounds, key, step, list);
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int call = 0; call < 8; ++call) runner.run_keyed(kRounds, key, step);
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "warm keyed rounds must not touch the heap";
+  for (int call = 0; call < 8; ++call) {
+    runner.run_keyed(kRounds, key, step, list);
+    runner.mutate_states([](int s) { return s + kRounds; }, list);
+  }
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - after, 0u)
+      << "warm keyed rounds over a list must not touch the heap";
 }
 
 // End-to-end: repeated warm runs of the deg+1 list-coloring engine allocate

@@ -3,10 +3,22 @@
 // of graph families plus round-complexity sanity (log* shape).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/palette.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
+#include "graph/subgraph.hpp"
 #include "local/context.hpp"
+#include "local/sync_runner.hpp"
+#include "primitives/color_reduction.hpp"
 #include "primitives/linial.hpp"
 #include "primitives/list_coloring.hpp"
 #include "primitives/maximal_matching.hpp"
@@ -168,6 +180,134 @@ TEST(DegPlusOne, EmptyActiveSetIsNoop) {
                                     ctx),
             0);
   EXPECT_EQ(ledger.total(), 0);
+}
+
+// deg+1 list coloring as composed over a materialized induced subgraph:
+// the Linial + KW schedule of the active nodes' subgraph (re-indexed, host
+// identifiers), then the class sweep on the host, keyed by the schedule
+// class mapped back to host nodes, excluding every host neighbor's color
+// through a PaletteSet. The kernel, which steps the active list on the
+// host with host-indexed states, must agree with it on every color, the
+// returned rounds and the ledger total.
+struct DegPlusOneRun {
+  std::vector<Color> color;
+  int rounds = 0;
+  std::int64_t ledger = 0;
+};
+
+DegPlusOneRun reference_deg_plus_one(const Graph& g, const NodeMask& active,
+                                     const ColorLists& lists,
+                                     std::vector<Color> color,
+                                     const EngineOptions& engine) {
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (active[v]) nodes.push_back(v);
+  if (nodes.empty()) return {std::move(color), 0, 0};
+  RoundLedger ledger;
+  LocalContext ctx(ledger, engine, 1);
+  ScopedPhase phase(ctx, "deg+1-list");
+  const Subgraph sub = induced_subgraph(g, nodes);
+  const LinialResult lin = schedule_coloring(sub.graph, ctx);
+  std::vector<Color> class_of(g.num_nodes(), -1);
+  for (NodeId i = 0; i < sub.graph.num_nodes(); ++i)
+    class_of[sub.orig_of[i]] = lin.color[i];
+  Color widest = lists.max_color();
+  for (const Color c : color) widest = std::max(widest, c);
+  const int width = widest + 1;
+  SyncRunner<Color> runner(g, std::move(color), engine);
+  std::atomic<bool> failed{false};
+  runner.run_keyed(
+      lin.num_colors, [&](NodeId v, Color) { return class_of[v]; },
+      [&](const SyncRunner<Color>::View& v) -> Color {
+        if (class_of[v.node()] != v.round()) return v.self();
+        PaletteSet taken(width);
+        for (const NodeId u : v.neighbors())
+          if (v.neighbor(u) != kNoColor) taken.insert(v.neighbor(u));
+        for (const Color c : lists[v.node()])
+          if (!taken.contains(c)) return c;
+        failed = true;
+        return v.self();
+      });
+  EXPECT_FALSE(failed.load());
+  ctx.charge(lin.num_colors);
+  return {runner.take_states(), lin.rounds + lin.num_colors, ledger.total()};
+}
+
+TEST(DegPlusOne, MatchesMaterializedReference) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("random(500,0.03)", random_graph(500, 0.03, 81));
+  graphs.emplace_back("random(300,0.1)", random_graph(300, 0.1, 82));
+  {
+    CliqueInstanceOptions opt;
+    opt.num_cliques = 256;
+    opt.delta = 16;
+    opt.clique_size = 16;
+    opt.seed = 83;
+    graphs.emplace_back("blowup(256,16,16)", clique_blowup_instance(opt).graph);
+  }
+  const EngineOptions engines[] = {{1}, {8}};
+  for (const auto& [name, g] : graphs) {
+    const NodeId n = g.num_nodes();
+    const int delta = g.max_degree();
+    // Lists: uniform {0..Delta}; a per-node shuffle of {0..Delta}; and
+    // Delta + 1 distinct colors from [0, Delta + 97) in shuffled order,
+    // which crosses 64 colors (the multi-word exclusion path).
+    std::vector<std::pair<std::string, ColorLists>> list_kinds;
+    list_kinds.emplace_back("uniform", uniform_lists(g, delta + 1));
+    for (const int extra : {0, 96}) {
+      std::vector<std::vector<Color>> nested(n);
+      Rng rng(84 + static_cast<std::uint64_t>(extra));
+      for (NodeId v = 0; v < n; ++v) {
+        std::vector<Color> pool(static_cast<std::size_t>(delta + 1 + extra));
+        std::iota(pool.begin(), pool.end(), Color{0});
+        for (std::size_t i = pool.size(); i > 1; --i)
+          std::swap(pool[i - 1], pool[rng.below(i)]);
+        pool.resize(static_cast<std::size_t>(delta + 1));
+        nested[v] = std::move(pool);
+      }
+      list_kinds.emplace_back(extra == 0 ? "unsorted" : "wide",
+                              ColorLists(nested));
+    }
+    ASSERT_GE(list_kinds.back().second.max_color(), 64);
+    for (const double keep : {0.0, -1.0, 0.03, 0.5, 1.0}) {
+      // keep < 0: exactly one active node.
+      NodeMask active(n, 0);
+      Rng pick(85);
+      for (NodeId v = 0; v < n; ++v)
+        active[v] = keep < 0 ? v == n / 2 : pick.chance(keep);
+      for (const auto& [kind, lists] : list_kinds) {
+        // Pre-color about a third of the inactive nodes properly from their
+        // own lists; a node's list has Delta + 1 distinct colors, so every
+        // active node keeps more free colors than active neighbors.
+        std::vector<Color> color(n, kNoColor);
+        Rng paint(86);
+        for (NodeId v = 0; v < n; ++v) {
+          if (active[v] || !paint.chance(0.35)) continue;
+          const auto list = lists[v];
+          const Color c = list[paint.below(list.size())];
+          bool clash = false;
+          for (const NodeId u : g.neighbors(v)) clash |= color[u] == c;
+          if (!clash) color[v] = c;
+        }
+        for (const EngineOptions& engine : engines) {
+          const std::string where =
+              name + " keep=" + std::to_string(keep) + " lists=" + kind +
+              " workers=" + std::to_string(engine.num_threads);
+          const DegPlusOneRun want =
+              reference_deg_plus_one(g, active, lists, color, engine);
+          RoundLedger ledger;
+          LocalContext ctx(ledger, engine, 1);
+          std::vector<Color> got = color;
+          const int rounds =
+              deg_plus_one_list_color(g, active, lists, got, ctx);
+          EXPECT_TRUE(got == want.color) << where;
+          EXPECT_EQ(rounds, want.rounds) << where;
+          EXPECT_EQ(ledger.total(), want.ledger) << where;
+          EXPECT_FALSE(find_partial_conflict(g, got).has_value()) << where;
+        }
+      }
+    }
+  }
 }
 
 // --- MIS ------------------------------------------------------------------------

@@ -8,11 +8,15 @@
 //      narrows again;
 //  (c) RoundLedger wall-clock totals are monotone and merge per phase;
 //  (d) keyed sparse rounds (run_keyed) equal run_rounds for schedule-driven
-//      steps, and the keyed primitives (KW reduction, the deg+1 class
-//      sweep) are bit-identical across worker counts.
+//      steps, evaluate the key once per candidate, and over a node list
+//      equal the all-nodes form keyed -1 off the list; the keyed primitives
+//      (KW reduction, also over a list, and the deg+1 class sweep) are
+//      bit-identical across worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <numeric>
 #include <string>
 
@@ -21,7 +25,7 @@
 #include "common/thread_pool.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
-#include "graph/graph_view.hpp"
+#include "graph/subgraph.hpp"
 #include "local/context.hpp"
 #include "local/message_passing.hpp"
 #include "local/sync_runner.hpp"
@@ -386,18 +390,22 @@ std::vector<Slotted> slotted_initial(const Graph& g, int rounds,
   return init;
 }
 
+// The step shared by the keyed tests: an acting node folds its
+// neighbors' values into its own and clears its slot.
+Slotted fold_step(const SyncRunner<Slotted>::View& view) {
+  Slotted s = view.self();
+  if (s.slot != view.round()) return s;
+  std::uint64_t mix = s.value ^ static_cast<std::uint64_t>(view.round());
+  for (const NodeId u : view.neighbors())
+    mix = splitmix64(mix) ^ view.neighbor(u).value;
+  s.value = mix;
+  s.slot = -1;
+  return s;
+}
+
 TEST(SyncRunnerKeyed, MatchesRunRoundsOnRandomGraphs) {
   constexpr int kRounds = 23;
-  const auto step = [](const SyncRunner<Slotted>::View& view) {
-    Slotted s = view.self();
-    if (s.slot != view.round()) return s;
-    std::uint64_t mix = s.value ^ static_cast<std::uint64_t>(view.round());
-    for (const NodeId u : view.neighbors())
-      mix = splitmix64(mix) ^ view.neighbor(u).value;
-    s.value = mix;
-    s.slot = -1;
-    return s;
-  };
+  const auto step = fold_step;
   const auto key = [](NodeId, const Slotted& s) { return s.slot; };
   for (const std::uint64_t seed : {1, 2, 3}) {
     const Graph g = random_graph(400, 0.02 * static_cast<double>(seed), seed);
@@ -418,22 +426,130 @@ TEST(SyncRunnerKeyed, MatchesRunRoundsOnRandomGraphs) {
   }
 }
 
+std::vector<NodeId> every_third_hashed(NodeId n, std::uint64_t seed) {
+  std::vector<NodeId> list;
+  for (NodeId v = 0; v < n; ++v)
+    if (hash_mix(seed, v, 2) % 3 == 0) list.push_back(v);
+  return list;
+}
+
+// The key runs once per candidate per call — every node without a list,
+// each listed node (and no other) with one.
+TEST(SyncRunnerKeyed, KeyRunsOncePerCandidate) {
+  constexpr int kRounds = 11;
+  const Graph g = random_graph(300, 0.03, 6);
+  const std::vector<NodeId> list = every_third_hashed(g.num_nodes(), 6);
+  ASSERT_FALSE(list.empty());
+  for (const int workers : {1, 8}) {
+    SyncRunner<Slotted> runner(g, slotted_initial(g, kRounds, 6),
+                               EngineOptions{workers});
+    std::atomic<std::size_t> calls{0};
+    NodeMask keyed(g.num_nodes(), 0);
+    const auto key = [&](NodeId v, const Slotted& s) {
+      ++calls;
+      keyed[v] = 1;
+      return s.slot;
+    };
+    runner.run_keyed(kRounds, key, fold_step);
+    EXPECT_EQ(calls.load(), g.num_nodes()) << "workers=" << workers;
+    calls = 0;
+    std::fill(keyed.begin(), keyed.end(), 0);
+    runner.run_keyed(kRounds, key, fold_step, list);
+    EXPECT_EQ(calls.load(), list.size()) << "workers=" << workers;
+    std::size_t listed_keyed = 0;
+    for (const NodeId v : list) listed_keyed += keyed[v];
+    EXPECT_EQ(listed_keyed, list.size());
+  }
+}
+
+// run_keyed and mutate_states over a list equal the all-nodes forms keyed
+// -1 (left alone) off the list, at any worker count, and never touch an
+// unlisted state.
+TEST(SyncRunnerKeyed, ListFormEqualsAllNodesKeyedOffTheList) {
+  constexpr int kRounds = 23;
+  const auto relabel = [](Slotted s) {
+    s.value = splitmix64(s.value);
+    return s;
+  };
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const Graph g = random_graph(400, 0.02 * static_cast<double>(seed), seed);
+    const std::vector<Slotted> init = slotted_initial(g, kRounds, seed);
+    const std::vector<NodeId> list = every_third_hashed(g.num_nodes(), seed);
+    NodeMask listed(g.num_nodes(), 0);
+    for (const NodeId v : list) listed[v] = 1;
+    SyncRunner<Slotted> reference(g, init, EngineOptions{1});
+    reference.run_keyed(
+        kRounds,
+        [&](NodeId v, const Slotted& s) { return listed[v] ? s.slot : -1; },
+        fold_step);
+    std::vector<Slotted> want = reference.states();
+    for (const NodeId v : list) want[v] = relabel(want[v]);
+    const auto key = [](NodeId, const Slotted& s) { return s.slot; };
+    for (const int workers : {1, 2, 8}) {
+      SyncRunner<Slotted> keyed(g, init, EngineOptions{workers});
+      EXPECT_EQ(keyed.run_keyed(kRounds, key, fold_step, list), kRounds);
+      keyed.mutate_states(relabel, list);
+      EXPECT_EQ(keyed.states(), want)
+          << "seed=" << seed << " workers=" << workers;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (listed[v]) continue;
+        ASSERT_EQ(keyed.states()[v], init[v]) << v;
+      }
+    }
+  }
+}
+
+// Buckets of 0, 1, 7, 8 and 9 nodes (around the prefetch distance), with
+// and without a list, match full sweeps; under ASan the prefetching walk
+// stays inside each bucket.
+TEST(SyncRunnerKeyed, SmallBucketsAroundThePrefetchDistance) {
+  const std::size_t sizes[] = {0, 1, 7, kKeyedPrefetchDistance,
+                               kKeyedPrefetchDistance + 1, 0, 9};
+  const int rounds = static_cast<int>(std::size(sizes));
+  const Graph g = random_regular(64, 5, 9);
+  std::vector<Slotted> init(g.num_nodes());
+  NodeId next = 0;
+  for (int r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < sizes[r]; ++i, ++next) {
+      // Spread each bucket over the node range, not one contiguous run.
+      const NodeId v = static_cast<NodeId>((next * 37) % g.num_nodes());
+      init[v].slot = r;
+    }
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) init[v].value = hash_mix(9, v);
+  SyncRunner<Slotted> reference(g, init, EngineOptions{1});
+  reference.run_rounds(rounds, fold_step);
+  std::vector<NodeId> all(g.num_nodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  const auto key = [](NodeId, const Slotted& s) { return s.slot; };
+  for (const int workers : {1, 2, 8}) {
+    SyncRunner<Slotted> keyed(g, init, EngineOptions{workers});
+    keyed.run_keyed(rounds, key, fold_step);
+    EXPECT_EQ(keyed.states(), reference.states()) << "workers=" << workers;
+    SyncRunner<Slotted> listed(g, init, EngineOptions{workers});
+    listed.run_keyed(rounds, key, fold_step, all);
+    EXPECT_EQ(listed.states(), reference.states()) << "workers=" << workers;
+  }
+}
+
 TEST(SyncRunnerKeyed, KwAndDegPlusOneBitIdenticalAcrossEngines) {
   const EngineOptions engines[] = {{1}, {2}, {8}};
   for (const std::uint64_t seed : {4, 5}) {
     const Graph g = random_graph(600, 0.02, seed);
-    // KW from Linial's palette to Delta + 1, on the host graph and on a
-    // lazy induced view.
+    // KW from Linial's palette to Delta + 1, on the host graph, and over
+    // the list of every other node with host-indexed colors, which must
+    // color the list exactly as KW colors the materialized subgraph.
     std::vector<NodeId> half;
     for (NodeId v = 0; v < g.num_nodes(); v += 2) half.push_back(v);
-    const InducedSubgraphView view(g, half);
+    const Subgraph sub = induced_subgraph(g, half);
+    const ActiveNodes act{half, sub.graph.max_degree()};
     // deg+1 on a random active set with the full (Delta+1) lists.
     NodeMask active(g.num_nodes(), 0);
     for (NodeId v = 0; v < g.num_nodes(); ++v)
       active[v] = hash_mix(seed, v, 9) % 3 != 0;
     const ColorLists lists = uniform_lists(g, g.max_degree() + 1);
 
-    std::vector<Color> kw_host0, kw_view0, dp0;
+    std::vector<Color> kw_host0, kw_list0, dp0;
     for (const EngineOptions& engine : engines) {
       RoundLedger ledger;
       LocalContext ctx(ledger, engine, seed);
@@ -441,10 +557,23 @@ TEST(SyncRunnerKeyed, KwAndDegPlusOneBitIdenticalAcrossEngines) {
       const LinialResult kw_host = kw_reduce(g, lin.color, lin.num_colors,
                                              g.max_degree() + 1, ctx);
       EXPECT_TRUE(is_proper_coloring(g, kw_host.color, g.max_degree() + 1));
-      const LinialResult lin_view = linial_coloring(view, ctx);
-      const LinialResult kw_view =
-          kw_reduce(view, lin_view.color, lin_view.num_colors,
-                    view.max_degree() + 1, ctx);
+      const LinialResult lin_sub = linial_coloring(sub.graph, ctx);
+      const LinialResult kw_sub =
+          kw_reduce(sub.graph, lin_sub.color, lin_sub.num_colors,
+                    sub.graph.max_degree() + 1, ctx);
+      std::vector<Color> listed_in(g.num_nodes(), kNoColor);
+      for (NodeId i = 0; i < sub.graph.num_nodes(); ++i)
+        listed_in[sub.orig_of[i]] = lin_sub.color[i];
+      const LinialResult kw_list =
+          kw_reduce(g, std::move(listed_in), lin_sub.num_colors,
+                    act.max_degree + 1, ctx, &act);
+      EXPECT_EQ(kw_list.rounds, kw_sub.rounds);
+      EXPECT_EQ(kw_list.num_colors, kw_sub.num_colors);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        const NodeId i = sub.sub_of[v];
+        ASSERT_EQ(kw_list.color[v], i == kNoNode ? kNoColor : kw_sub.color[i])
+            << v;
+      }
       std::vector<Color> color(g.num_nodes(), kNoColor);
       deg_plus_one_list_color(g, active, lists, color, ctx);
       for (NodeId v = 0; v < g.num_nodes(); ++v)
@@ -454,12 +583,12 @@ TEST(SyncRunnerKeyed, KwAndDegPlusOneBitIdenticalAcrossEngines) {
                               " workers=" + std::to_string(engine.num_threads);
       if (kw_host0.empty()) {
         kw_host0 = kw_host.color;
-        kw_view0 = kw_view.color;
+        kw_list0 = kw_list.color;
         dp0 = color;
         continue;
       }
       EXPECT_EQ(kw_host.color, kw_host0) << tag;
-      EXPECT_EQ(kw_view.color, kw_view0) << tag;
+      EXPECT_EQ(kw_list.color, kw_list0) << tag;
       EXPECT_EQ(color, dp0) << tag;
     }
   }
