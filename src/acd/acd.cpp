@@ -21,22 +21,22 @@ int neighbors_in(const Graph& g, NodeId v, const std::vector<int>& clique_of,
 
 }  // namespace
 
-Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
-                const std::string& phase) {
+Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params) {
   LocalContext ctx(ledger);
   Acd acd;
   acd.epsilon = params.epsilon;
   const NodeId n = g.num_nodes();
   acd.clique_of.assign(n, -1);
   if (n == 0) {
-    ctx.charge(phase, 1);
+    ctx.charge("acd", 1);
     return acd;
   }
   const int delta = g.max_degree();
-  const double eta = params.eta >= 0
-                         ? params.eta
-                         : std::max(params.epsilon,
-                                    3.5 / std::max(1, delta));
+  // Friend threshold parameter eta: adjacent u, v are friends when
+  // |N(u) ∩ N(v)| >= (1 - eta) * Delta. The 3.5 / Delta floor keeps
+  // Delta-cliques recognizable at moderate Delta, including cliques with
+  // one deleted edge whose members share only Delta - 3 common neighbors.
+  const double eta = std::max(params.epsilon, 3.5 / std::max(1, delta));
   const double friend_threshold = (1.0 - eta) * delta;
   const double dense_threshold = (1.0 - eta) * delta;
 
@@ -100,7 +100,7 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
   const double max_size = (1.0 + eps) * delta;
   const double member_threshold = (1.0 - eps) * delta;     // (ii)
   const double absorb_threshold = (1.0 - eps / 2.0) * delta;  // (iii)
-  for (int it = 0; it < params.max_repair_iterations; ++it) {
+  for (int it = 0; it < kAcdRepairIterations; ++it) {
     bool changed = false;
     // (ii): evict members with too few internal neighbors.
     for (NodeId v = 0; v < n; ++v) {
@@ -172,7 +172,7 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
   // (friend marking: 1 round; density: 1; components of diameter <= 2: 3;
   // each repair sweep: 2). The paper charges O(1); we charge the actual
   // constant.
-  ctx.charge(phase, 5 + 2 * params.max_repair_iterations);
+  ctx.charge("acd", 5 + 2 * kAcdRepairIterations);
   return acd;
 }
 

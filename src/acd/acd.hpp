@@ -10,10 +10,11 @@
 // neighbors. A graph is *dense* (Definition 4) when V_sparse is empty.
 //
 // Computation (O(1) LOCAL rounds): friend edges (common neighborhood
-// >= (1 - eta) Delta), connected components of the friend graph among
-// dense vertices form preliminary ACs, followed by the O(1)-round
-// repair steps of [FHM23, HM24]: evict members violating (ii), absorb
-// outsiders triggering (iii), dissolve components violating (i).
+// >= (1 - eta) Delta, eta = max(epsilon, 3.5 / Delta)), connected
+// components of the friend graph among dense vertices form preliminary
+// ACs, followed by kAcdRepairIterations O(1)-round repair sweeps of
+// [FHM23, HM24]: evict members violating (ii), absorb outsiders
+// triggering (iii), dissolve components violating (i).
 #pragma once
 
 #include <string>
@@ -25,15 +26,11 @@
 
 namespace deltacolor {
 
+/// Repair sweeps compute_acd runs (each charged 2 rounds).
+inline constexpr int kAcdRepairIterations = 20;
+
 struct AcdParams {
   double epsilon = kAcdEpsilon;  ///< Lemma 2's epsilon (paper: 1/63)
-  /// Friend threshold parameter eta: adjacent u, v are friends when
-  /// |N(u) ∩ N(v)| >= (1 - eta) * Delta. If negative, eta is chosen
-  /// automatically as max(epsilon, 3.5 / Delta) — the latter keeps
-  /// Delta-cliques recognizable at moderate Delta, including cliques with
-  /// one deleted edge whose members share only Delta - 3 common neighbors.
-  double eta = -1.0;
-  int max_repair_iterations = 20;
 };
 
 struct Acd {
@@ -49,11 +46,10 @@ struct Acd {
   int num_cliques() const { return static_cast<int>(cliques.size()); }
 };
 
-/// Computes the ACD in O(1) LOCAL rounds (charged to `ledger` through a
-/// LocalContext on it, like every charge).
+/// Computes the ACD in O(1) LOCAL rounds (charged to `ledger` under
+/// "acd" through a LocalContext on it, like every charge).
 Acd compute_acd(const Graph& g, RoundLedger& ledger,
-                const AcdParams& params = {},
-                const std::string& phase = "acd");
+                const AcdParams& params = {});
 
 /// Structural validation of Lemma 2 (i)-(iii) and Observation 3.
 /// Returns a human-readable list of violations (empty = valid).

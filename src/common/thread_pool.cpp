@@ -56,25 +56,11 @@ void ThreadPool::for_range(std::size_t begin, std::size_t end,
     fn(0, begin, end);
     return;
   }
-  run_job(fn, begin, end, nullptr);
-}
-
-void ThreadPool::for_chunks(const std::vector<std::size_t>& bounds,
-                            const RangeFn& fn) {
-  DC_CHECK_MSG(bounds.size() ==
-                   static_cast<std::size_t>(num_workers_) + 1,
-               "for_chunks needs num_workers()+1 bounds, got "
-                   << bounds.size());
-  if (bounds.front() >= bounds.back()) return;
-  if (num_workers_ == 1) {
-    fn(0, bounds.front(), bounds.back());
-    return;
-  }
-  run_job(fn, bounds.front(), bounds.back(), bounds.data());
+  run_job(fn, begin, end);
 }
 
 void ThreadPool::run_job(const RangeFn& fn, std::size_t begin,
-                         std::size_t end, const std::size_t* bounds) {
+                         std::size_t end) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     DC_CHECK_MSG(job_ == nullptr, "ThreadPool jobs are not reentrant");
@@ -82,15 +68,11 @@ void ThreadPool::run_job(const RangeFn& fn, std::size_t begin,
     job_ = &fn;
     job_begin_ = begin;
     job_end_ = end;
-    job_bounds_ = bounds;
     pending_ = num_workers_ - 1;
     ++epoch_;
   }
   job_cv_.notify_all();
-  const auto [lo, hi] = bounds == nullptr
-                            ? slice(begin, end, 0, num_workers_)
-                            : std::pair<std::size_t, std::size_t>{
-                                  bounds[0], bounds[1]};
+  const auto [lo, hi] = slice(begin, end, 0, num_workers_);
   try {
     fn(0, lo, hi);
   } catch (...) {
@@ -99,7 +81,6 @@ void ThreadPool::run_job(const RangeFn& fn, std::size_t begin,
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
   job_ = nullptr;
-  job_bounds_ = nullptr;
   // Rethrow the lowest-worker-index failure only after every chunk has
   // finished or failed — the pool is back in a clean state either way.
   for (std::exception_ptr& error : errors_)
@@ -115,7 +96,6 @@ void ThreadPool::worker_loop(int worker) {
   for (;;) {
     const RangeFn* job = nullptr;
     std::size_t begin = 0, end = 0;
-    const std::size_t* bounds = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       job_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
@@ -124,13 +104,8 @@ void ThreadPool::worker_loop(int worker) {
       job = job_;
       begin = job_begin_;
       end = job_end_;
-      bounds = job_bounds_;
     }
-    const auto [lo, hi] =
-        bounds == nullptr
-            ? slice(begin, end, worker, num_workers_)
-            : std::pair<std::size_t, std::size_t>{bounds[worker],
-                                                  bounds[worker + 1]};
+    const auto [lo, hi] = slice(begin, end, worker, num_workers_);
     try {
       (*job)(worker, lo, hi);
     } catch (...) {
@@ -161,13 +136,11 @@ void ThreadPool::set_default_workers(int n) {
                           std::memory_order_relaxed);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(default_workers());
-  return pool;
-}
-
 ThreadPool& ThreadPool::shared(int workers) {
-  if (workers <= 0) return global();
+  if (workers <= 0) {
+    static ThreadPool pool(default_workers());
+    return pool;
+  }
   const int w = clamp_workers(workers);
   static std::mutex mu;
   static std::map<int, ThreadPool> pools;  // node-stable: refs stay valid

@@ -38,8 +38,11 @@ class ThreadPool {
   int num_workers() const { return num_workers_; }
 
   /// Splits [begin, end) into num_workers() contiguous chunks and runs
-  /// fn on each, blocking until every chunk has finished. The calling
-  /// thread executes chunk 0 itself. Reentrant calls are not allowed.
+  /// fn on each, blocking until every chunk has finished. Worker w's chunk
+  /// is [begin + w*len/W, begin + (w+1)*len/W) for len = end - begin and
+  /// W = num_workers(), so calls over the same range hand each worker the
+  /// same slice. The calling thread executes chunk 0 itself. Reentrant
+  /// calls are not allowed.
   ///
   /// Exception safety: a chunk that throws does not terminate the process
   /// (worker threads catch into per-worker slots); after every chunk has
@@ -49,28 +52,16 @@ class ThreadPool {
   /// say) and the next call runs normally.
   void for_range(std::size_t begin, std::size_t end, const RangeFn& fn);
 
-  /// Like for_range, but the caller fixes the chunk boundaries: worker w
-  /// runs [bounds[w], bounds[w+1]). `bounds` must have num_workers() + 1
-  /// ascending entries. This pins a *stable* worker -> index-range
-  /// affinity across rounds (the round engine passes the same bounds
-  /// every round, so each worker re-touches the same graph/state pages —
-  /// cache- and NUMA-first-touch-friendly), and lets the caller balance
-  /// by per-index weight (degrees) instead of index count. Same exception
-  /// contract as for_range.
-  void for_chunks(const std::vector<std::size_t>& bounds, const RangeFn& fn);
-
   /// Library-wide default worker count (see resolution order above).
   static int default_workers();
 
   /// Overrides the default (e.g. from a --threads CLI flag). Must be
-  /// called before the first use of global() to affect the shared pool.
+  /// called before the first shared(0) to affect the default pool.
   static void set_default_workers(int n);
 
-  /// Lazily constructed process-wide pool with default_workers() workers.
-  static ThreadPool& global();
-
   /// Process-wide cached pool with exactly `workers` workers, shared by
-  /// every caller requesting that count (`workers` <= 0 maps to global()).
+  /// every caller requesting that count (`workers` <= 0 means the default
+  /// pool: default_workers() workers, fixed at its first use).
   /// Engines are constructed per primitive call — composed pipelines build
   /// hundreds of short-lived runners — so an explicit worker count must not
   /// spawn (and join) fresh OS threads per runner.
@@ -78,8 +69,7 @@ class ThreadPool {
 
  private:
   void worker_loop(int worker);
-  void run_job(const RangeFn& fn, std::size_t begin, std::size_t end,
-               const std::size_t* bounds);
+  void run_job(const RangeFn& fn, std::size_t begin, std::size_t end);
 
   int num_workers_;
   std::vector<std::thread> threads_;
@@ -93,9 +83,6 @@ class ThreadPool {
   const RangeFn* job_ = nullptr;
   std::size_t job_begin_ = 0;
   std::size_t job_end_ = 0;
-  // Non-null while a for_chunks job runs: worker w's slice is
-  // [job_bounds_[w], job_bounds_[w+1]) instead of the uniform stripe.
-  const std::size_t* job_bounds_ = nullptr;
   std::uint64_t epoch_ = 0;
   int pending_ = 0;
   bool stop_ = false;

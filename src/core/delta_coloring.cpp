@@ -24,7 +24,6 @@ std::string DeltaColoringResult::summary() const {
 DeltaColoringOptions scaled_options(int delta) {
   DeltaColoringOptions opt;
   opt.acd.epsilon = std::max(kAcdEpsilon, 2.5 / delta);
-  opt.hard.epsilon = opt.acd.epsilon;
   return opt;
 }
 

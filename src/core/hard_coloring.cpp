@@ -467,7 +467,7 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
   for (const int inc : incoming) st.max_incoming_f3 = std::max(st.max_incoming_f3, inc);
   st.lemma13_ok =
       st.max_incoming_f3 <
-      0.5 * (ctx.delta - 2 * params.epsilon * ctx.delta - 1) + 1e-9;
+      0.5 * (ctx.delta - 2 * acd.epsilon * ctx.delta - 1) + 1e-9;
   laps.lap("phase2-split");
 
   // ---------------------------------------------------------------- Phase 3

@@ -53,8 +53,6 @@ struct HardColoringParams {
   /// randomized algorithm where color 0 is reserved for T-node pairs).
   Color palette_floor = 0;
   bool scale_for_delta = true;
-  /// ACD epsilon used for the Lemma 13 / 16 bound checks.
-  double epsilon = kAcdEpsilon;
   /// Palette size; -1 = use g.max_degree(). The randomized post-shattering
   /// phase colors induced components whose local maximum degree is below
   /// the global Delta.

@@ -5,7 +5,7 @@
 namespace deltacolor {
 
 Hardness classify_hardness(const Graph& g, const Acd& acd,
-                           const LoopholeSet& loopholes, bool verify_lemma9) {
+                           const LoopholeSet& loopholes) {
   Hardness h;
   h.is_hard.assign(acd.cliques.size(), true);
   h.in_hard.assign(g.num_nodes(), false);
@@ -29,40 +29,38 @@ Hardness classify_hardness(const Graph& g, const Acd& acd,
     }
   }
 
-  if (verify_lemma9) {
-    const int delta = g.max_degree();
-    for (std::size_t c = 0; c < acd.cliques.size(); ++c) {
-      if (!h.is_hard[c]) continue;
-      const auto& members = acd.cliques[c];
-      // Lemma 9.1/9.2: clique, and every member has degree exactly Delta
-      // (internal |C|-1 plus e_C = Delta - |C| + 1 external).
-      for (const NodeId v : members) {
-        DC_CHECK_MSG(g.degree(v) == delta,
-                     "hard clique member " << v << " has degree "
-                                           << g.degree(v) << " != " << delta);
-        int internal = 0;
-        for (const NodeId u : g.neighbors(v))
-          if (acd.clique_of[u] == static_cast<int>(c)) ++internal;
-        DC_CHECK_MSG(internal == static_cast<int>(members.size()) - 1,
-                     "hard AC " << c << " is not a clique at member " << v);
-      }
+  const int delta = g.max_degree();
+  for (std::size_t c = 0; c < acd.cliques.size(); ++c) {
+    if (!h.is_hard[c]) continue;
+    const auto& members = acd.cliques[c];
+    // Lemma 9.1/9.2: clique, and every member has degree exactly Delta
+    // (internal |C|-1 plus e_C = Delta - |C| + 1 external).
+    for (const NodeId v : members) {
+      DC_CHECK_MSG(g.degree(v) == delta,
+                   "hard clique member " << v << " has degree "
+                                         << g.degree(v) << " != " << delta);
+      int internal = 0;
+      for (const NodeId u : g.neighbors(v))
+        if (acd.clique_of[u] == static_cast<int>(c)) ++internal;
+      DC_CHECK_MSG(internal == static_cast<int>(members.size()) - 1,
+                   "hard AC " << c << " is not a clique at member " << v);
     }
-    // Lemma 9.3: no vertex outside a hard clique has two neighbors in it.
-    // last_seen[c] = last w that had a neighbor in clique c; since w
-    // ascends, a repeat within one w's scan means two neighbors in c.
-    std::vector<int> last_seen(acd.cliques.size(), -1);
-    for (NodeId w = 0; w < g.num_nodes(); ++w) {
-      for (const NodeId u : g.neighbors(w)) {
-        const int c = acd.clique_of[u];
-        if (c == -1 || c == acd.clique_of[w] ||
-            !h.is_hard[static_cast<std::size_t>(c)])
-          continue;
-        DC_CHECK_MSG(last_seen[static_cast<std::size_t>(c)] !=
-                         static_cast<int>(w),
-                     "outsider " << w << " has two neighbors in hard clique "
-                                 << c << " (undetected loophole)");
-        last_seen[static_cast<std::size_t>(c)] = static_cast<int>(w);
-      }
+  }
+  // Lemma 9.3: no vertex outside a hard clique has two neighbors in it.
+  // last_seen[c] = last w that had a neighbor in clique c; since w
+  // ascends, a repeat within one w's scan means two neighbors in c.
+  std::vector<int> last_seen(acd.cliques.size(), -1);
+  for (NodeId w = 0; w < g.num_nodes(); ++w) {
+    for (const NodeId u : g.neighbors(w)) {
+      const int c = acd.clique_of[u];
+      if (c == -1 || c == acd.clique_of[w] ||
+          !h.is_hard[static_cast<std::size_t>(c)])
+        continue;
+      DC_CHECK_MSG(last_seen[static_cast<std::size_t>(c)] !=
+                       static_cast<int>(w),
+                   "outsider " << w << " has two neighbors in hard clique "
+                               << c << " (undetected loophole)");
+      last_seen[static_cast<std::size_t>(c)] = static_cast<int>(w);
     }
   }
   return h;

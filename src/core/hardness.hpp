@@ -20,12 +20,11 @@ struct Hardness {
   int num_easy = 0;
 };
 
-/// Classifies ACs. When `verify_lemma9` is set (default), every hard clique
-/// is checked against Lemma 9: it is a clique, every member has degree
-/// exactly Delta, and no outsider has two neighbors inside — violations
-/// throw, since they would certify a loophole the detector missed.
+/// Classifies ACs. Every hard clique is checked against Lemma 9: it is a
+/// clique, every member has degree exactly Delta, and no outsider has two
+/// neighbors inside — violations throw, since they would certify a
+/// loophole the detector missed.
 Hardness classify_hardness(const Graph& g, const Acd& acd,
-                           const LoopholeSet& loopholes,
-                           bool verify_lemma9 = true);
+                           const LoopholeSet& loopholes);
 
 }  // namespace deltacolor

@@ -148,8 +148,7 @@ std::vector<NodeId> common_in(const Graph& g, const std::vector<NodeId>& pool,
 }  // namespace
 
 LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
-                                 RoundLedger& ledger,
-                                 const std::string& phase) {
+                                 RoundLedger& ledger) {
   LoopholeSet res;
   Accumulator acc(g, res);
   const int delta = g.max_degree();
@@ -397,7 +396,7 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
   }
 
   // Every case inspects a bounded-radius neighborhood: O(1) rounds.
-  LocalContext(ledger).charge(phase, 6);
+  LocalContext(ledger).charge("loopholes", 6);
   return res;
 }
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "acd/acd.hpp"
@@ -64,9 +63,9 @@ std::optional<Loophole> find_loophole_through(const Graph& g, NodeId v,
 
 /// Structure-aware detector for dense graphs with a computed ACD.
 /// O(1) LOCAL rounds (every case looks at a bounded-radius neighborhood);
-/// charged to `ledger` through a LocalContext on it, like every charge.
+/// charged to `ledger` under "loopholes" through a LocalContext on it,
+/// like every charge.
 LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
-                                 RoundLedger& ledger,
-                                 const std::string& phase = "loopholes");
+                                 RoundLedger& ledger);
 
 }  // namespace deltacolor

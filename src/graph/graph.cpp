@@ -6,34 +6,14 @@
 #include <type_traits>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace deltacolor {
 
-namespace {
-
-/// Runs fn(begin, end) over contiguous slices of [0, size): one slice per
-/// pool worker, or the whole range inline without a pool. Every builder
-/// stage dispatched this way writes only slots derived from its own node
-/// range, so the schedule cannot leak into the CSR.
-template <typename Fn>
-void for_node_ranges(ThreadPool* pool, std::size_t size, Fn&& fn) {
-  if (pool == nullptr || pool->num_workers() == 1 || size <= 1) {
-    fn(std::size_t{0}, size);
-    return;
-  }
-  pool->for_range(0, size, [&](int, std::size_t begin, std::size_t end) {
-    fn(begin, end);
-  });
-}
-
-}  // namespace
-
 Graph::Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges)
-    : Graph(num_nodes, std::move(edges), EdgeListHints{}, nullptr) {}
+    : Graph(num_nodes, std::move(edges), EdgeListHints{}) {}
 
 Graph::Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges,
-             EdgeListHints hints, ThreadPool* pool) {
+             EdgeListHints hints) {
   for (auto& [u, v] : edges) {
     DC_CHECK_MSG(u != v, "self loop at node " << u);
     DC_CHECK_MSG(u < num_nodes && v < num_nodes,
@@ -77,31 +57,27 @@ Graph::Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges,
     edges.shrink_to_fit();
     // Sort + dedup each bucket in place; `uniq[u]` is the surviving count.
     std::vector<std::size_t> uniq(n + 1, 0);
-    for_node_ranges(pool, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t u = begin; u < end; ++u) {
-        const auto lo = bucket.begin() +
-                        static_cast<std::ptrdiff_t>(bucket_start[u]);
-        const auto hi = bucket.begin() +
-                        static_cast<std::ptrdiff_t>(bucket_start[u + 1]);
-        std::sort(lo, hi);
-        if (hints.unique) {
-          DC_DCHECK(std::adjacent_find(lo, hi) == hi);
-          uniq[u + 1] = static_cast<std::size_t>(hi - lo);
-        } else {
-          uniq[u + 1] = static_cast<std::size_t>(std::unique(lo, hi) - lo);
-        }
+    for (std::size_t u = 0; u < n; ++u) {
+      const auto lo =
+          bucket.begin() + static_cast<std::ptrdiff_t>(bucket_start[u]);
+      const auto hi =
+          bucket.begin() + static_cast<std::ptrdiff_t>(bucket_start[u + 1]);
+      std::sort(lo, hi);
+      if (hints.unique) {
+        DC_DCHECK(std::adjacent_find(lo, hi) == hi);
+        uniq[u + 1] = static_cast<std::size_t>(hi - lo);
+      } else {
+        uniq[u + 1] = static_cast<std::size_t>(std::unique(lo, hi) - lo);
       }
-    });
+    }
     std::partial_sum(uniq.begin(), uniq.end(), uniq.begin());
     edges_.resize(uniq[n]);
-    for_node_ranges(pool, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t u = begin; u < end; ++u) {
-        std::size_t out = uniq[u];
-        const std::size_t lo = bucket_start[u];
-        for (std::size_t i = 0; i < uniq[u + 1] - uniq[u]; ++i)
-          edges_[out++] = {static_cast<NodeId>(u), bucket[lo + i]};
-      }
-    });
+    for (std::size_t u = 0; u < n; ++u) {
+      std::size_t out = uniq[u];
+      const std::size_t lo = bucket_start[u];
+      for (std::size_t i = 0; i < uniq[u + 1] - uniq[u]; ++i)
+        edges_[out++] = {static_cast<NodeId>(u), bucket[lo + i]};
+    }
   }
 
   // CSR materialization. Edge ids are positions in the sorted-unique edge
@@ -125,9 +101,9 @@ Graph::Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges,
   adjacency_.resize(edges_.size() * 2);
   arc_edge_.resize(edges_.size() * 2);
   {
-    // In-arcs: one serial cursor pass in edge-id order (slots per node are
-    // filled front to back). Out-arcs: fully parallel, each node copies its
-    // contiguous edge range behind its in-arc block.
+    // In-arcs: one cursor pass in edge-id order (slots per node are
+    // filled front to back). Out-arcs: each node copies its contiguous edge
+    // range behind its in-arc block.
     std::vector<std::size_t> cursor(n);
     for (std::size_t v = 0; v < n; ++v) cursor[v] = offsets_[v];
     for (EdgeId e = 0; e < edges_.size(); ++e) {
@@ -135,15 +111,13 @@ Graph::Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges,
       adjacency_[cursor[v]] = edges_[e].first;
       arc_edge_[cursor[v]++] = e;
     }
-    for_node_ranges(pool, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t u = begin; u < end; ++u) {
-        std::size_t pos = offsets_[u] + in_deg[u];
-        for (std::size_t e = out_start[u]; e < out_start[u + 1]; ++e) {
-          adjacency_[pos] = edges_[e].second;
-          arc_edge_[pos++] = static_cast<EdgeId>(e);
-        }
+    for (std::size_t u = 0; u < n; ++u) {
+      std::size_t pos = offsets_[u] + in_deg[u];
+      for (std::size_t e = out_start[u]; e < out_start[u + 1]; ++e) {
+        adjacency_[pos] = edges_[e].second;
+        arc_edge_[pos++] = static_cast<EdgeId>(e);
       }
-    });
+    }
   }
   for (std::size_t v = 0; v < n; ++v)
     max_degree_ = std::max(max_degree_,

@@ -19,8 +19,6 @@
 
 namespace deltacolor {
 
-class ThreadPool;
-
 /// What the caller already knows about an edge list handed to Graph's
 /// builder. Generators that emit structured edge lists (clique blow-ups,
 /// product graphs, G(n, p) in row-major order) declare it here so the
@@ -71,13 +69,9 @@ class Graph {
   /// ids, offsets, adjacency order, and arc/edge alignment.
   Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges);
 
-  /// Same, with caller-declared structure (see EdgeListHints) and an
-  /// optional thread pool. With a pool, the per-node stages (bucket
-  /// sort/dedup, edge compaction, arc materialization) run on contiguous
-  /// node ranges across the workers; every stage writes disjoint slots, so
-  /// the CSR is bit-identical to the serial build for any worker count.
+  /// Same, with caller-declared structure (see EdgeListHints).
   Graph(NodeId num_nodes, std::vector<std::pair<NodeId, NodeId>> edges,
-        EdgeListHints hints, ThreadPool* pool = nullptr);
+        EdgeListHints hints);
 
   /// Zero-copy adoption of externally owned CSR arrays (the mmap load
   /// path). `storage` is an opaque keep-alive: the Graph holds it for its

@@ -1,6 +1,5 @@
 // Derived graphs: induced subgraphs (with node maps) and connected
-// components. The paper's virtual graphs (G^r, L(G), induced views) are
-// lazy views in graph/graph_view.hpp.
+// components. The line graph L(G) is a lazy view in graph/graph_view.hpp.
 #pragma once
 
 #include <vector>

@@ -31,7 +31,6 @@
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/graph.hpp"
-#include "graph/partition.hpp"
 
 namespace deltacolor {
 
@@ -51,8 +50,8 @@ struct EngineOptions {
 inline constexpr std::size_t kKeyedPrefetchDistance = 8;
 
 /// `GraphT` is any type modeling the GraphView concept (graph_view.hpp):
-/// the host Graph (the default), or a lazy PowerGraphView / LineGraphView
-/// — the engine itself never materializes virtual-graph adjacency. Runs
+/// the host Graph (the default), or the lazy LineGraphView — the engine
+/// itself never materializes virtual-graph adjacency. Runs
 /// over part of a host graph keep host-indexed states and take the part as
 /// an ascending node list (run_keyed, mutate_states).
 template <typename State, typename GraphT = Graph>
@@ -113,17 +112,12 @@ class SyncRunner {
              EngineOptions options = {})
       : g_(g), cur_(std::move(initial)) {
     DC_CHECK(cur_.size() == g_.num_nodes());
-    if (options.num_threads == 1) {
-      pool_ = nullptr;  // serial: no pool, step inline
-    } else if (options.num_threads <= 0) {
-      pool_ = &ThreadPool::global();
-    } else {
-      // Cached process-wide pool for this worker count: runners are
-      // constructed per primitive call, and spawning/joining OS threads
-      // per runner would swamp the per-round parallel gains in composed
-      // pipelines (see ThreadPool::shared).
+    // Serial runs step inline. Otherwise the cached process-wide pool for
+    // this worker count (0: the default pool): runners are constructed per
+    // primitive call, and spawning/joining OS threads per runner would
+    // swamp the per-round parallel gains in composed pipelines.
+    if (options.num_threads != 1)
       pool_ = &ThreadPool::shared(options.num_threads);
-    }
   }
 
   SyncRunner(const SyncRunner&) = delete;
@@ -384,41 +378,17 @@ class SyncRunner {
   /// per worker (worker 0 owns the whole range when serial, i.e. when
   /// the runner has no pool); results must not depend on the worker
   /// index. The pool gets `fn` by std::ref, so its std::function never
-  /// copies (or heap-allocates) the step's closure.
+  /// copies (or heap-allocates) the step's closure. Worker w's chunk is
+  /// [w*size/W, (w+1)*size/W) for W workers, a function of size and W
+  /// only: every full sweep hands a worker the same node range, so the
+  /// CSR and state pages it touched last round stay its own.
   template <typename ChunkFn>
   void each_chunk(std::size_t size, ChunkFn&& fn) {
     if (pool_ == nullptr || pool_->num_workers() == 1) {
       fn(0, std::size_t{0}, size);
       return;
     }
-    // Full sweeps over the host graph run on *stable* degree-balanced
-    // chunk bounds: every round hands worker w the same node range, so the
-    // CSR/state pages a worker faulted in (first touch) stay its own, and
-    // skewed-degree graphs don't leave the high-degree stripe's worker as
-    // the round's straggler. Bounds depend only on the degree sequence and
-    // worker count, and results are bit-identical to uniform striping.
-    if (size == g_.num_nodes() && size > 0) {
-      if constexpr (requires(const GraphT& g, NodeId v) {
-                      g.neighbors(v);
-                      g.num_edges();
-                    }) {
-        if (chunk_bounds_.empty()) compute_chunk_bounds();
-        pool_->for_chunks(chunk_bounds_, std::ref(fn));
-        return;
-      }
-    }
     pool_->for_range(0, size, std::ref(fn));
-  }
-
-  /// Degree-balanced 64-node-aligned chunk bounds over [0, n): worker w
-  /// gets nodes [bounds[w], bounds[w+1]) whose (deg+1)-weight sums to
-  /// ~1/workers of the total. Boundaries round up to 64-node groups so a
-  /// cache line of the (typically word-sized) state arrays never straddles
-  /// two workers (graph/partition.hpp). Host graphs only (lazy views may
-  /// have expensive degree()); computed once per runner, O(n).
-  void compute_chunk_bounds() {
-    chunk_bounds_ =
-        degree_balanced_bounds(g_, pool_->num_workers(), /*align=*/64);
   }
 
   const GraphT& g_;
@@ -438,9 +408,6 @@ class SyncRunner {
   // dedup marks of the active list being built.
   std::vector<std::uint8_t> changed_;
   std::vector<std::uint8_t> queued_;
-  // Full sweeps: stable degree-balanced worker chunk bounds (see
-  // compute_chunk_bounds); empty until the first full sweep needs them.
-  std::vector<std::size_t> chunk_bounds_;
 };
 
 }  // namespace deltacolor

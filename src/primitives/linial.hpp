@@ -9,7 +9,7 @@
 // fixed point q0^2, q0 ~ Delta, in O(log* k) rounds.
 //
 // The core reduction is generic over any GraphView (graph_view.hpp), so it
-// runs unchanged on host graphs, power graphs and line graphs — without
+// runs unchanged on host graphs and line graphs — without
 // materializing the virtual graph — and, given an ActiveNodes list, on the
 // subgraph a host's listed nodes induce, stepped on the host. Each stage is
 // one synchronous round stepped through SyncRunner (multi-worker,

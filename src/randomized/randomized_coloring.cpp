@@ -21,7 +21,6 @@ namespace deltacolor {
 RandomizedOptions scaled_randomized_options(int delta, std::uint64_t seed) {
   RandomizedOptions opt;
   opt.acd.epsilon = std::max(kAcdEpsilon, 2.5 / delta);
-  opt.hard.epsilon = opt.acd.epsilon;
   opt.seed = seed;
   return opt;
 }

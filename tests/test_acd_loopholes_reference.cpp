@@ -60,10 +60,7 @@ Acd reference_compute_acd(const Graph& g, const AcdParams& params) {
   acd.clique_of.assign(n, -1);
   if (n == 0) return acd;
   const int delta = g.max_degree();
-  const double eta = params.eta >= 0
-                         ? params.eta
-                         : std::max(params.epsilon,
-                                    3.5 / std::max(1, delta));
+  const double eta = std::max(params.epsilon, 3.5 / std::max(1, delta));
   const double friend_threshold = (1.0 - eta) * delta;
   const double dense_threshold = (1.0 - eta) * delta;
 
@@ -108,7 +105,7 @@ Acd reference_compute_acd(const Graph& g, const AcdParams& params) {
   const double max_size = (1.0 + eps) * delta;
   const double member_threshold = (1.0 - eps) * delta;
   const double absorb_threshold = (1.0 - eps / 2.0) * delta;
-  for (int it = 0; it < params.max_repair_iterations; ++it) {
+  for (int it = 0; it < kAcdRepairIterations; ++it) {
     bool changed = false;
     for (NodeId v = 0; v < n; ++v) {
       const int c = acd.clique_of[v];
@@ -458,11 +455,11 @@ CliqueInstance blowup(int cliques, int delta, int s, double easy,
 }
 
 std::vector<AcdParams> param_spread(int delta) {
-  std::vector<AcdParams> ps(4);
+  std::vector<AcdParams> ps(5);
   ps[1].epsilon = std::max(kAcdEpsilon, 2.5 / std::max(1, delta));
   ps[2].epsilon = 0.9;  // wide window: cliques smaller than Delta survive
   ps[3].epsilon = 0.25;
-  ps[3].eta = 0.4;
+  ps[4].epsilon = 0.4;  // eta = epsilon = 0.4 wherever 3.5 / Delta <= 0.4
   return ps;
 }
 

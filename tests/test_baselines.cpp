@@ -154,7 +154,7 @@ TEST(LayeredBaseline, SucceedsOnEasyInstancesFailsOnHard) {
   const CliqueInstance ring = clique_ring(12, 8, 5);
   {
     RoundLedger l2;
-    const Acd acd = compute_acd(ring.graph, l2, AcdParams{0.4, -1, 20});
+    const Acd acd = compute_acd(ring.graph, l2, AcdParams{0.4});
     const auto lps = find_loopholes_dense(ring.graph, acd, l2);
     const auto res = layered_loophole_coloring(ring.graph, lps, ctx);
     EXPECT_TRUE(res.success);
@@ -187,7 +187,7 @@ TEST(LayeredBaseline, LayerCountTracksDistanceToLoopholes) {
   const CliqueInstance shortring = clique_ring(6, 6, 1);
   const CliqueInstance longring = clique_ring(30, 6, 1);
   RoundLedger tmp;
-  const AcdParams p{0.5, -1, 20};
+  const AcdParams p{0.5};
   const auto l1 = find_loopholes_dense(
       shortring.graph, compute_acd(shortring.graph, tmp, p), tmp);
   const auto l2 = find_loopholes_dense(

@@ -136,7 +136,6 @@ TEST(EndToEndExtra, MultiCrossEdgeInstances) {
   const CliqueInstance inst = clique_blowup_instance(opt);
   DeltaColoringOptions dopt;
   dopt.acd.epsilon = 4.2 / 12.0;
-  dopt.hard.epsilon = dopt.acd.epsilon;
   const auto res = delta_color_dense(inst.graph, dopt);
   EXPECT_TRUE(res.dense);
   EXPECT_TRUE(res.valid) << res.summary();
@@ -160,7 +159,6 @@ TEST(EndToEndExtra, TripleCrossEdgeInstances) {
   const CliqueInstance inst = clique_blowup_instance(opt);
   DeltaColoringOptions dopt;
   dopt.acd.epsilon = 0.55;  // Lemma 2(i) needs eps >= 4(Delta-s)/Delta
-  dopt.hard.epsilon = dopt.acd.epsilon;
   const auto res = delta_color_dense(inst.graph, dopt);
   EXPECT_TRUE(res.dense);
   EXPECT_TRUE(res.valid) << res.summary();

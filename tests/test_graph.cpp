@@ -187,14 +187,6 @@ TEST(Subgraph, InducedSubgraphOfPathDropsOutsideEdges) {
   EXPECT_EQ(s.graph.num_edges(), 0u);
 }
 
-TEST(Subgraph, PowerGraphOfPath) {
-  Graph g = path_graph(5);
-  Graph p2 = power_graph(g, 2);
-  EXPECT_TRUE(p2.has_edge(0, 2));
-  EXPECT_FALSE(p2.has_edge(0, 3));
-  EXPECT_EQ(p2.num_edges(), 4u + 3u);
-}
-
 TEST(Subgraph, LineGraphOfTriangleIsTriangle) {
   Graph lg = line_graph(complete_graph(3));
   EXPECT_EQ(lg.num_nodes(), 3u);

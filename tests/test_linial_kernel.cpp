@@ -247,15 +247,6 @@ TEST(LinialKernel, ActiveListsMatchReferenceOnInducedSubgraph) {
   }
 }
 
-TEST(LinialKernel, PowerGraphViewMatchesReference) {
-  Graph g = random_regular(600, 4, 41);
-  for (const Ids ids : kAllIds) {
-    install_ids(g, ids, 42);
-    const PowerGraphView view(g, 2);
-    expect_matches_reference(view, "power r=2 ids=" + ids_name(ids));
-  }
-}
-
 TEST(LinialKernel, LineGraphViewMatchesReference) {
   Graph g = random_regular(400, 5, 51);
   for (const Ids ids : kAllIds) {

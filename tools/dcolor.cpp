@@ -14,10 +14,6 @@
 //   --list         list registered algorithms and exit
 //   --load=PATH    graph source for color/check, replacing the positional
 //                  <graph> argument; .dcsr files are mmap'd zero-copy
-//   --ids=M       M in {auto, file, shuffled}: LOCAL identifier source.
-//                  auto (default) keeps the file's ids for .dcsr instances
-//                  and shuffles (seed 1) for text edge lists — the
-//                  pre-existing behavior for both formats
 //   --threads=N    worker threads for the round engine (also settable via
 //                  the DELTACOLOR_THREADS env var; default: all cores)
 //   --repeat=N     color only: run N seeds (seed, seed+1, ...) of the
@@ -87,9 +83,7 @@ int usage() {
          "graphs: text edge list or binary .dcsr (mmap'd zero-copy; "
          "sniffed by magic; `gen` writes .dcsr when <out> ends in .dcsr)\n"
          "flags: --load=PATH (graph source replacing the positional "
-         "<graph>), --ids=auto|file|shuffled "
-         "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
-         "--list (registered algorithms), --threads=N (engine "
+         "<graph>), --list (registered algorithms), --threads=N (engine "
          "workers, 0 = auto; env DELTACOLOR_THREADS), --repeat=N (color: "
          "N seeds as sweep cells, aggregate stats, no [out]), "
          "--validate=off|end|phase (oracle mode: check "
@@ -107,7 +101,7 @@ int usage() {
 /// never taken for a positional such as the output path.
 int unknown_flag(const std::string& arg) {
   static constexpr std::string_view kFlags[] = {
-      "list", "load", "ids", "threads", "repeat", "validate", "help"};
+      "list", "load", "threads", "repeat", "validate", "help"};
   const std::string name = arg.substr(2, arg.find('=') - 2);
   std::cerr << "dcolor: unknown flag '" << arg << "'";
   const auto suggestions = suggest_names(name, kFlags);
@@ -133,9 +127,6 @@ EngineOptions g_engine;  // from --threads
 int g_repeat = 1;        // from --repeat=N
 ValidateMode g_validate = ValidateMode::kOff;  // from --validate=M
 std::string g_load_path;                       // from --load=PATH
-
-enum class IdsMode { kAuto, kFile, kShuffled };
-IdsMode g_ids = IdsMode::kAuto;  // from --ids=M
 
 std::uint64_t file_bytes_of(const std::string& path) {
   struct stat st{};
@@ -165,10 +156,9 @@ void report_generated_instance(const std::string& family, const Graph& g) {
 /// The graph loader of color and check: one-line error + kExitBadFile
 /// instead of the library's DC_CHECK (file:line logic_error) for
 /// operator-facing input problems. Sniffs the .dcsr magic, so both formats
-/// load transparently. With `apply_ids` (color), --ids picks the LOCAL
-/// identifiers: text instances historically run with shuffled ids (seed
-/// 1); .dcsr instances default to the ids stored in the file, which keeps
-/// the ids section zero-copy. check reads no ids.
+/// load transparently. With `apply_ids` (color), text instances run with
+/// shuffled ids (seed 1); .dcsr instances keep the ids stored in the file,
+/// which keeps the ids section zero-copy. check reads no ids.
 std::optional<Graph> try_load_graph(const std::string& path, bool apply_ids) {
   const bool dcsr = is_csr_file(path);
   std::optional<Graph> g;
@@ -197,9 +187,7 @@ std::optional<Graph> try_load_graph(const std::string& path, bool apply_ids) {
       return std::nullopt;
     }
   }
-  const bool shuffle =
-      apply_ids && (g_ids == IdsMode::kShuffled ||
-                    (g_ids == IdsMode::kAuto && !dcsr));
+  const bool shuffle = apply_ids && !dcsr;
   if (shuffle) g->set_ids(shuffled_ids(g->num_nodes(), 1));
   report_loaded_instance(path, dcsr, *g, shuffle ? "shuffled" : "file");
   return g;
@@ -525,19 +513,6 @@ int main(int argc, char** argv) {
       g_load_path = arg.substr(7);
       if (g_load_path.empty()) {
         std::cerr << "dcolor: invalid --load= (need a path)\n";
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--ids=", 0) == 0) {
-      const std::string mode = arg.substr(6);
-      if (mode == "auto") {
-        g_ids = IdsMode::kAuto;
-      } else if (mode == "file") {
-        g_ids = IdsMode::kFile;
-      } else if (mode == "shuffled") {
-        g_ids = IdsMode::kShuffled;
-      } else {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (modes: auto, file, shuffled)\n";
         return kExitUsage;
       }
     } else if (arg == "--list") {
