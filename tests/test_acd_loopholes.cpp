@@ -1,8 +1,15 @@
-// Tests for the almost-clique decomposition (Lemma 2) and loophole
-// detection (Definition 6 / Definition 8 support).
+// Tests for the almost-clique decomposition (Lemma 2), loophole
+// detection (Definition 6 / Definition 8 support), and the hard/easy
+// classification with its always-on Lemma 9 checks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "acd/acd.hpp"
+#include "core/hardness.hpp"
 #include "core/loopholes.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
@@ -91,6 +98,8 @@ TEST(Acd, EmptyGraph) {
   const Acd acd = compute_acd(g, ledger);
   EXPECT_TRUE(acd.is_dense());
   EXPECT_EQ(acd.num_cliques(), 0);
+  EXPECT_EQ(ledger.phase_total("acd"), 1);  // the empty graph pays one round
+  EXPECT_EQ(ledger.total(), 1);
 }
 
 TEST(Acd, ChargesConstantRounds) {
@@ -223,6 +232,95 @@ TEST(Loopholes, CliqueRingIsEasyEverywhere) {
   for (NodeId v = 0; v < inst.graph.num_nodes(); ++v)
     if (set.vertex_in_loophole(v)) ++flagged;
   EXPECT_GE(flagged, 8 * (6 - 2));
+}
+
+// --- hard/easy classification (Definition 8) and Lemma 9 --------------------------
+//
+// Hand-built instances around the 4-clique {0, 1, 2, 3} at Delta = 4, with
+// a hand-built ACD whose one almost clique is those four vertices. With no
+// loophole reported the clique is hard, so every Lemma 9 violation below
+// is a loophole the detector would have missed, and classify_hardness must
+// throw rather than let the hard-clique coloring run on it.
+
+std::vector<std::pair<NodeId, NodeId>> k4_plus(
+    std::vector<std::pair<NodeId, NodeId>> extra) {
+  std::vector<std::pair<NodeId, NodeId>> edges = {{0, 1}, {0, 2}, {0, 3},
+                                                  {1, 2}, {1, 3}, {2, 3}};
+  edges.insert(edges.end(), extra.begin(), extra.end());
+  return edges;
+}
+
+Acd clique_0123_acd(const Graph& g) {
+  Acd acd;
+  acd.clique_of.assign(g.num_nodes(), -1);
+  acd.cliques.push_back({0, 1, 2, 3});
+  for (const NodeId v : acd.cliques[0]) acd.clique_of[v] = 0;
+  for (NodeId v = 4; v < g.num_nodes(); ++v) acd.sparse.push_back(v);
+  return acd;
+}
+
+LoopholeSet no_loopholes(const Graph& g) {
+  LoopholeSet set;
+  set.vote_of.assign(g.num_nodes(), -1);
+  return set;
+}
+
+void expect_lemma9_violation(const Graph& g, const std::string& what) {
+  try {
+    classify_hardness(g, clique_0123_acd(g), no_loopholes(g));
+    ADD_FAILURE() << "no Lemma 9 violation reported, expected '" << what
+                  << "'";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Hardness, WellFormedHardCliquePassesLemma9) {
+  // Each member has one external neighbor of its own: degree Delta = 4.
+  const Graph g(8, k4_plus({{0, 4}, {1, 5}, {2, 6}, {3, 7}}));
+  const Hardness h = classify_hardness(g, clique_0123_acd(g), no_loopholes(g));
+  EXPECT_EQ(h.num_hard, 1);
+  EXPECT_EQ(h.num_easy, 0);
+  ASSERT_EQ(h.is_hard.size(), 1u);
+  EXPECT_TRUE(h.is_hard[0]);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    EXPECT_EQ(h.in_hard[v], v < 4) << "node " << v;
+}
+
+TEST(Hardness, RejectsHardCliqueMemberBelowMaxDegree) {
+  // Member 3 has no external neighbor: degree 3 < Delta (Lemma 9.2).
+  const Graph g(7, k4_plus({{0, 4}, {1, 5}, {2, 6}}));
+  expect_lemma9_violation(g, "hard clique member 3 has degree 3 != 4");
+}
+
+TEST(Hardness, DetectedLoopholeMakesItsCliqueEasy) {
+  // The same degree-3 member, now reported as a degree loophole: the
+  // clique is easy, and Lemma 9 holds only for hard cliques.
+  const Graph g(7, k4_plus({{0, 4}, {1, 5}, {2, 6}}));
+  LoopholeSet set = no_loopholes(g);
+  set.add(g, Loophole{{3}});
+  const Hardness h = classify_hardness(g, clique_0123_acd(g), set);
+  EXPECT_EQ(h.num_hard, 0);
+  EXPECT_EQ(h.num_easy, 1);
+  EXPECT_FALSE(h.is_hard[0]);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    EXPECT_FALSE(h.in_hard[v]) << "node " << v;
+}
+
+TEST(Hardness, RejectsHardCliqueMissingAnEdge) {
+  // {0, 1, 2, 3} without the edge 0-1; members 0 and 1 make up the lost
+  // degree outside, so every member still has degree Delta (Lemma 9.1).
+  const Graph g(10, {{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {0, 4},
+                     {0, 5}, {1, 6}, {1, 7}, {2, 8}, {3, 9}});
+  expect_lemma9_violation(g, "hard AC 0 is not a clique at member 0");
+}
+
+TEST(Hardness, RejectsOutsiderWithTwoNeighborsInHardClique) {
+  // Outsider 4 is adjacent to members 0 and 1 (Lemma 9.3).
+  const Graph g(7, k4_plus({{0, 4}, {1, 4}, {2, 5}, {3, 6}}));
+  expect_lemma9_violation(
+      g, "outsider 4 has two neighbors in hard clique 0");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the distributed primitives: Linial coloring, deg+1 list
 // coloring, MIS, maximal matching, and ruling sets — validity on a spread
-// of graph families plus round-complexity sanity (log* shape).
+// of graph families plus round-complexity sanity (log* shape) and the
+// ruling set's round charge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -375,6 +376,29 @@ TEST(RulingSet, DominationRadiusIsLogDeltaShaped) {
   const auto r2 = ruling_set(random_regular(4096, 4, 4), ctx);
   EXPECT_EQ(r1.domination_radius, r2.domination_radius);
 }
+
+TEST(RulingSet, ChargesLinialPlusOneRoundPerPeeledBit) {
+  const Graph g = random_regular(256, 4, 3);
+  RoundLedger linial_ledger;
+  LocalContext linial_ctx(linial_ledger);
+  linial_coloring(g, linial_ctx);
+  RoundLedger ledger;
+  LocalContext ctx(ledger);
+  const RulingSetResult rs = ruling_set(g, ctx);
+  ASSERT_EQ(ledger.phases().size(), 1u);
+  EXPECT_EQ(ledger.phases()[0].first, "ruling-set");
+  EXPECT_EQ(ledger.total(), linial_ledger.total() + rs.domination_radius);
+}
+
+TEST(RulingSet, EmptyGraphSelectsNothingInZeroRounds) {
+  RoundLedger ledger;
+  LocalContext ctx(ledger);
+  const RulingSetResult rs = ruling_set(Graph(0, {}), ctx);
+  EXPECT_TRUE(rs.in_set.empty());
+  EXPECT_EQ(rs.domination_radius, 0);
+  EXPECT_EQ(ledger.total(), 0);
+}
+
 
 }  // namespace
 }  // namespace deltacolor
