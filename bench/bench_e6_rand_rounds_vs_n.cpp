@@ -126,8 +126,8 @@ void run_tables() {
 }
 
 // Execution-engine head-to-head on the largest seed workload: the
-// color-trial protocol (sparse activation) serial vs the parallel
-// partitioner, against the serial row. Rounds are identical by
+// color-trial protocol (live rounds: only undecided nodes step) serial vs
+// the parallel partitioner, against the serial row. Rounds are identical by
 // construction (the engine is deterministic); wall-clock is what changes.
 void run_engine_tables(bool quick = false) {
   banner("E6b", "round engine by worker count (color trials, largest "

@@ -175,7 +175,7 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 
   // The round engine by worker count on the message-passing color-trial
-  // workload (the engine's hot path, with sparse activation). Serial on
+  // workload (the engine's hot path, in live rounds). Serial on
   // purpose — this section measures engine wall-clock, so cells must not
   // share the machine.
   banner("E7b", "round engine by worker count (color trials, hard "

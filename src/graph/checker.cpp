@@ -1,8 +1,8 @@
 #include "graph/checker.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
-#include <set>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -18,17 +18,45 @@ std::string ColoringReport::describe() const {
   return os.str();
 }
 
+namespace {
+
+// The number of distinct non-negative values in `color`, none above
+// `max_color`. A bitmap over [0, max_color] when it takes no more memory
+// than the coloring itself (always so for colors below n), else a sorted
+// copy: no allocation grows with a large color value.
+int count_distinct_colors(const std::vector<Color>& color, Color max_color) {
+  if (max_color < 0) return 0;
+  const std::size_t range = static_cast<std::size_t>(max_color) + 1;
+  if (range / 8 <= color.size() * sizeof(Color)) {
+    std::vector<std::uint64_t> seen((range + 63) / 64, 0);
+    for (const Color c : color) {
+      if (c < 0) continue;
+      const auto bit = static_cast<std::size_t>(c);
+      seen[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    }
+    int used = 0;
+    for (const std::uint64_t word : seen) used += __builtin_popcountll(word);
+    return used;
+  }
+  std::vector<Color> sorted;
+  for (const Color c : color)
+    if (c >= 0) sorted.push_back(c);
+  std::sort(sorted.begin(), sorted.end());
+  return static_cast<int>(std::unique(sorted.begin(), sorted.end()) -
+                          sorted.begin());
+}
+
+}  // namespace
+
 ColoringReport check_coloring(const Graph& g,
                               const std::vector<Color>& color) {
   DC_CHECK(color.size() == g.num_nodes());
   ColoringReport r;
-  std::set<Color> used;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (color[v] < 0) {  // kNoColor or any other negative value
       r.complete = false;
       ++r.uncolored;
     } else {
-      used.insert(color[v]);
       r.max_color = std::max(r.max_color, color[v]);
     }
   }
@@ -44,7 +72,7 @@ ColoringReport check_coloring(const Graph& g,
       }
     }
   }
-  r.colors_used = static_cast<int>(used.size());
+  r.colors_used = count_distinct_colors(color, r.max_color);
   return r;
 }
 

@@ -82,8 +82,6 @@ namespace {
 struct TrialState {
   Color color = kNoColor;   // committed color
   Color trial = kNoColor;   // this round's attempt
-
-  bool operator==(const TrialState&) const = default;
 };
 
 }  // namespace
@@ -95,7 +93,6 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
                                                const EngineOptions& engine) {
   const NodeId n = g.num_nodes();
   const int palette = g.max_degree() + 1;
-  SyncRunner<TrialState> runner(g, std::vector<TrialState>(n), engine);
   const int max_rounds = 128 * (32 - __builtin_clz(n + 2));
 
   const auto step = [seed,
@@ -143,10 +140,14 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
       return s;
     }
     // Commit phase: keep the trial unless a neighbor tried or holds it.
+    // The first clash decides: no later neighbor can clear it.
     bool clash = false;
     for (const NodeId u : view.neighbors()) {
       const TrialState& nb = view.neighbor(u);
-      if (nb.trial == s.trial || nb.color == s.trial) clash = true;
+      if (nb.trial == s.trial || nb.color == s.trial) {
+        clash = true;
+        break;
+      }
     }
     if (!clash) s.color = s.trial;
     s.trial = kNoColor;
@@ -155,17 +156,22 @@ std::vector<Color> color_trial_message_passing(const Graph& g,
   const auto done_node = [](NodeId, const TrialState& s) {
     return s.color != kNoColor;
   };
-  // Sound: undecided nodes change state every round, committed ones never.
-  // Most nodes commit early, so later rounds step only the remainder.
+  // A committed node is a fixpoint, so the live list may drop it. Most
+  // nodes commit early, and later rounds step only the remainder.
   int rounds;
+  std::vector<TrialState> states;
   {
-    ScopedPhaseTimer timer(ledger, phase);
-    rounds = runner.run_sparse_until(max_rounds, step, done_node);
-  }
+    SyncRunner<TrialState> runner(g, std::vector<TrialState>(n), engine);
+    {
+      ScopedPhaseTimer timer(ledger, phase);
+      rounds = runner.run_live_until(max_rounds, step, done_node);
+    }
+    states = runner.take_states();
+  }  // the runner's list and side buffer are freed before `color` is built
   DC_CHECK_MSG(rounds < max_rounds,
                "color_trial_message_passing did not converge");
   std::vector<Color> color(n);
-  for (NodeId v = 0; v < n; ++v) color[v] = runner.states()[v].color;
+  for (NodeId v = 0; v < n; ++v) color[v] = states[v].color;
   LocalContext(ledger).charge(phase, rounds);
   return color;
 }

@@ -6,12 +6,15 @@
 //
 // Both algorithms accept EngineOptions: results are bit-identical across
 // worker counts (per-node randomness keys on (seed, id, round), so the
-// schedule cannot leak in). The color trials run with sparse activation
-// (SyncRunner::run_sparse_until); MIS runs full sweeps, because its
-// undecided set stays wide until it halts. Both keep a RoundLedger&
-// signature — the registry and the benchmark harness call them that way —
-// and charge their rounds through a LocalContext on it (the one charge path),
-// with the wall-clock next to the round count (RoundLedger::charge_time).
+// schedule cannot leak in). The color trials step only their undecided
+// nodes (SyncRunner::run_live_until): a committed node is a fixpoint, and
+// the remainder thins fast. MIS runs full sweeps (run_until): its
+// undecided set stays wide through its rounds, and on the 1M-node blow-up
+// stepping only its live nodes measured slower (EXPERIMENTS.md, "Color
+// trials on the live list"). Both keep a RoundLedger& signature — the
+// registry and the benchmark harness call them that way — and charge their
+// rounds through a LocalContext on it (the one charge path), with the
+// wall-clock next to the round count (RoundLedger::charge_time).
 #pragma once
 
 #include <cstdint>

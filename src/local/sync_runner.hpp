@@ -13,13 +13,13 @@
 // pool each round; because every transition writes only its own slot of
 // the shadow buffer, the schedule cannot affect results — states are
 // bit-identical across worker counts and to the serial engine. Each stage
-// picks its run entry (full, keyed or sparse rounds) in code; the worker
-// count is the engine's only option.
+// picks its run entry in code: full sweeps (run_until, run_rounds), keyed
+// rounds that step each bucket of a schedule (run_keyed), or live rounds
+// that step only the nodes not yet done (run_live_until). The worker count
+// is the engine's only option.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -139,92 +139,40 @@ class SyncRunner {
     return run(max_rounds, step, [] { return false; });
   }
 
-  /// run_until with sparse activation: the same rounds and states, but a
-  /// round re-steps only the nodes whose closed neighborhood changed state
-  /// in the previous round. Soundness contract, the caller's to keep:
-  /// adjacency is symmetric, and a node whose closed neighborhood did not
-  /// change last round returns its state unchanged (whatever the round
-  /// number) — so a skipped node already holds its next state. Protocols
-  /// whose undecided nodes change state every round and whose decided
-  /// nodes are fixpoints, such as the color trials, meet it. The schedule
-  /// adapts: while the changed set is wide every node is stepped (list
-  /// bookkeeping would cost more than it saves); once it falls below a
-  /// degree-aware cutoff only the active list is, and a re-widened set
-  /// switches back. Host graphs only (the cutoff needs the edge count).
+  /// run_until for protocols whose done nodes are fixpoints, stepping only
+  /// the nodes not yet done (the live list). Contract, the caller's to
+  /// keep: when done_node(v, s) holds, v's step returns s unchanged,
+  /// whatever the round and whatever its neighbors hold — so a done node
+  /// stays done. Rounds and final states then equal run_until's with the
+  /// same step and predicate, at every worker count. One ascending pass
+  /// lists the nodes not done at entry (nodes done at entry are never
+  /// stepped); each round steps the list into a side buffer indexed by list
+  /// position, so a step reads only round-(r-1) states and a worker's slice
+  /// depends only on the list length, then writes the new states back and
+  /// compacts the list, in order, to the nodes still not done. A round
+  /// costs the size of the list, not n: the color trials' undecided
+  /// remainder thins fast. No allocation once the buffers are warm.
   template <typename StepFn, typename DoneNodeFn>
-    requires std::equality_comparable<State> &&
-             requires(const GraphT& g) { g.num_edges(); }
-  int run_sparse_until(int max_rounds, StepFn&& step,
-                       DoneNodeFn&& done_node) {
-    const NodeId n = g_.num_nodes();
-    nxt_.resize(cur_.size());
-    changed_.assign(n, 0);
-    queued_.assign(n, 0);
-    // Cost model: a sparse round pays ~deg+1 per active node to step plus
-    // ~deg+1 per changed node to rebuild the active list; a dense round
-    // pays ~deg+1 per node. Sparse rounds only win once the changed set is
-    // well below n / (avg_deg + 2).
-    const std::size_t avg_deg_plus_2 =
-        n == 0 ? 2 : 2 * g_.num_edges() / n + 2;
-    const std::size_t sparse_cutoff =
-        std::max<std::size_t>(1, n / (2 * avg_deg_plus_2));
-    std::vector<NodeId> active, changed_nodes;
-    bool dense = true;  // the first round steps everyone
-
-    // Invariant at the top of each sparse round: for every node NOT on the
-    // active list, nxt_[v] == cur_[v] (its state cannot change, and the
-    // shadow slot already agrees). A dense round establishes it — every
-    // shadow slot is written, and unchanged nodes get equal values — and
-    // sparse rounds preserve it because a node whose step output differs
-    // from its previous state is in its own closed neighborhood and
-    // therefore re-activated.
+  int run_live_until(int max_rounds, StepFn&& step, DoneNodeFn&& done_node) {
+    live_.clear();
+    for (std::size_t v = 0; v < cur_.size(); ++v)
+      if (!done_node(static_cast<NodeId>(v), cur_[v]))
+        live_.push_back(static_cast<NodeId>(v));
+    if (live_next_.size() < live_.size()) live_next_.resize(live_.size());
     int rounds = 0;
-    while (rounds < max_rounds && !all_done(done_node)) {
+    while (rounds < max_rounds && !live_.empty()) {
       const int r = rounds;
-      if (dense) {
-        // Each step marks changed_[v]; each chunk adds its count once. Only
-        // a switch to sparse rounds scans changed_, in ascending order, so
-        // the active list (hence every later round) is schedule-free.
-        std::atomic<std::size_t> changed_count{0};
-        each_chunk(n, [&](int, std::size_t begin, std::size_t end) {
-          std::size_t here = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const NodeId v = static_cast<NodeId>(i);
-            State s = step(View(g_, v, cur_, r));
-            changed_[v] = !(s == cur_[v]);
-            here += changed_[v];
-            nxt_[v] = std::move(s);
-          }
-          changed_count += here;
-        });
-        cur_.swap(nxt_);
-        if (changed_count <= sparse_cutoff) {
-          changed_nodes.clear();
-          for (NodeId v = 0; v < n; ++v)
-            if (changed_[v]) changed_nodes.push_back(v);
-          activate_neighborhoods(changed_nodes, active);
-          dense = false;
-        }
-      } else if (!active.empty()) {
-        each_chunk(active.size(),
-                   [&](int, std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const NodeId v = active[i];
-                       State s = step(View(g_, v, cur_, r));
-                       changed_[v] = !(s == cur_[v]);
-                       nxt_[v] = std::move(s);
-                     }
-                   });
-        cur_.swap(nxt_);
-        changed_nodes.clear();
-        for (const NodeId v : active)
-          if (changed_[v]) changed_nodes.push_back(v);
-        if (changed_nodes.size() > sparse_cutoff) {
-          dense = true;  // the changed set re-widened; sweep everyone again
-        } else {
-          activate_neighborhoods(changed_nodes, active);
-        }
+      each_chunk(live_.size(), [&](int, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+          live_next_[i] = step(View(g_, live_[i], cur_, r));
+      });
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < live_.size(); ++i) {
+        const NodeId v = live_[i];
+        cur_[v] = std::move(live_next_[i]);
+        if (!done_node(v, cur_[v])) live_[kept++] = v;
       }
+      live_.resize(kept);
       ++rounds;
     }
     return rounds;
@@ -330,7 +278,8 @@ class SyncRunner {
   template <typename StepFn, typename DoneFn>
   int run(int max_rounds, StepFn& step, DoneFn&& done) {
     const NodeId n = g_.num_nodes();
-    nxt_.resize(cur_.size());  // the shadow buffer; keyed runners need none
+    nxt_.resize(cur_.size());  // the shadow buffer; keyed and live runs
+                               // need none
     int rounds = 0;
     while (rounds < max_rounds && !done()) {
       const int r = rounds;
@@ -351,27 +300,6 @@ class SyncRunner {
     for (std::size_t v = 0; v < cur_.size(); ++v)
       if (!done_node(static_cast<NodeId>(v), cur_[v])) return false;
     return true;
-  }
-
-  /// The next active list: in an undirected graph the nodes whose view of
-  /// the last round included a changed node are exactly the changed nodes'
-  /// closed neighborhoods. `queued_` dedups; `out` is rebuilt in place.
-  void activate_neighborhoods(const std::vector<NodeId>& changed,
-                              std::vector<NodeId>& out) {
-    out.clear();
-    for (const NodeId v : changed) {
-      if (!queued_[v]) {
-        queued_[v] = 1;
-        out.push_back(v);
-      }
-      g_.for_each_neighbor(v, [&](NodeId u) {
-        if (!queued_[u]) {
-          queued_[u] = 1;
-          out.push_back(u);
-        }
-      });
-    }
-    for (const NodeId v : out) queued_[v] = 0;
   }
 
   /// Runs fn(worker, begin, end) over contiguous chunks of [0, size), one
@@ -404,10 +332,10 @@ class SyncRunner {
   std::vector<std::size_t> keyed_fill_;
   std::vector<NodeId> keyed_nodes_;
   std::vector<State> keyed_next_;
-  // Sparse activation: the state of v changed in its last step, and the
-  // dedup marks of the active list being built.
-  std::vector<std::uint8_t> changed_;
-  std::vector<std::uint8_t> queued_;
+  // Live rounds: the ascending list of nodes not yet done, and the side
+  // buffer its nodes are stepped into (indexed by list position).
+  std::vector<NodeId> live_;
+  std::vector<State> live_next_;
 };
 
 }  // namespace deltacolor

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -244,6 +247,84 @@ TEST(Checker, ColoringReportCounts) {
   EXPECT_EQ(neg.uncolored, 2u);
   EXPECT_EQ(neg.colors_used, 2);
   EXPECT_EQ(neg.max_color, 1);
+}
+
+// check_coloring as a std::set reference computes it, field for field.
+ColoringReport set_reference_report(const Graph& g,
+                                    const std::vector<Color>& color) {
+  ColoringReport r;
+  std::set<Color> used;
+  for (const Color c : color) {
+    if (c < 0) {
+      r.complete = false;
+      ++r.uncolored;
+    } else {
+      used.insert(c);
+      r.max_color = std::max(r.max_color, c);
+    }
+  }
+  for (const auto& [u, v] : g.edges()) {
+    if (color[u] >= 0 && color[u] == color[v]) {
+      r.proper = false;
+      ++r.conflicts;
+    }
+  }
+  r.colors_used = static_cast<int>(used.size());
+  return r;
+}
+
+void expect_report_matches_set_reference(const Graph& g,
+                                         const std::vector<Color>& color,
+                                         const std::string& tag) {
+  const ColoringReport got = check_coloring(g, color);
+  const ColoringReport want = set_reference_report(g, color);
+  EXPECT_EQ(got.proper, want.proper) << tag;
+  EXPECT_EQ(got.complete, want.complete) << tag;
+  EXPECT_EQ(got.max_color, want.max_color) << tag;
+  EXPECT_EQ(got.colors_used, want.colors_used) << tag;
+  EXPECT_EQ(got.conflicts, want.conflicts) << tag;
+  EXPECT_EQ(got.uncolored, want.uncolored) << tag;
+  EXPECT_EQ(got.describe(), want.describe()) << tag;
+}
+
+// The distinct-color count takes a bitmap over [0, max_color] or, for a
+// color range wider than the coloring's memory, a sorted copy; both must
+// agree with a std::set. Colorings mix small colors, kNoColor, other
+// negative values, 2147483647 and colors on either side of the switch
+// (a 200-node coloring takes the bitmap up to max_color 6399).
+TEST(Checker, ColoringReportMatchesSetReference) {
+  expect_report_matches_set_reference(Graph(0, {}), {}, "empty graph");
+  const Color kMax = std::numeric_limits<Color>::max();
+  expect_report_matches_set_reference(Graph(1, {}), {kMax}, "one node");
+  const Color pool[] = {kNoColor, -2, -2147483647 - 1, kMax, kMax - 1,
+                        6399,     6400, 6401,         6407, 6408,
+                        70000};
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    const Graph g = random_graph(200, 0.05, seed);
+    const NodeId n = g.num_nodes();
+    const int palette = g.max_degree() + 1;
+    // Seed 1 stays inside the palette (the bitmap path); seed 2 leaves
+    // every node uncolored; the rest draw a quarter of the nodes from the
+    // pool of odd values.
+    std::vector<Color> color(n);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t h = hash_mix(seed, v);
+      if (seed == 2) {
+        color[v] = h % 2 == 0 ? kNoColor : -5;
+      } else if (seed == 1 || h % 4 != 0) {
+        color[v] = static_cast<Color>(h / 4 % palette);
+      } else {
+        color[v] = pool[h / 4 % std::size(pool)];
+      }
+    }
+    expect_report_matches_set_reference(g, color,
+                                        "seed " + std::to_string(seed));
+    // The largest pooled value alone above the palette.
+    std::vector<Color> one_big = color;
+    one_big[n / 2] = kMax;
+    expect_report_matches_set_reference(
+        g, one_big, "seed " + std::to_string(seed) + " + 2147483647");
+  }
 }
 
 TEST(Checker, Matching) {

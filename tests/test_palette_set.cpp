@@ -263,30 +263,33 @@ TEST(SteadyState, EngineRoundsAreAllocationFree) {
       << "warm engine rounds must not touch the heap";
 }
 
-// Sparse rounds: node 0 changes state every round and no other node ever
-// does, so after the first (dense) round every call steps only node 0's
-// closed neighborhood. A call's setup may allocate its active lists, but
-// the rounds themselves must not: a warm 64-round call allocates no more
-// than a warm 8-round one.
-TEST(SteadyState, SparseRoundsAreAllocationFree) {
+// Live rounds: every third node stays live for good and the rest are done
+// at entry, so each round steps the same third. The live list and its side
+// buffer are runner members: once they are warm, a 64-round call
+// allocates no more than an 8-round one — nothing at all.
+TEST(SteadyState, LiveRoundsAreAllocationFree) {
   const Graph g = random_regular(256, 6, 3);
   SyncRunner<int> runner(g, std::vector<int>(g.num_nodes(), 0),
                          EngineOptions{.num_threads = 1});
-  const auto step = [](const SyncRunner<int>::View& view) {
-    return view.node() == 0 ? view.self() + 1 : view.self();
+  const auto live = [](NodeId v) { return v % 3 == 0; };
+  const auto step = [&](const SyncRunner<int>::View& view) {
+    int acc = view.self() + 1;
+    for (const NodeId u : view.neighbors()) acc ^= view.neighbor(u) & 1;
+    return live(view.node()) ? acc : view.self();
   };
-  const auto never = [](NodeId, int) { return false; };
+  const auto done = [&](NodeId v, int) { return !live(v); };
   const auto allocations = [&](int rounds) {
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(runner.run_sparse_until(rounds, step, never), rounds);
+    EXPECT_EQ(runner.run_live_until(rounds, step, done), rounds);
     return g_alloc_count.load(std::memory_order_relaxed) - before;
   };
   allocations(64);  // warm-up: the runner's buffers reach size
   const std::size_t short_call = allocations(8);
   const std::size_t long_call = allocations(64);
   EXPECT_LE(long_call, short_call)
-      << "warm sparse rounds must not touch the heap";
-  EXPECT_EQ(runner.states()[0], 136);
+      << "warm live rounds must not touch the heap";
+  EXPECT_EQ(long_call, 0u) << "a warm live call must not touch the heap";
+  EXPECT_EQ(runner.states()[1], 0);  // done at entry: never stepped
 }
 
 // Keyed sparse rounds: once a runner's bucket buffers are warm, a whole

@@ -6,10 +6,11 @@
 //      same slice on every call, runs inline at one worker or one item,
 //      rethrows the lowest worker's exception after the join and rejects
 //      nested jobs, and shared(n) caches one pool per worker count;
-//  (b) sparse activation (run_sparse_until) reaches the same states in the
-//      same number of rounds as full sweeps (run_until), on an odd cycle, a
-//      clique blow-up and a wave whose changed set narrows, widens and
-//      narrows again;
+//  (b) live rounds (run_live_until) reach the same states in the same
+//      number of rounds as full sweeps (run_until) at workers {1, 2, 3, 8},
+//      on an odd cycle, a clique blow-up and a hub-first skewed graph, from
+//      inputs with done nodes and under a max_rounds cut-off; each round
+//      steps exactly the nodes not done at its start, never a done one;
 //  (c) RoundLedger wall-clock totals are monotone and merge per phase;
 //  (d) keyed sparse rounds (run_keyed) equal run_rounds for schedule-driven
 //      steps, evaluate the key once per candidate, and over a node list
@@ -436,11 +437,10 @@ TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse activation.
+// Live rounds.
 
-/// Color trials as a bare SyncRunner protocol: undecided nodes change state
-/// every round and committed ones are fixpoints, which is
-/// run_sparse_until's soundness contract.
+/// Color trials as a bare SyncRunner protocol: committed nodes are
+/// fixpoints, which is run_live_until's contract.
 struct Trial {
   Color color = kNoColor;
   Color trial = kNoColor;
@@ -474,83 +474,136 @@ auto trial_step(std::uint64_t seed, int palette) {
   };
 }
 
+const auto trial_done = [](NodeId, const Trial& s) {
+  return s.color != kNoColor;
+};
+
 /// Runs `step` from `init` for at most `max_rounds` with full sweeps (one
-/// worker) and with sparse activation at workers {1, 2, 8}: every sparse
-/// run must reach the same states in the same number of rounds. Returns
-/// the rounds of the full run.
+/// worker) and with live rounds at workers {1, 2, 3, 8}. Every live run
+/// must reach the same states in the same number of rounds, step in each
+/// round exactly as many nodes as were not done at its start (the full
+/// run steps every node, and self() is the state at the round's start),
+/// and never step a done node. Returns the rounds of the full run.
 template <typename State, typename StepFn, typename DoneFn>
-int expect_sparse_matches_full(const Graph& g, const std::vector<State>& init,
-                               int max_rounds, const StepFn& step,
-                               const DoneFn& done) {
+int expect_live_matches_full(const Graph& g, const std::vector<State>& init,
+                             int max_rounds, const StepFn& step,
+                             const DoneFn& done) {
+  using View = typename SyncRunner<State>::View;
+  const auto rounds_slots = static_cast<std::size_t>(max_rounds);
+  std::vector<std::atomic<std::size_t>> not_done(rounds_slots);
   SyncRunner<State> full(g, init, EngineOptions{1});
-  const int full_rounds = full.run_until(max_rounds, step, done);
-  for (const int workers : {1, 2, 8}) {
-    SyncRunner<State> sparse(g, init, EngineOptions{workers});
-    EXPECT_EQ(sparse.run_sparse_until(max_rounds, step, done), full_rounds)
-        << "workers=" << workers;
-    EXPECT_EQ(sparse.states(), full.states()) << "workers=" << workers;
+  const int full_rounds = full.run_until(
+      max_rounds,
+      [&](const View& view) {
+        if (!done(view.node(), view.self()))
+          ++not_done[static_cast<std::size_t>(view.round())];
+        return step(view);
+      },
+      done);
+  for (const int workers : {1, 2, 3, 8}) {
+    std::vector<std::atomic<std::size_t>> stepped(rounds_slots);
+    std::atomic<std::size_t> done_stepped{0};
+    SyncRunner<State> live(g, init, EngineOptions{workers});
+    const int rounds = live.run_live_until(
+        max_rounds,
+        [&](const View& view) {
+          ++stepped[static_cast<std::size_t>(view.round())];
+          if (done(view.node(), view.self())) ++done_stepped;
+          return step(view);
+        },
+        done);
+    EXPECT_EQ(rounds, full_rounds) << "workers=" << workers;
+    EXPECT_EQ(live.states(), full.states()) << "workers=" << workers;
+    EXPECT_EQ(done_stepped.load(), 0u) << "workers=" << workers;
+    for (std::size_t r = 0; r < rounds_slots; ++r)
+      EXPECT_EQ(stepped[r].load(), not_done[r].load())
+          << "workers=" << workers << " round=" << r;
   }
   return full_rounds;
 }
 
-void expect_trials_sparse_match_full(const Graph& g, std::uint64_t seed) {
+void expect_trials_live_match_full(const Graph& g, std::uint64_t seed) {
   ASSERT_LE(g.max_degree(), 63);
-  const auto done = [](NodeId, const Trial& s) { return s.color != kNoColor; };
-  EXPECT_LT(expect_sparse_matches_full(g, std::vector<Trial>(g.num_nodes()),
-                                       1000,
-                                       trial_step(seed, g.max_degree() + 1),
-                                       done),
+  EXPECT_LT(expect_live_matches_full(g, std::vector<Trial>(g.num_nodes()),
+                                     1000,
+                                     trial_step(seed, g.max_degree() + 1),
+                                     trial_done),
             1000);
 }
 
 TEST(SyncRunnerSparse, SameFixpointAndRoundsOnOddCycle) {
-  expect_trials_sparse_match_full(cycle_graph(101), 13);
+  expect_trials_live_match_full(cycle_graph(101), 13);
 }
 
 TEST(SyncRunnerSparse, SameFixpointAndRoundsOnCliqueBlowup) {
-  expect_trials_sparse_match_full(bench::hard_instance(32, 12, 5).graph, 3);
+  expect_trials_live_match_full(bench::hard_instance(32, 12, 5).graph, 3);
 }
 
-// Hop distances from one source: round r settles the nodes at distance
-// r + 1, so the changed set is one BFS layer — a few nodes, then most of
-// an expander, then a few, then none once the wave has passed (the runs
-// go on for a fixed number of rounds). The schedule must therefore run
-// dense, switch to sparse, re-widen to dense and switch to sparse once
-// more; per-round step counts pin that shape (a dense round steps all n
-// nodes).
-TEST(SyncRunnerSparse, WaveNarrowsWidensAndNarrowsAgain) {
-  const Graph g = random_regular(4096, 4, 7);
-  const NodeId n = g.num_nodes();
-  std::vector<int> init(n, -1);
-  init[0] = 0;
-  constexpr int kRounds = 24;  // the wave crosses the graph in ~10
-  std::vector<std::atomic<NodeId>> steps(kRounds);
-  const auto step = [&steps](const SyncRunner<int>::View& view) {
-    ++steps[static_cast<std::size_t>(view.round())];
-    if (view.self() >= 0) return view.self();
-    int dist = -1;
-    for (const NodeId u : view.neighbors()) {
-      const int du = view.neighbor(u);
-      if (du >= 0 && (dist < 0 || du + 1 < dist)) dist = du + 1;
-    }
-    return dist;
-  };
-  const auto never = [](NodeId, int) { return false; };
-  expect_sparse_matches_full(g, init, kRounds, step, never);
+// Hubs of degree 60 ahead of 300 low-degree leaves: at 3 and 8 workers the
+// live list's slices fall on uneven, unaligned boundaries.
+TEST(SyncRunnerSparse, SameFixpointAndRoundsOnHubFirstGraph) {
+  expect_trials_live_match_full(hub_first_graph(5, 60), 21);
+}
 
-  // One more serial sparse run, with its step counts alone.
-  for (auto& c : steps) c.store(0);
-  SyncRunner<int> sparse(g, init, EngineOptions{1});
-  sparse.run_sparse_until(kRounds, step, never);
-  for (const int d : sparse.states()) ASSERT_GE(d, 0);
-  // 'D' for a dense round, 's' for a sparse one; `runs` keeps one letter
-  // per run of equal letters.
-  std::string shape, runs;
-  for (int r = 0; r < kRounds; ++r) {
-    shape += steps[static_cast<std::size_t>(r)].load() == n ? 'D' : 's';
-    if (runs.empty() || runs.back() != shape.back()) runs += shape.back();
+// Nodes committed at entry are done: the live list leaves them out, so
+// they are never stepped, and a run that starts with every node done steps
+// nothing and executes no round.
+TEST(SyncRunnerSparse, DoneNodesAtEntryAreNeverStepped) {
+  const Graph g = bench::hard_instance(32, 12, 5).graph;
+  const NodeId n = g.num_nodes();
+  const auto step = trial_step(9, g.max_degree() + 1);
+  // A proper partial coloring from four rounds of the protocol itself, and
+  // a hand-made one: every third node holds color 0, adjacent or not (a
+  // done node is a fixpoint whatever its neighbors hold).
+  SyncRunner<Trial> warm(g, std::vector<Trial>(n), EngineOptions{1});
+  warm.run_until(4, step, trial_done);
+  std::vector<Trial> third(n);
+  for (NodeId v = 0; v < n; v += 3) third[v].color = 0;
+  for (const std::vector<Trial>& init : {warm.states(), third}) {
+    const auto precolored = static_cast<std::size_t>(
+        std::count_if(init.begin(), init.end(),
+                      [](const Trial& s) { return s.color != kNoColor; }));
+    ASSERT_GT(precolored, 0u);
+    ASSERT_LT(precolored, static_cast<std::size_t>(n));
+    EXPECT_LT(expect_live_matches_full(g, init, 1000, step, trial_done),
+              1000);
   }
-  EXPECT_EQ(runs, "DsDs") << shape;
+  std::vector<Trial> all_done(n);
+  for (NodeId v = 0; v < n; ++v) all_done[v].color = static_cast<Color>(v);
+  std::atomic<std::size_t> steps{0};
+  SyncRunner<Trial> runner(g, all_done, EngineOptions{3});
+  EXPECT_EQ(runner.run_live_until(
+                1000,
+                [&](const SyncRunner<Trial>::View& view) {
+                  ++steps;
+                  return step(view);
+                },
+                trial_done),
+            0);
+  EXPECT_EQ(steps.load(), 0u);
+  EXPECT_EQ(runner.states(), all_done);
+}
+
+// A max_rounds below the trials' convergence cuts both runs at the same
+// round with the same states, some nodes still undecided; zero rounds
+// leave the input as it was.
+TEST(SyncRunnerSparse, MaxRoundsCutsTheRunShort) {
+  const Graph g = bench::hard_instance(32, 12, 5).graph;
+  const NodeId n = g.num_nodes();
+  const auto step = trial_step(4, g.max_degree() + 1);
+  for (const int cut : {1, 2, 3}) {
+    EXPECT_EQ(expect_live_matches_full(g, std::vector<Trial>(n), cut, step,
+                                       trial_done),
+              cut);
+  }
+  SyncRunner<Trial> cut_at_three(g, std::vector<Trial>(n), EngineOptions{2});
+  ASSERT_EQ(cut_at_three.run_live_until(3, step, trial_done), 3);
+  EXPECT_TRUE(std::any_of(cut_at_three.states().begin(),
+                          cut_at_three.states().end(),
+                          [](const Trial& s) { return s.color == kNoColor; }));
+  SyncRunner<Trial> none(g, std::vector<Trial>(n), EngineOptions{2});
+  EXPECT_EQ(none.run_live_until(0, step, trial_done), 0);
+  EXPECT_EQ(none.states(), std::vector<Trial>(n));
 }
 
 // ---------------------------------------------------------------------------

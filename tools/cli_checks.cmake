@@ -165,6 +165,26 @@ elseif(CHECK STREQUAL "check-negative-color")
   expect_exit(1 check g.txt c.txt)
   expect_stdout("INCOMPLETE")
   expect_stdout("uncolored=1")
+elseif(CHECK STREQUAL "check-max-int-color")
+  # 2147483647, the largest color a line can hold, counts as one more
+  # distinct color without an allocation the size of its value: the report
+  # and exit code are those of any color above the palette. Two adjacent
+  # nodes holding it are one conflict.
+  expect_exit(0 gen blowup 64 16 16 0 1 g.txt)
+  expect_exit(0 color g.txt det 7 c.txt)
+  file(READ "${WORK_DIR}/c.txt" coloring)
+  file(WRITE "${WORK_DIR}/two.txt" "${coloring}")
+  file(APPEND "${WORK_DIR}/c.txt" "0 2147483647\n")
+  expect_exit(1 check g.txt c.txt)
+  expect_stdout("proper, complete, colors_used=17, max_color=2147483647, conflicts=0, uncolored=0")
+  file(STRINGS "${WORK_DIR}/g.txt" lines LIMIT_COUNT 2)
+  list(GET lines 1 edge)  # the first "u v" line after the header
+  string(REPLACE " " ";" ends "${edge}")
+  list(GET ends 0 u)
+  list(GET ends 1 v)
+  file(APPEND "${WORK_DIR}/two.txt" "${u} 2147483647\n${v} 2147483647\n")
+  expect_exit(1 check g.txt two.txt)
+  expect_stdout("IMPROPER, complete, colors_used=17, max_color=2147483647, conflicts=1, uncolored=0")
 elseif(CHECK STREQUAL "check-malformed-coloring")
   # check compares the coloring's header with the graph's node count
   # before it allocates anything, and every other non-blank line must be
@@ -214,8 +234,9 @@ elseif(CHECK STREQUAL "env-junk")
   expect_exit(0 color g.txt trial 7 --repeat=2)
   expect_stdout("SWEEP cells=2 ")
 elseif(CHECK STREQUAL "retired-frontier-flag")
-  # Sparse activation is no engine option any more (the color trials always
-  # run it), so the retired flag is an unknown flag like any other.
+  # The schedule is no engine option any more (the color trials always step
+  # only their undecided nodes), so the retired flag is an unknown flag
+  # like any other.
   expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
   expect_exit(2 --frontier color g.txt trial 7 out.txt)
   expect_stderr("unknown flag '--frontier'")
