@@ -154,7 +154,11 @@ class SyncRunner {
   /// remainder thins fast. No allocation once the buffers are warm.
   template <typename StepFn, typename DoneNodeFn>
   int run_live_until(int max_rounds, StepFn&& step, DoneNodeFn&& done_node) {
+    // One allocation of n slots, not a doubling series: the series leaves
+    // freed buffers resident in the heap once the allocator's mmap
+    // threshold has risen, which raised the trials' peak RSS.
     live_.clear();
+    live_.reserve(cur_.size());
     for (std::size_t v = 0; v < cur_.size(); ++v)
       if (!done_node(static_cast<NodeId>(v), cur_[v]))
         live_.push_back(static_cast<NodeId>(v));
