@@ -1,6 +1,8 @@
-// E11 — the subroutine complexities entering Lemma 18's decomposition:
-// T_MM, T_{deg+1}, MIS, and ruling sets are (Delta^2 + log* n)-shaped in
-// our realization (the paper's black boxes are O(Delta + log* n) /
+// E11 — the subroutine complexities entering Lemma 18's decomposition.
+// T_MM is det's own Panconesi-Rizzi matcher, O(Delta + log* n) as in the
+// paper. T_{deg+1} and MIS are class sweeps over a Linial + KW schedule,
+// (Delta log Delta + log* n)-shaped, and ruling sets take O(log Delta +
+// log* n) (the paper's black boxes are O(Delta + log* n) /
 // O~(log^{5/3} n); substitution documented in DESIGN.md). Rounds must be
 // essentially flat in n and grow with Delta.
 #include <benchmark/benchmark.h>
@@ -25,7 +27,7 @@ constexpr const char* kSubroutines[] = {"linial", "greedy", "mis-det",
 constexpr std::size_t kNumSubroutines = 5;
 
 void run_tables() {
-  banner("E11", "subroutine round complexities (flat in n, ~Delta^2)");
+  banner("E11", "subroutine round complexities (flat in n, grow with Delta)");
 
   // Every (instance, subroutine) pair is one sweep cell; the five columns
   // of a table row share the cached instance.
@@ -162,7 +164,7 @@ void BM_MaximalMatching(benchmark::State& state) {
     RoundLedger l;
     LocalContext lctx(l);
     benchmark::DoNotOptimize(
-        maximal_matching_deterministic(inst->graph, lctx).size());
+        maximal_matching_pr(inst->graph, lctx).size());
   }
 }
 BENCHMARK(BM_MaximalMatching)->Unit(benchmark::kMillisecond);

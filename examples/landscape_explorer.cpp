@@ -43,7 +43,7 @@ Row measure(int cliques, int delta, std::uint64_t seed) {
   {
     RoundLedger l;
     LocalContext ctx(l);
-    maximal_matching_deterministic(g, ctx);
+    maximal_matching_pr(g, ctx);
     row.matching = l.total();
   }
   {
@@ -84,7 +84,8 @@ int main() {
               << std::setw(7) << r.heg << std::setw(9) << r.full << "\n";
   }
   std::cout << "\n(log* n growth is invisible at these sizes; the constant\n"
-               "Delta^2-sized class-greedy terms dominate the totals, and\n"
+               "Delta-dependent terms (class sweeps, matching slots,\n"
+               "splitting) dominate the totals, and\n"
                "only the hyperedge-grabbing phase scales with log n.)\n";
   return 0;
 }

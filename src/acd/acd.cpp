@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/errors.hpp"
 #include "local/context.hpp"
 
 namespace deltacolor {
@@ -174,6 +175,33 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params) {
   // constant.
   ctx.charge("acd", 5 + 2 * kAcdRepairIterations);
   return acd;
+}
+
+void require_dense_domain(const Graph& g, const Acd& acd) {
+  if (!acd.is_dense()) {
+    std::ostringstream os;
+    os << "input graph is not dense (Definition 4): " << acd.sparse.size()
+       << " sparse vertices under epsilon=" << acd.epsilon;
+    throw DomainError(DomainError::Reason::kNotDense, os.str());
+  }
+  const int delta = g.max_degree();
+  for (std::size_t c = 0; c < acd.cliques.size(); ++c) {
+    const auto& members = acd.cliques[c];
+    if (members.size() != static_cast<std::size_t>(delta) + 1) continue;
+    const auto closed = [&](NodeId v) {
+      if (g.degree(v) != delta) return false;
+      for (const NodeId u : g.neighbors(v))
+        if (acd.clique_of[u] != static_cast<int>(c)) return false;
+      return true;
+    };
+    if (!std::all_of(members.begin(), members.end(), closed)) continue;
+    std::ostringstream os;
+    os << "almost clique " << c << " (node " << members.front()
+       << " and its " << delta << " neighbors) is a K_" << delta + 1
+       << " component, which has no " << delta
+       << "-coloring (Brooks' theorem)";
+    throw DomainError(DomainError::Reason::kCliqueComponent, os.str());
+  }
 }
 
 std::vector<std::string> validate_acd(const Graph& g, const Acd& acd) {

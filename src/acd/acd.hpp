@@ -51,6 +51,15 @@ struct Acd {
 Acd compute_acd(const Graph& g, RoundLedger& ledger,
                 const AcdParams& params = {});
 
+/// The domain check both pipelines run right after compute_acd. Throws
+/// DomainError with kNotDense, naming the number of sparse vertices, when
+/// g is not dense (Definition 4), and with kCliqueComponent when an almost
+/// clique is a K_{Delta+1} component: Delta+1 members, each of degree Delta
+/// with every neighbor inside the clique. Such a component has no
+/// Delta-coloring (Brooks). It charges no round, and a clique of any other
+/// size costs one size comparison.
+void require_dense_domain(const Graph& g, const Acd& acd);
+
 /// Structural validation of Lemma 2 (i)-(iii) and Observation 3.
 /// Returns a human-readable list of violations (empty = valid).
 std::vector<std::string> validate_acd(const Graph& g, const Acd& acd);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/errors.hpp"
 #include "core/hardness.hpp"
 #include "core/loopholes.hpp"
 #include "graph/checker.hpp"
@@ -36,9 +37,10 @@ DeltaColoringResult delta_color_dense(const Graph& g,
     res.dense = res.valid = true;
     return res;
   }
-  DC_CHECK_MSG(res.delta >= 3,
-               "delta_color_dense requires Delta >= 3 (got " << res.delta
-                                                             << ")");
+  if (res.delta < 3)
+    throw DomainError(DomainError::Reason::kLowDegree,
+                      "delta_color_dense requires Delta >= 3 (got " +
+                          std::to_string(res.delta) + ")");
   LocalContext lctx(res.ledger, options.engine, options.hard.seed);
 
   // Step 1: almost-clique decomposition (Lemma 2).
@@ -48,10 +50,7 @@ DeltaColoringResult delta_color_dense(const Graph& g,
   }();
   res.dense = acd.is_dense();
   res.num_cliques = acd.num_cliques();
-  DC_CHECK_MSG(res.dense,
-               "input graph is not dense (Definition 4): "
-                   << acd.sparse.size() << " sparse vertices under epsilon="
-                   << options.acd.epsilon);
+  require_dense_domain(g, acd);
 
   // Loophole detection and hard/easy classification (Definitions 6, 8),
   // with constructive demotion retries.

@@ -52,8 +52,9 @@ struct DeltaColoringResult {
   std::string summary() const;
 };
 
-/// Runs Algorithm 1 end to end. Throws std::logic_error if the graph is
-/// not dense under the configured epsilon (use the ACD first to check) or
+/// Runs Algorithm 1 end to end. Throws DomainError if Delta < 3, if the
+/// graph is not dense under the configured epsilon, or if it has a
+/// K_{Delta+1} component (require_dense_domain); throws std::logic_error
 /// if a structural invariant fails without a constructive repair.
 DeltaColoringResult delta_color_dense(const Graph& g,
                                       const DeltaColoringOptions& options = {});

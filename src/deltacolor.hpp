@@ -32,7 +32,6 @@
 #include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_view.hpp"
 #include "graph/io.hpp"
 #include "graph/subgraph.hpp"
 #include "common/thread_pool.hpp"

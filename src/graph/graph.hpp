@@ -107,17 +107,13 @@ class Graph {
     return {adj_ + off_[v], adj_ + off_[v + 1]};
   }
 
-  /// Calls fn(u) for every neighbor u of v (ascending). Part of the
-  /// GraphView concept (graph_view.hpp): a host Graph is itself a view of
-  /// dilation 1, so view-generic subroutines run on it directly.
+  /// Calls fn(u) for every neighbor u of v (ascending): the neighborhood
+  /// walk SyncRunner's node view forwards to, which forest coloring's
+  /// parent-pointer graph provides as well.
   template <typename Fn>
   void for_each_neighbor(NodeId v, Fn&& fn) const {
     for (const NodeId u : neighbors(v)) fn(u);
   }
-
-  /// Real communication rounds per round on this graph (GraphView concept);
-  /// the host graph is the network itself.
-  static constexpr int dilation() { return 1; }
 
   /// Edge index of each arc out of v, aligned with neighbors(v).
   std::span<const EdgeId> incident_edges(NodeId v) const {

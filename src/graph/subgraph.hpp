@@ -1,5 +1,5 @@
 // Derived graphs: induced subgraphs (with node maps) and connected
-// components. The line graph L(G) is a lazy view in graph/graph_view.hpp.
+// components.
 #pragma once
 
 #include <vector>

@@ -49,11 +49,12 @@ struct EngineOptions {
 /// (EXPERIMENTS.md, "deg+1 over the active list").
 inline constexpr std::size_t kKeyedPrefetchDistance = 8;
 
-/// `GraphT` is any type modeling the GraphView concept (graph_view.hpp):
-/// the host Graph (the default), or the lazy LineGraphView — the engine
-/// itself never materializes virtual-graph adjacency. Runs
-/// over part of a host graph keep host-indexed states and take the part as
-/// an ascending node list (run_keyed, mutate_states).
+/// `GraphT` is the host Graph (the default) or forest coloring's
+/// parent-pointer graph, which provides num_nodes() and
+/// for_each_neighbor(v, fn) only; the node view's other queries compile
+/// where a step calls them. Runs over part of a host graph keep
+/// host-indexed states and take the part as an ascending node list
+/// (run_keyed, mutate_states).
 template <typename State, typename GraphT = Graph>
 class SyncRunner {
  public:
@@ -68,16 +69,16 @@ class SyncRunner {
     std::uint64_t id() const { return g_.id(v_); }
     int degree() const { return g_.degree(v_); }
 
-    /// Contiguous sorted neighbor span — host graphs only; lazy views
-    /// enumerate via for_each_neighbor instead.
+    /// Contiguous sorted neighbor span — host graphs only; the
+    /// parent-pointer graph enumerates via for_each_neighbor instead.
     std::span<const NodeId> neighbors() const
       requires requires(const GraphT& g, NodeId v) { g.neighbors(v); }
     {
       return g_.neighbors(v_);
     }
 
-    /// fn(u) for every neighbor u of this node in the (possibly virtual)
-    /// graph — the view-generic way to read the neighborhood.
+    /// fn(u) for every neighbor u of this node — the way to read the
+    /// neighborhood on either graph type.
     template <typename Fn>
     void for_each_neighbor(Fn&& fn) const {
       g_.for_each_neighbor(v_, fn);

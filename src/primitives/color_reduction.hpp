@@ -14,12 +14,10 @@
 // Used to shrink Linial's O(Delta^2) palette before class-greedy sweeps,
 // turning their round cost from O(Delta^2) into O(Delta log Delta).
 //
-// Generic over any GraphView: the same engine-stepped implementation runs
-// on host graphs, on the lazy LineGraphView (edge-coloring reduction) and,
-// given an ActiveNodes list, on the subgraph a host's listed nodes induce
-// (host-indexed colors, kNoColor off the list, which no step counts as a
-// neighbor; keyed rounds and the compaction run over the list only, so it
-// stays kNoColor). Each elimination round is one
+// Runs on the host graph and, given an ActiveNodes list, on the subgraph a
+// host's listed nodes induce (host-indexed colors, kNoColor off the list,
+// which no step counts as a neighbor; keyed rounds and the compaction run
+// over the list only, so it stays kNoColor). Each elimination round is one
 // SyncRunner round; since holders of the eliminated color form an
 // independent set, double-buffered reads equal the sequential in-place
 // update, so results match the pre-engine code bit for bit at any worker
@@ -36,24 +34,21 @@
 
 #include "common/check.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_view.hpp"
 #include "local/context.hpp"
 #include "local/sync_runner.hpp"
 #include "primitives/linial.hpp"
 
 namespace deltacolor {
 
-/// Generic reduction over any GraphView. `color` must be a proper coloring
-/// of the view with values in [0, num_colors) — or, with `active`, of the
-/// listed nodes' induced subgraph, with kNoColor off the list. Charges the
-/// elimination rounds (times view.dilation()) to the active phase
-/// ("kw-reduce" when the caller opened none).
-template <GraphView ViewT>
-LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
-                       int num_colors, int target, LocalContext& ctx,
-                       const ActiveNodes* active = nullptr) {
+/// `color` must be a proper coloring of g with values in [0, num_colors)
+/// — or, with `active`, of the listed nodes' induced subgraph, with
+/// kNoColor off the list. Charges the elimination rounds to the active
+/// phase ("kw-reduce" when the caller opened none).
+inline LinialResult kw_reduce(const Graph& g, std::vector<Color> color,
+                              int num_colors, int target, LocalContext& ctx,
+                              const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "kw-reduce");
-  const int max_degree = active ? active->max_degree : view.max_degree();
+  const int max_degree = active ? active->max_degree : g.max_degree();
   std::optional<std::span<const NodeId>> nodes;
   if (active) nodes = active->nodes;
   DC_CHECK_MSG(target >= max_degree + 1,
@@ -62,7 +57,7 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   DC_CHECK(target <= 1024);  // fixed scratch bound in the step below
   LinialResult res;
 
-  SyncRunner<Color, ViewT> runner(view, std::move(color), ctx.engine());
+  SyncRunner<Color> runner(g, std::move(color), ctx.engine());
   std::atomic<bool> failed{false};
 
   int k = num_colors;
@@ -124,23 +119,22 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   }
   res.color = runner.take_states();
   res.num_colors = std::min(k, num_colors);
-  ctx.charge(res.rounds, view.dilation());
+  ctx.charge(res.rounds);
   return res;
 }
 
 /// Linial followed by KW down to max_degree()+1 colors: a proper
-/// (Delta+1)-coloring of the view in O(Delta log Delta + log* n) rounds —
-/// the schedule generator used by the class-greedy subroutines. With
-/// `active`, the listed nodes' induced subgraph is colored (its maximum
-/// degree + 1 classes), host-indexed. Default phase "schedule".
-template <GraphView ViewT>
-LinialResult schedule_coloring(const ViewT& view, LocalContext& ctx,
-                               const ActiveNodes* active = nullptr) {
+/// (Delta+1)-coloring of g in O(Delta log Delta + log* n) rounds — the
+/// schedule generator used by the class-greedy subroutines. With `active`,
+/// the listed nodes' induced subgraph is colored (its maximum degree + 1
+/// classes), host-indexed. Default phase "schedule".
+inline LinialResult schedule_coloring(const Graph& g, LocalContext& ctx,
+                                      const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "schedule");
-  LinialResult lin = linial_coloring(view, ctx, active);
-  if ((active ? active->nodes.size() : view.num_nodes()) == 0) return lin;
-  const int max_degree = active ? active->max_degree : view.max_degree();
-  LinialResult res = kw_reduce(view, std::move(lin.color), lin.num_colors,
+  LinialResult lin = linial_coloring(g, ctx, active);
+  if ((active ? active->nodes.size() : g.num_nodes()) == 0) return lin;
+  const int max_degree = active ? active->max_degree : g.max_degree();
+  LinialResult res = kw_reduce(g, std::move(lin.color), lin.num_colors,
                                max_degree + 1, ctx, active);
   res.rounds += lin.rounds;
   return res;

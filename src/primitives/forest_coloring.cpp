@@ -19,13 +19,8 @@ int lowest_differing_bit(std::uint64_t a, std::uint64_t b) {
 /// parent. The adjacency is *asymmetric* (children are invisible).
 struct ParentPointerView {
   const std::vector<NodeId>* parent;
-  const std::vector<std::uint64_t>* ids;
 
   NodeId num_nodes() const { return static_cast<NodeId>(parent->size()); }
-  int degree(NodeId v) const { return (*parent)[v] == kNoNode ? 0 : 1; }
-  int max_degree() const { return 1; }
-  std::uint64_t id(NodeId v) const { return (*ids)[v]; }
-  static constexpr int dilation() { return 1; }
 
   template <typename Fn>
   void for_each_neighbor(NodeId v, Fn&& fn) const {
@@ -56,7 +51,7 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
     if (parent[v] != kNoNode)
       DC_CHECK_MSG(ids[v] != ids[parent[v]],
                    "forest_3_coloring: duplicate ids along an edge");
-  const ParentPointerView view{&parent, &ids};
+  const ParentPointerView view{&parent};
 
   // Cole-Vishkin reduction until the palette stabilizes at {0..5}. The
   // runner lives only in this block, so its buffers are freed before the

@@ -8,13 +8,11 @@
 // neighbor, so Delta*d < q points are excluded). Iterating reaches the
 // fixed point q0^2, q0 ~ Delta, in O(log* k) rounds.
 //
-// The core reduction is generic over any GraphView (graph_view.hpp), so it
-// runs unchanged on host graphs and line graphs — without
-// materializing the virtual graph — and, given an ActiveNodes list, on the
-// subgraph a host's listed nodes induce, stepped on the host. Each stage is
-// one synchronous round stepped through SyncRunner (multi-worker,
+// The reduction runs on the host graph and, given an ActiveNodes list, on
+// the subgraph a host's listed nodes induce, stepped on the host. Each
+// stage is one synchronous round stepped through SyncRunner (multi-worker,
 // bit-identical across worker counts); rounds are charged to the
-// LocalContext's active phase with the view's dilation factor.
+// LocalContext's active phase.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +23,6 @@
 
 #include "common/check.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_view.hpp"
 #include "local/context.hpp"
 #include "local/sync_runner.hpp"
 
@@ -36,7 +33,7 @@ struct LinialResult {
   /// list of a run over part of the graph.
   std::vector<Color> color;
   int num_colors = 0;
-  int rounds = 0;  ///< virtual rounds of the view (not dilation-scaled)
+  int rounds = 0;
 };
 
 /// Part of a host graph that a reduction colors instead of the whole: the
@@ -64,8 +61,8 @@ inline constexpr std::uint32_t kNoResidue = ~std::uint32_t{0};
 
 /// The calling thread's scratch for the step's collision path, at least
 /// `words` long. It only grows, and one buffer per thread serves every
-/// view type. The step writes each word before it reads it within the
-/// same call, so no value crosses a round and nothing needs a reset.
+/// call. The step writes each word before it reads it within the same
+/// call, so no value crosses a round and nothing needs a reset.
 std::uint32_t* linial_scratch(std::size_t words);
 
 /// Exact division by a fixed q >= 2 through a precomputed reciprocal
@@ -105,18 +102,16 @@ class LinialReciprocal {
 
 }  // namespace detail
 
-/// Generic reduction over any GraphView. `initial` must be a proper
-/// coloring of the view (pairwise distinct along every view edge), or of
-/// the listed nodes' induced subgraph when `active` is given; its values
-/// off the list are never read. Charges rounds * view.dilation() to the
+/// `initial` must be a proper coloring of g (pairwise distinct along every
+/// edge), or of the listed nodes' induced subgraph when `active` is given;
+/// its values off the list are never read. Charges its rounds to the
 /// context's active phase ("linial" when the caller opened none).
-template <GraphView ViewT>
-LinialResult linial_reduce(const ViewT& view,
-                           std::vector<std::uint64_t> initial,
-                           LocalContext& ctx,
-                           const ActiveNodes* active = nullptr) {
+inline LinialResult linial_reduce(const Graph& g,
+                                  std::vector<std::uint64_t> initial,
+                                  LocalContext& ctx,
+                                  const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "linial");
-  const NodeId n = view.num_nodes();
+  const NodeId n = g.num_nodes();
   const std::size_t count = active ? active->nodes.size() : n;
   const NodeId* list = active ? active->nodes.data() : nullptr;
   const auto node_at = [list](std::size_t i) {
@@ -133,11 +128,10 @@ LinialResult linial_reduce(const ViewT& view,
   std::uint64_t max_val = 0;
   for (std::size_t i = 0; i < count; ++i)
     max_val = std::max(max_val, initial[node_at(i)]);
-  const int max_degree = active ? active->max_degree : view.max_degree();
+  const int max_degree = active ? active->max_degree : g.max_degree();
 
   // Every stage is one engine round with its own field (q, d).
-  SyncRunner<std::uint64_t, ViewT> runner(view, std::move(initial),
-                                          ctx.engine());
+  SyncRunner<std::uint64_t> runner(g, std::move(initial), ctx.engine());
   std::atomic<bool> failed{false};
   // Each colored node's constant digit c mod q for the running stage,
   // published before the stage and only read during it; nodes off the
@@ -233,33 +227,24 @@ LinialResult linial_reduce(const ViewT& view,
     const NodeId v = node_at(i);
     res.color[v] = static_cast<Color>(states[v]);
   }
-  ctx.charge(res.rounds, view.dilation());
+  ctx.charge(res.rounds);
   return res;
 }
 
-/// O(Delta^2)-coloring of the view in O(log* n) rounds from its LOCAL
-/// identifiers (works on any GraphView; "linial" default phase). With
-/// `active`, only the listed nodes are colored, as their induced subgraph.
-template <GraphView ViewT>
-LinialResult linial_coloring(const ViewT& view, LocalContext& ctx,
-                             const ActiveNodes* active = nullptr) {
+/// O(Delta^2)-coloring of g in O(log* n) rounds from its LOCAL identifiers
+/// ("linial" default phase). With `active`, only the listed nodes are
+/// colored, as their induced subgraph.
+inline LinialResult linial_coloring(const Graph& g, LocalContext& ctx,
+                                    const ActiveNodes* active = nullptr) {
   DefaultPhase scope(ctx, "linial");
-  const NodeId n = view.num_nodes();
+  const NodeId n = g.num_nodes();
   std::vector<std::uint64_t> initial(n);
   if (active) {
-    for (const NodeId v : active->nodes) initial[v] = view.id(v);
+    for (const NodeId v : active->nodes) initial[v] = g.id(v);
   } else {
-    for (NodeId v = 0; v < n; ++v) initial[v] = view.id(v);
+    for (NodeId v = 0; v < n; ++v) initial[v] = g.id(v);
   }
-  return linial_reduce(view, std::move(initial), ctx, active);
+  return linial_reduce(g, std::move(initial), ctx, active);
 }
-
-/// Proper *edge* coloring of g with an O(Delta^2)-sized palette, indexed by
-/// EdgeId, computed on the lazy LineGraphView (the line graph is never
-/// materialized): a vertex Linial coloring is composed with per-endpoint
-/// port numbers into a proper (huge-palette) edge coloring, which the
-/// generic reduction then shrinks. Costs O(log* n) rounds; each line-graph
-/// round dilates to 2 real rounds (charged via the view's dilation).
-LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx);
 
 }  // namespace deltacolor

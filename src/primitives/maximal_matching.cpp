@@ -4,53 +4,10 @@
 
 #include "common/check.hpp"
 #include "graph/checker.hpp"
-#include "graph/graph_view.hpp"
 #include "local/sync_runner.hpp"
-#include "primitives/color_reduction.hpp"
 #include "primitives/forest_coloring.hpp"
-#include "primitives/linial.hpp"
 
 namespace deltacolor {
-
-namespace {
-/// Real rounds per simulated line-graph round.
-constexpr int kLineGraphDilation = 2;
-}  // namespace
-
-std::vector<bool> maximal_matching_deterministic(const Graph& g,
-                                                 LocalContext& ctx) {
-  DefaultPhase scope(ctx, "maximal-matching");
-  std::vector<bool> in_matching(g.num_edges(), false);
-  if (g.num_edges() == 0) return in_matching;
-
-  // Proper edge coloring on the lazy line-graph view, reduced to 2*Delta-1
-  // classes, then one virtual round per color class: an edge joins if no
-  // adjacent edge (= line-graph neighbor = edge sharing an endpoint) did.
-  // Edges of a class share no endpoint. The nested calls charge the
-  // coloring rounds, with the line graph's dilation, to this phase.
-  const LineGraphView line(g);
-  LinialResult ec = linial_edge_coloring(g, ctx);
-  ec = kw_reduce(line, std::move(ec.color), ec.num_colors,
-                 line.max_degree() + 1, ctx);
-
-  SyncRunner<std::uint8_t, LineGraphView> runner(
-      line, std::vector<std::uint8_t>(g.num_edges(), 0), ctx.engine());
-  const auto step = [&](const auto& e) -> std::uint8_t {
-    if (e.self()) return 1;
-    if (ec.color[e.node()] != e.round()) return 0;
-    bool blocked = false;
-    e.for_each_neighbor([&](NodeId f) {
-      if (e.neighbor(f)) blocked = true;
-    });
-    return blocked ? 0 : 1;
-  };
-  runner.run_rounds(ec.num_colors, step);
-  const auto& states = runner.states();
-  for (EdgeId e = 0; e < g.num_edges(); ++e) in_matching[e] = states[e] != 0;
-
-  ctx.charge(ec.num_colors, kLineGraphDilation);
-  return in_matching;
-}
 
 namespace {
 

@@ -1,11 +1,7 @@
-// Maximal matching [PR01-role]: deterministic class-greedy over a Linial
-// coloring of the line graph (each line-graph round dilates to 2 real
-// rounds: the two endpoints of an edge hold its state and sync over the
-// edge) and the Panconesi-Rizzi forest-decomposition algorithm.
-//
-// Both variants step through the SyncRunner engine via LocalContext; the
-// class-greedy variant runs its palette reduction and class sweep directly
-// on the lazy LineGraphView.
+// Maximal matching [PR01]: the Panconesi-Rizzi forest-decomposition
+// algorithm, det's T_MM = O(Delta + log* n) in Theorem 1. It steps through
+// the SyncRunner engine via LocalContext: Cole-Vishkin on the forests, then
+// keyed rounds on the host graph for the matching slots.
 #pragma once
 
 #include <vector>
@@ -15,19 +11,14 @@
 
 namespace deltacolor {
 
-/// Flags by EdgeId; a maximal matching of g. Default phase
-/// "maximal-matching".
-std::vector<bool> maximal_matching_deterministic(const Graph& g,
-                                                 LocalContext& ctx);
-
-/// Panconesi-Rizzi maximal matching in O(Delta + log* n) rounds: orient
-/// every edge toward its higher-identifier endpoint, split the out-edges
-/// into <= Delta rooted forests (the i-th out-edge of every node forms
-/// forest i; identifiers increase along edges, so each forest is acyclic),
-/// 3-color all forests at once with Cole-Vishkin, then process forests
-/// sequentially — within a forest, one two-round slot per color class (a
-/// free parent accepts its smallest-identifier free child of that class,
-/// then that child commits) leaves no free tree edge. Default phase
+/// Flags by EdgeId; a maximal matching of g in O(Delta + log* n) rounds.
+/// Orient every edge toward its higher-identifier endpoint, split the
+/// out-edges into <= Delta rooted forests (the i-th out-edge of every node
+/// forms forest i; identifiers increase along edges, so each forest is
+/// acyclic), 3-color all forests at once with Cole-Vishkin, then process
+/// forests sequentially — within a forest, one two-round slot per color
+/// class (a free parent accepts its smallest-identifier free child of that
+/// class, then that child commits) leaves no free tree edge. Default phase
 /// "maximal-matching-pr".
 std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx);
 

@@ -1,6 +1,7 @@
-// Maximal independent set: deterministic class-greedy over a Linial
-// coloring (O(Delta^2 + log* n) rounds) [Gha16-role]. Luby's randomized
-// MIS is mis_message_passing (local/message_passing.hpp).
+// Maximal independent set: deterministic class-greedy over a (Delta+1)-class
+// schedule, Linial then KW (O(Delta log Delta + log* n) rounds)
+// [Gha16-role]. Luby's randomized MIS is mis_message_passing
+// (local/message_passing.hpp).
 //
 // The class sweep is stepped through the SyncRunner engine via
 // LocalContext, one engine round per color class. Results are

@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "common/check.hpp"
+#include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/easy_coloring.hpp"
 #include "core/hardness.hpp"
@@ -34,7 +35,10 @@ RandomizedResult randomized_delta_color(const Graph& g,
     res.dense = res.valid = true;
     return res;
   }
-  DC_CHECK_MSG(res.delta >= 3, "randomized_delta_color requires Delta >= 3");
+  if (res.delta < 3)
+    throw DomainError(DomainError::Reason::kLowDegree,
+                      "randomized_delta_color requires Delta >= 3 (got " +
+                          std::to_string(res.delta) + ")");
   const int delta = res.delta;
   LocalContext lctx(res.ledger, options.engine, options.seed);
 
@@ -50,7 +54,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
     return compute_acd(g, res.ledger, options.acd);
   }();
   res.dense = acd.is_dense();
-  DC_CHECK_MSG(res.dense, "input graph is not dense (Definition 4)");
+  require_dense_domain(g, acd);
   LoopholeSet loopholes = [&] {
     ScopedPhaseTimer timer(res.ledger, "loopholes");
     return find_loopholes_dense(g, acd, res.ledger);

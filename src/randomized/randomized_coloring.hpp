@@ -81,6 +81,9 @@ struct RandomizedResult {
   RandomizedStats stats;
 };
 
+/// Runs Algorithm 4 end to end. Throws DomainError on the inputs
+/// delta_color_dense rejects: Delta < 3, not dense, a K_{Delta+1}
+/// component.
 RandomizedResult randomized_delta_color(const Graph& g,
                                         const RandomizedOptions& options = {});
 

@@ -55,12 +55,13 @@ AlgorithmResult run_rand(const Graph& g, const AlgorithmRequest& req) {
 
 AlgorithmResult run_brooks(const Graph& g, const AlgorithmRequest&) {
   const BrooksResult res = brooks_coloring(g);
+  if (!res.success)
+    throw DomainError(DomainError::Reason::kBrooksException,
+                      "a K_{Delta+1} or odd-cycle component (Delta = " +
+                          std::to_string(g.max_degree()) +
+                          ") has no Delta-coloring");
   AlgorithmResult out;
   out.palette = g.max_degree();
-  if (!res.success) {
-    out.summary = "Brooks exception (K_{Delta+1} or odd cycle)";
-    return out;
-  }
   out.color = res.color;
   const ColoringReport report = check_coloring(g, out.color);
   out.ok = report.valid_for(out.palette);
@@ -137,7 +138,7 @@ AlgorithmResult run_mis_det(const Graph& g, const AlgorithmRequest& req) {
 AlgorithmResult run_matching(const Graph& g, const AlgorithmRequest& req) {
   AlgorithmResult out;
   LocalContext ctx(out.ledger, req.engine, req.seed);
-  out.in_set = maximal_matching_deterministic(g, ctx);
+  out.in_set = maximal_matching_pr(g, ctx);
   out.set_on_edges = true;
   out.ok = is_matching(g, out.in_set) && is_maximal_matching(g, out.in_set);
   std::size_t size = 0;
@@ -177,7 +178,7 @@ constexpr AlgorithmEntry kRegistry[] = {
     {"trial", "randomized (Delta+1) color trials (engine demo)", run_trial},
     {"mis", "Luby's MIS (engine demo)", run_mis},
     {"mis-det", "deterministic MIS via schedule coloring", run_mis_det},
-    {"matching", "deterministic maximal matching (edge coloring sweep)",
+    {"matching", "deterministic maximal matching (Panconesi-Rizzi)",
      run_matching},
     {"ruling", "(2, O(log Delta)) ruling set via bit peeling", run_ruling},
 };

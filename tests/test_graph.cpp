@@ -18,8 +18,6 @@
 #include "graph/io.hpp"
 #include "graph/subgraph.hpp"
 
-#include "eager_graphs.hpp"
-
 namespace deltacolor {
 namespace {
 
@@ -188,18 +186,6 @@ TEST(Subgraph, InducedSubgraphOfPathDropsOutsideEdges) {
   Graph g = path_graph(5);
   const Subgraph s = induced_subgraph(g, {0, 2, 4});
   EXPECT_EQ(s.graph.num_edges(), 0u);
-}
-
-TEST(Subgraph, LineGraphOfTriangleIsTriangle) {
-  Graph lg = line_graph(complete_graph(3));
-  EXPECT_EQ(lg.num_nodes(), 3u);
-  EXPECT_EQ(lg.num_edges(), 3u);
-}
-
-TEST(Subgraph, LineGraphOfStar) {
-  Graph lg = line_graph(star_graph(4));
-  EXPECT_EQ(lg.num_nodes(), 4u);
-  EXPECT_EQ(lg.num_edges(), 6u);  // K4: all edges share the center
 }
 
 TEST(Subgraph, ConnectedComponentsLists) {

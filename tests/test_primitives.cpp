@@ -1,7 +1,7 @@
 // Tests for the distributed primitives: Linial coloring, deg+1 list
-// coloring, MIS, maximal matching, and ruling sets — validity on a spread
-// of graph families plus round-complexity sanity (log* shape) and the
-// ruling set's round charge.
+// coloring, MIS and ruling sets — validity on a spread of graph families
+// plus round-complexity sanity (log* shape) and the ruling set's round
+// charge. The maximal matcher is tested in test_forest_matching.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include "primitives/color_reduction.hpp"
 #include "primitives/linial.hpp"
 #include "primitives/list_coloring.hpp"
-#include "primitives/maximal_matching.hpp"
 #include "primitives/mis.hpp"
 #include "primitives/ruling_set.hpp"
 
@@ -321,25 +320,6 @@ TEST(Mis, DeterministicIsMaximalIndependent) {
     EXPECT_TRUE(is_maximal_independent_set(g, set));
     EXPECT_GT(ledger.total(), 0);
   }
-}
-
-// --- maximal matching -------------------------------------------------------------
-
-TEST(Matching, DeterministicIsMaximal) {
-  for (const Graph& g : test_graphs()) {
-    RoundLedger ledger;
-    LocalContext ctx(ledger);
-    const auto m = maximal_matching_deterministic(g, ctx);
-    EXPECT_TRUE(is_maximal_matching(g, m));
-  }
-}
-
-TEST(Matching, EdgelessGraph) {
-  Graph g(7, {});
-  RoundLedger ledger;
-  LocalContext ctx(ledger);
-  const auto m = maximal_matching_deterministic(g, ctx);
-  EXPECT_TRUE(m.empty());
 }
 
 // --- ruling sets -------------------------------------------------------------------

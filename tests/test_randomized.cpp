@@ -96,7 +96,7 @@ TEST(Randomized, DifferentSeedsDifferentColoringsBothValid) {
 
 TEST(Randomized, SparseGraphRejected) {
   Graph g = random_regular(64, 6, 3);
-  EXPECT_THROW(randomized_delta_color(g), std::logic_error);
+  EXPECT_THROW(randomized_delta_color(g), DomainError);
 }
 
 TEST(Randomized, RoundsSublinearInN) {

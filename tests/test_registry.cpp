@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bench_support/workloads.hpp"
+#include "common/errors.hpp"
 #include "graph/checker.hpp"
+#include "graph/generators.hpp"
 #include "registry/registry.hpp"
 
 namespace deltacolor {
@@ -71,6 +77,56 @@ TEST(Registry, BenchHelperResolvesByName) {
   const AlgorithmResult res = bench::run_registered("greedy", g);
   EXPECT_TRUE(res.ok);
   EXPECT_GT(res.ledger.total(), 0);
+}
+
+// The reason `entry` raises on g, or nullopt when it raises none.
+std::optional<DomainError::Reason> domain_reason(std::string_view entry,
+                                                 const Graph& g) {
+  try {
+    bench::run_registered(entry, g);
+  } catch (const DomainError& e) {
+    return e.reason();
+  }
+  return std::nullopt;
+}
+
+// Well-formed inputs outside the pipelines' domain: det and rand raise a
+// DomainError naming the reason before they color anything, and brooks
+// raises one on a Brooks exception (dcolor exits 5 on all of them).
+TEST(Registry, OutOfDomainInputsRaiseDomainError) {
+  using Reason = DomainError::Reason;
+  // Dense everywhere at Delta = 16, the K_17 included.
+  const Graph blowup = bench::hard_instance(64, 16, 1).graph;
+  std::vector<std::pair<NodeId, NodeId>> edges(blowup.edges().begin(),
+                                               blowup.edges().end());
+  const NodeId n = blowup.num_nodes();
+  for (NodeId u = 0; u < 17; ++u)
+    for (NodeId v = u + 1; v < 17; ++v) edges.emplace_back(n + u, n + v);
+  const Graph blowup_k17(n + 17, std::move(edges));
+  // 3-regular with girth 5: no vertex has a dense neighborhood.
+  const Graph petersen(10, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4},
+                            {0, 5}, {1, 6}, {2, 7}, {3, 8}, {4, 9},
+                            {5, 7}, {7, 9}, {6, 9}, {6, 8}, {5, 8}});
+  const struct {
+    const char* name;
+    Graph g;
+    Reason reason;
+  } cases[] = {
+      {"K5", complete_graph(5), Reason::kCliqueComponent},
+      {"blowup+K17", blowup_k17, Reason::kCliqueComponent},
+      {"path(4)", path_graph(4), Reason::kLowDegree},
+      {"Petersen", petersen, Reason::kNotDense},
+  };
+  for (const auto& c : cases) {
+    for (const char* entry : {"det", "rand"})
+      EXPECT_EQ(domain_reason(entry, c.g), c.reason) << entry << " " << c.name;
+  }
+  EXPECT_EQ(domain_reason("brooks", complete_graph(5)),
+            Reason::kBrooksException);
+  EXPECT_EQ(domain_reason("brooks", cycle_graph(7)),
+            Reason::kBrooksException);
+  EXPECT_EQ(domain_reason("det", blowup), std::nullopt);
+  EXPECT_EQ(domain_reason("brooks", petersen), std::nullopt);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Tests for the round-accounting contracts: the LocalContext phase stack,
-// the edge coloring that backs the matching subroutines, and the
-// n-(in)dependence shape of every pipeline phase that Lemma 18's
+// Tests for the round-accounting contracts: the LocalContext phase stack
+// and the n-(in)dependence shape of every pipeline phase that Lemma 18's
 // decomposition predicts.
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 #include "local/context.hpp"
-#include "primitives/linial.hpp"
 #include "primitives/mis.hpp"
 #include "randomized/randomized_coloring.hpp"
 
@@ -41,41 +39,6 @@ TEST(LocalContext, PhaseStackAndLabeledCharge) {
   // that label.
   scoped_ctx.charge("named", 3, 2);
   EXPECT_EQ(scoped.phase_total("named"), 6);
-}
-
-TEST(EdgeColoring, ProperOnFamilies) {
-  std::vector<Graph> gs;
-  gs.push_back(path_graph(20));
-  gs.push_back(complete_graph(7));
-  gs.push_back(torus_grid(5, 5));
-  gs.push_back(random_regular(64, 5, 3));
-  gs.push_back(bench::hard_instance(12, 10, 4).graph);
-  for (const Graph& g : gs) {
-    RoundLedger ledger;
-    LocalContext ctx(ledger);
-    const LinialResult ec = linial_edge_coloring(g, ctx);
-    ASSERT_EQ(ec.color.size(), g.num_edges());
-    // Properness on the line graph: incident edges differ in color.
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto inc = g.incident_edges(v);
-      for (std::size_t i = 0; i < inc.size(); ++i)
-        for (std::size_t j = i + 1; j < inc.size(); ++j)
-          EXPECT_NE(ec.color[inc[i]], ec.color[inc[j]])
-              << "edges " << inc[i] << "," << inc[j] << " at " << v;
-    }
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      EXPECT_GE(ec.color[e], 0);
-      EXPECT_LT(ec.color[e], ec.num_colors);
-    }
-  }
-}
-
-TEST(EdgeColoring, EmptyGraph) {
-  Graph g(4, {});
-  RoundLedger ledger;
-  LocalContext ctx(ledger);
-  const LinialResult ec = linial_edge_coloring(g, ctx);
-  EXPECT_TRUE(ec.color.empty());
 }
 
 TEST(RoundAccounting, OnlyHegPhaseDependsOnN) {

@@ -531,24 +531,24 @@ void expect_trials_live_match_full(const Graph& g, std::uint64_t seed) {
             1000);
 }
 
-TEST(SyncRunnerSparse, SameFixpointAndRoundsOnOddCycle) {
+TEST(SyncRunnerLive, SameFixpointAndRoundsOnOddCycle) {
   expect_trials_live_match_full(cycle_graph(101), 13);
 }
 
-TEST(SyncRunnerSparse, SameFixpointAndRoundsOnCliqueBlowup) {
+TEST(SyncRunnerLive, SameFixpointAndRoundsOnCliqueBlowup) {
   expect_trials_live_match_full(bench::hard_instance(32, 12, 5).graph, 3);
 }
 
 // Hubs of degree 60 ahead of 300 low-degree leaves: at 3 and 8 workers the
 // live list's slices fall on uneven, unaligned boundaries.
-TEST(SyncRunnerSparse, SameFixpointAndRoundsOnHubFirstGraph) {
+TEST(SyncRunnerLive, SameFixpointAndRoundsOnHubFirstGraph) {
   expect_trials_live_match_full(hub_first_graph(5, 60), 21);
 }
 
 // Nodes committed at entry are done: the live list leaves them out, so
 // they are never stepped, and a run that starts with every node done steps
 // nothing and executes no round.
-TEST(SyncRunnerSparse, DoneNodesAtEntryAreNeverStepped) {
+TEST(SyncRunnerLive, DoneNodesAtEntryAreNeverStepped) {
   const Graph g = bench::hard_instance(32, 12, 5).graph;
   const NodeId n = g.num_nodes();
   const auto step = trial_step(9, g.max_degree() + 1);
@@ -587,7 +587,7 @@ TEST(SyncRunnerSparse, DoneNodesAtEntryAreNeverStepped) {
 // A max_rounds below the trials' convergence cuts both runs at the same
 // round with the same states, some nodes still undecided; zero rounds
 // leave the input as it was.
-TEST(SyncRunnerSparse, MaxRoundsCutsTheRunShort) {
+TEST(SyncRunnerLive, MaxRoundsCutsTheRunShort) {
   const Graph g = bench::hard_instance(32, 12, 5).graph;
   const NodeId n = g.num_nodes();
   const auto step = trial_step(4, g.max_degree() + 1);

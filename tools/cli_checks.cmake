@@ -52,6 +52,13 @@ function(expect_stdout_matches regex)
   endif()
 endfunction()
 
+function(expect_stderr_lacks needle)
+  string(FIND "${LAST_STDERR}" "${needle}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "stderr holds '${needle}':\n${LAST_STDERR}")
+  endif()
+endfunction()
+
 function(expect_stdout_lacks needle)
   string(FIND "${LAST_STDOUT}" "${needle}" at)
   if(NOT at EQUAL -1)
@@ -297,6 +304,54 @@ elseif(CHECK STREQUAL "repeat-batch")
   expect_stdout_matches("SWEEP cells=2 workers=[0-9]+ wall_ms=")
   expect_stdout_lacks("status=")
   expect_stdout_lacks("retried=")
+elseif(CHECK STREQUAL "color-matching-edge-set")
+  # matching writes an edge set: one matched EdgeId per line, as many lines
+  # as its summary counts, from det's own Panconesi-Rizzi matcher.
+  expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
+  expect_exit(0 color g.txt matching 7 out.txt)
+  expect_stdout("edge set written to out.txt")
+  expect_stdout("  maximal-matching-pr: ")
+  if(NOT LAST_STDOUT MATCHES "maximal matching: ([0-9]+) edges in ")
+    message(FATAL_ERROR "no edge count in the summary:\n${LAST_STDOUT}")
+  endif()
+  set(edges "${CMAKE_MATCH_1}")
+  file(STRINGS "${WORK_DIR}/out.txt" lines)
+  list(LENGTH lines written)
+  if(NOT written EQUAL edges OR edges EQUAL 0)
+    message(FATAL_ERROR
+            "summary counts ${edges} matched edges, out.txt has ${written}")
+  endif()
+elseif(CHECK STREQUAL "domain-errors")
+  # Well-formed inputs outside the pipelines' domain exit 5 with one
+  # named error: a K_{Delta+1} component, Delta < 3, not dense. brooks
+  # exits 5 on its exceptions. None of them is a broken run (exit 1).
+  file(WRITE "${WORK_DIR}/k5.txt"
+       "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+  file(WRITE "${WORK_DIR}/path.txt" "4 3\n0 1\n1 2\n2 3\n")
+  file(WRITE "${WORK_DIR}/petersen.txt"
+       "10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n1 6\n2 7\n3 8\n4 9\n"
+       "5 7\n7 9\n6 9\n6 8\n5 8\n")
+  file(WRITE "${WORK_DIR}/c5.txt" "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+  foreach(case IN ITEMS "k5;clique-component" "path;low-degree"
+                        "petersen;not-dense")
+    list(GET case 0 graph)
+    list(GET case 1 reason)
+    foreach(algo IN ITEMS det rand)
+      expect_exit(5 color ${graph}.txt ${algo} 7 out.txt)
+      expect_stderr("dcolor: domain-error reason=${reason}: ")
+      expect_stderr_lacks("DC_CHECK")
+      expect_stderr_lacks(".cpp:")
+      expect_no_file(out.txt)
+    endforeach()
+  endforeach()
+  expect_exit(5 --repeat=2 color k5.txt det 7)
+  expect_stderr("dcolor: domain-error reason=clique-component: ")
+  foreach(graph IN ITEMS k5 c5)
+    expect_exit(5 color ${graph}.txt brooks 7 out.txt)
+    expect_stderr("dcolor: domain-error reason=brooks-exception: ")
+    expect_stderr_lacks("RESULT INVALID")
+    expect_no_file(out.txt)
+  endforeach()
 elseif(CHECK STREQUAL "gen-regular-dense")
   # High-degree random regular graphs: the repair pass is near-linear, so
   # this finishes well inside the ctest TIMEOUT set in CMakeLists.txt.

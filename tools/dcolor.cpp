@@ -33,7 +33,10 @@
 // --validate invariant violation); 2 usage error (unknown flag, extra
 // argument, malformed or out-of-range number, invalid flag combination,
 // infeasible `gen` sizes); 3 unreadable or malformed input file; 4 unknown
-// algorithm or generator family.
+// algorithm or generator family; 5 input outside the algorithm's domain,
+// or no Delta-coloring exists (det and rand: Delta < 3, not dense, a
+// K_{Delta+1} component; brooks: a K_{Delta+1} or odd-cycle component),
+// with `--repeat` too, as one "dcolor: domain-error ..." line.
 // Documented here and in `--help`.
 //
 // Graphs are plain edge lists ("n m" header then "u v" per line) or binary
@@ -71,6 +74,7 @@ constexpr int kExitFailure = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitBadFile = 3;
 constexpr int kExitUnknownAlgorithm = 4;
+constexpr int kExitDomain = 5;
 
 int usage() {
   std::cerr
@@ -92,7 +96,8 @@ int usage() {
          "engine error, invariant violation); 2 usage error (unknown flag, "
          "extra argument, malformed or out-of-range number, invalid flag "
          "combination, infeasible gen sizes); 3 unreadable or malformed "
-         "input file; 4 unknown algorithm or generator family\n";
+         "input file; 4 unknown algorithm or generator family; 5 input "
+         "outside the algorithm's domain, or no Delta-coloring exists\n";
   return kExitUsage;
 }
 
@@ -544,6 +549,9 @@ int main(int argc, char** argv) {
     if (cmd == "gen") return cmd_gen(argc, argv);
     if (cmd == "color") return cmd_color(argc, argv);
     if (cmd == "check") return cmd_check(argc, argv);
+  } catch (const DomainError& e) {
+    std::cerr << "dcolor: " << e.what() << "\n";
+    return kExitDomain;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitFailure;
