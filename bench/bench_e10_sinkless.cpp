@@ -42,10 +42,9 @@ void run_tables() {
     for (int n = 256; n <= 16384; n *= 4) n_grid.push_back(n);
     SweepDriver driver;
     const auto rows = driver.run<Row>(
-        n_grid.size(), [&](std::size_t i, CellContext& ctx) {
+        n_grid.size(), [&](std::size_t i, EngineOptions) {
           const int n = n_grid[i];
-          const auto g = cached_regular(n, 3, 7 + n, &ctx.ledger());
-          const Hypergraph h = edges_as_hypergraph(*g);
+          const Hypergraph h = edges_as_hypergraph(random_regular(n, 3, 7 + n));
           RoundLedger ledger;
           LocalContext lctx(ledger);
           const HegResult res = solve_heg(h, lctx);
@@ -74,14 +73,13 @@ void run_tables() {
     const std::vector<int> clique_grid = {64, 256, 1024};
     SweepDriver driver;
     const auto rows = driver.run<Row>(
-        clique_grid.size(), [&](std::size_t i, CellContext& ctx) {
-          const auto inst =
-              cached_hard(clique_grid[i], 8, 3, &ctx.ledger());
+        clique_grid.size(), [&](std::size_t i, EngineOptions) {
+          const auto inst = hard_instance(clique_grid[i], 8, 3);
           // Contract cliques: vertices = cliques, edges = cross edges.
           Hypergraph h;
-          h.num_vertices = static_cast<int>(inst->cliques.size());
-          for (const auto& [u, v] : inst->graph.edges()) {
-            const int cu = inst->clique_of[u], cv = inst->clique_of[v];
+          h.num_vertices = static_cast<int>(inst.cliques.size());
+          for (const auto& [u, v] : inst.graph.edges()) {
+            const int cu = inst.clique_of[u], cv = inst.clique_of[v];
             if (cu != cv) h.add_edge({cu, cv});
           }
           h.build_incidence();
@@ -89,7 +87,7 @@ void run_tables() {
           LocalContext lctx(ledger);
           const HegResult res = solve_heg(h, lctx);
           Row row;
-          row.vertices = static_cast<int>(inst->cliques.size());
+          row.vertices = static_cast<int>(inst.cliques.size());
           row.min_degree = h.min_degree();
           row.rounds = res.rounds;
           row.ok = res.complete && is_valid_heg(h, res);
@@ -107,8 +105,7 @@ void run_tables() {
 
 void BM_SinklessOrientation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const auto g = cached_regular(n, 3, 11);
-  const Hypergraph h = edges_as_hypergraph(*g);
+  const Hypergraph h = edges_as_hypergraph(random_regular(n, 3, 11));
   for (auto _ : state) {
     RoundLedger ledger;
     LocalContext lctx(ledger);

@@ -29,57 +29,50 @@ constexpr std::size_t kNumSubroutines = 5;
 void run_tables() {
   banner("E11", "subroutine round complexities (flat in n, grow with Delta)");
 
-  // Every (instance, subroutine) pair is one sweep cell; the five columns
-  // of a table row share the cached instance.
-  struct Cell {
+  struct Instance {
     int cliques;
     int delta;
-    std::size_t subroutine;
   };
-  std::vector<Cell> cells;
+  std::vector<Instance> keys;
   for (int cliques = 32; cliques <= 1024; cliques *= 4)
-    for (std::size_t s = 0; s < kNumSubroutines; ++s)
-      cells.push_back({cliques, 16, s});
-  const std::size_t delta_section = cells.size();
-  for (const int delta : {8, 16, 32, 63})
-    for (std::size_t s = 0; s < kNumSubroutines; ++s)
-      cells.push_back({64, delta, s});
+    keys.push_back({cliques, 16});
+  const std::size_t delta_section = keys.size();
+  for (const int delta : {8, 16, 32, 63}) keys.push_back({64, delta});
 
-  struct Row {
-    NodeId n = 0;
-    std::int64_t rounds = 0;
-  };
+  // Every (instance, subroutine) pair is one sweep cell: cell i runs
+  // subroutine i % kNumSubroutines on instance i / kNumSubroutines. The
+  // five columns of a table row share the instance, so each instance is
+  // built once, concurrently, before the measured sweep.
   SweepDriver driver;
-  const auto rows = driver.run<Row>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
-        const Cell& c = cells[i];
-        const auto inst =
-            cached_hard(c.cliques, c.delta, 3, &ctx.ledger());
+  const auto instances = driver.run<CliqueInstance>(
+      keys.size(), [&](std::size_t k, EngineOptions) {
+        return hard_instance(keys[k].cliques, keys[k].delta, 3);
+      });
+  const auto rounds = driver.run<std::int64_t>(
+      keys.size() * kNumSubroutines, [&](std::size_t i, EngineOptions engine) {
         AlgorithmRequest req;
-        req.engine = ctx.engine();
-        Row row;
-        row.n = inst->graph.num_nodes();
-        row.rounds = run_registered(kSubroutines[c.subroutine], inst->graph,
-                                    req)
-                         .ledger.total();
-        return row;
+        req.engine = engine;
+        return run_registered(kSubroutines[i % kNumSubroutines],
+                              instances[i / kNumSubroutines].graph, req)
+            .ledger.total();
       });
 
   {
     Table t({"n", "linial", "deg+1", "mis", "matching", "ruling"});
-    for (std::size_t at = 0; at < delta_section; at += kNumSubroutines)
-      t.row(rows[at].n, rows[at].rounds, rows[at + 1].rounds,
-            rows[at + 2].rounds, rows[at + 3].rounds, rows[at + 4].rounds);
+    for (std::size_t k = 0; k < delta_section; ++k) {
+      const std::int64_t* r = &rounds[k * kNumSubroutines];
+      t.row(instances[k].graph.num_nodes(), r[0], r[1], r[2], r[3], r[4]);
+    }
     std::cout << "fixed Delta = 16, growing n:\n";
     t.print();
   }
   {
     Table t({"Delta", "n", "linial", "deg+1", "mis", "matching", "ruling"});
-    for (std::size_t at = delta_section; at < cells.size();
-         at += kNumSubroutines)
-      t.row(cells[at].delta, rows[at].n, rows[at].rounds,
-            rows[at + 1].rounds, rows[at + 2].rounds, rows[at + 3].rounds,
-            rows[at + 4].rounds);
+    for (std::size_t k = delta_section; k < keys.size(); ++k) {
+      const std::int64_t* r = &rounds[k * kNumSubroutines];
+      t.row(keys[k].delta, instances[k].graph.num_nodes(), r[0], r[1], r[2],
+            r[3], r[4]);
+    }
     std::cout << "\nfixed clique count, growing Delta:\n";
     t.print();
   }
@@ -94,8 +87,8 @@ void run_tables() {
 // section measures engine wall-clock.
 void run_engine_tables() {
   banner("E11b", "composed det pipeline under --threads");
-  const auto inst = cached_hard(512, 16, 3);
-  const Graph& g = inst->graph;
+  const auto inst = hard_instance(512, 16, 3);
+  const Graph& g = inst.graph;
   const unsigned hw = std::thread::hardware_concurrency();
   std::cout << "n = " << g.num_nodes() << ", Delta = " << g.max_degree()
             << ", hardware threads = " << hw << "\n";
@@ -149,22 +142,22 @@ void run_engine_tables() {
 }
 
 void BM_Linial(benchmark::State& state) {
-  const auto inst = cached_hard(256, 16, 3);
+  const auto inst = hard_instance(256, 16, 3);
   for (auto _ : state) {
     RoundLedger l;
     LocalContext lctx(l);
-    benchmark::DoNotOptimize(linial_coloring(inst->graph, lctx).color.data());
+    benchmark::DoNotOptimize(linial_coloring(inst.graph, lctx).color.data());
   }
 }
 BENCHMARK(BM_Linial)->Unit(benchmark::kMillisecond);
 
 void BM_MaximalMatching(benchmark::State& state) {
-  const auto inst = cached_hard(256, 16, 3);
+  const auto inst = hard_instance(256, 16, 3);
   for (auto _ : state) {
     RoundLedger l;
     LocalContext lctx(l);
     benchmark::DoNotOptimize(
-        maximal_matching_pr(inst->graph, lctx).size());
+        maximal_matching_pr(inst.graph, lctx).size());
   }
 }
 BENCHMARK(BM_MaximalMatching)->Unit(benchmark::kMillisecond);

@@ -6,8 +6,9 @@
 //    the work shifts between Algorithm 2 and Algorithm 3;
 //  * the randomized T-node spacing b.
 //
-// Each ablation reuses one cached instance across its option variants, and
-// the variants run as sweep cells.
+// The variants run as sweep cells. The K, splitter and spacing ablations
+// build their one instance before the sweep and share it across the
+// variants; each easy fraction is an instance of its own.
 #include <benchmark/benchmark.h>
 
 #include "bench_support/sweep.hpp"
@@ -23,15 +24,15 @@ using namespace deltacolor::bench;
 void ablate_subclique_count() {
   std::cout << "K (sub-cliques per clique) at Delta = 63, paper epsilon:\n";
   const std::vector<int> ks = {7, 14, 21, 28};
+  const auto inst = hard_instance(48, 63, 5);
   SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
-      ks.size(), [&](std::size_t i, CellContext& ctx) {
-        const auto inst = cached_hard(48, 63, 5, &ctx.ledger());
+      ks.size(), [&](std::size_t i, EngineOptions engine) {
         DeltaColoringOptions opt;  // paper epsilon = 1/63
         opt.hard.subclique_count = ks[i];
         opt.hard.scale_for_delta = false;
-        opt.engine = ctx.engine();
-        return delta_color_dense(inst->graph, opt);
+        opt.engine = engine;
+        return delta_color_dense(inst.graph, opt);
       });
   Table t({"K", "delta_H", "r_H", "ratio", "lemma11", "fallbacks", "valid"});
   for (std::size_t i = 0; i < ks.size(); ++i) {
@@ -55,10 +56,10 @@ void ablate_splitter() {
   std::vector<Cell> cells;
   for (const int levels : {1, 2})
     for (const int segment : {16, 100, 400}) cells.push_back({levels, segment});
+  const auto inst = hard_instance(64, 32, 6);
   SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
-        const auto inst = cached_hard(64, 32, 6, &ctx.ledger());
+      cells.size(), [&](std::size_t i, EngineOptions engine) {
         DeltaColoringOptions opt = scaled_options(32);
         opt.hard.split_levels = cells[i].levels;
         opt.hard.split_segment_length = cells[i].segment;
@@ -66,8 +67,8 @@ void ablate_splitter() {
         // downgrade to one splitting level, hiding the `levels` dimension.
         opt.hard.subclique_count = 16;
         opt.hard.scale_for_delta = false;
-        opt.engine = ctx.engine();
-        return delta_color_dense(inst->graph, opt);
+        opt.engine = engine;
+        return delta_color_dense(inst.graph, opt);
       });
   Table t({"levels", "segment", "minOut(F3)", "maxIn(F3)", "fallbacks",
            "split rounds", "valid"});
@@ -88,12 +89,11 @@ void ablate_easy_fraction() {
   const std::vector<double> fractions = {0.0, 0.1, 0.3, 0.6, 1.0};
   SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
-      fractions.size(), [&](std::size_t i, CellContext& ctx) {
-        const auto inst =
-            cached_mixed(64, 16, fractions[i], 8, &ctx.ledger());
+      fractions.size(), [&](std::size_t i, EngineOptions engine) {
+        const auto inst = mixed_instance(64, 16, fractions[i], 8);
         auto opt = scaled_options(16);
-        opt.engine = ctx.engine();
-        return delta_color_dense(inst->graph, opt);
+        opt.engine = engine;
+        return delta_color_dense(inst.graph, opt);
       });
   Table t({"easy%", "hard", "easy", "typeI", "typeII", "triads",
            "alg2 rounds", "alg3 rounds", "valid"});
@@ -121,14 +121,14 @@ void ablate_easy_fraction() {
 void ablate_tnode_spacing() {
   std::cout << "randomized T-node spacing b at Delta = 16:\n";
   const std::vector<int> spacings = {0, 1, 2, 3};
+  const auto inst = hard_instance(128, 16, 9);
   SweepDriver driver;
   const auto rows = driver.run<RandomizedResult>(
-      spacings.size(), [&](std::size_t i, CellContext& ctx) {
-        const auto inst = cached_hard(128, 16, 9, &ctx.ledger());
+      spacings.size(), [&](std::size_t i, EngineOptions engine) {
         RandomizedOptions opt = scaled_randomized_options(16, 17);
         opt.spacing = spacings[i];
-        opt.engine = ctx.engine();
-        return randomized_delta_color(inst->graph, opt);
+        opt.engine = engine;
+        return randomized_delta_color(inst.graph, opt);
       });
   Table t({"b", "tnodes", "failed", "components", "maxCompSize", "valid"});
   for (std::size_t i = 0; i < spacings.size(); ++i) {
@@ -144,10 +144,10 @@ void ablate_tnode_spacing() {
 }
 
 void BM_AblationPipeline(benchmark::State& state) {
-  const auto inst = cached_hard(64, 16, 9);
+  const auto inst = hard_instance(64, 16, 9);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        delta_color_dense(inst->graph, scaled_options(16)).color.data());
+        delta_color_dense(inst.graph, scaled_options(16)).color.data());
 }
 BENCHMARK(BM_AblationPipeline)->Unit(benchmark::kMillisecond);
 

@@ -8,9 +8,9 @@
 // substitutions of the GG24/MT20 black boxes); only the HEG phase grows
 // with n, exactly as Lemma 18's decomposition predicts.
 //
-// Cells run through SweepDriver: instances come from the keyed
-// InstanceCache and the grid executes concurrently when sweep workers are
-// available, with rows (and BENCH_JSON lines) emitted in grid order.
+// Cells run through SweepDriver: each cell builds its own instance and
+// the grid executes concurrently when sweep workers are available, with
+// rows (and BENCH_JSON lines) emitted in grid order.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -48,18 +48,17 @@ void run_tables() {
   SweepDriver driver;
   const auto rows = driver.run<Row>(
       cells.size(),
-      [&](std::size_t i, CellContext& ctx) {
-        const auto inst = cached_hard(cells[i].cliques, cells[i].delta, 1234,
-                                      &ctx.ledger());
+      [&](std::size_t i, EngineOptions engine) {
+        const auto inst = hard_instance(cells[i].cliques, cells[i].delta, 1234);
         auto opt = scaled_options(cells[i].delta);
-        opt.engine = ctx.engine();
+        opt.engine = engine;
         const auto t0 = std::chrono::steady_clock::now();
         Row row;
-        const auto res = delta_color_dense(inst->graph, opt);
+        const auto res = delta_color_dense(inst.graph, opt);
         row.wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-        row.n = inst->graph.num_nodes();
+        row.n = inst.graph.num_nodes();
         row.valid = res.valid;
         row.triads = res.hard_stats.num_triads;
         row.ledger = res.ledger;
@@ -112,15 +111,14 @@ void run_tables() {
     };
     SweepDriver exact_driver;
     const auto exact = exact_driver.run<ExactRow>(
-        clique_counts.size(), [&](std::size_t i, CellContext& ctx) {
-          const auto inst =
-              cached_hard(clique_counts[i], 63, 7, &ctx.ledger());
+        clique_counts.size(), [&](std::size_t i, EngineOptions engine) {
+          const auto inst = hard_instance(clique_counts[i], 63, 7);
           DeltaColoringOptions opt;
           opt.hard.scale_for_delta = false;  // the paper's K = 28
-          opt.engine = ctx.engine();
+          opt.engine = engine;
           ExactRow row;
-          row.res = delta_color_dense(inst->graph, opt);
-          row.n = inst->graph.num_nodes();
+          row.res = delta_color_dense(inst.graph, opt);
+          row.n = inst.graph.num_nodes();
           return row;
         });
     Table t({"n", "rounds(total)", "heg", "heg_ratio", "valid"});
@@ -136,13 +134,13 @@ void run_tables() {
 
 void BM_DeterministicColoring(benchmark::State& state) {
   const int cliques = static_cast<int>(state.range(0));
-  const auto inst = cached_hard(cliques, 16, 99);
+  const auto inst = hard_instance(cliques, 16, 99);
   for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
+    const auto res = delta_color_dense(inst.graph, scaled_options(16));
     benchmark::DoNotOptimize(res.color.data());
     state.counters["rounds"] = static_cast<double>(res.ledger.total());
   }
-  state.counters["n"] = inst->graph.num_nodes();
+  state.counters["n"] = inst.graph.num_nodes();
 }
 BENCHMARK(BM_DeterministicColoring)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);

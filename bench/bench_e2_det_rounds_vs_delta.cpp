@@ -36,15 +36,15 @@ void run_tables() {
   };
   SweepDriver driver;
   const auto rows = driver.run<Row>(
-      delta_grid.size(), [&](std::size_t i, CellContext& ctx) {
+      delta_grid.size(), [&](std::size_t i, EngineOptions engine) {
         const int delta = delta_grid[i];
         const int cliques = std::max(16, 8192 / delta / delta * 2);
-        const auto inst = cached_hard(cliques, delta, 5, &ctx.ledger());
+        const auto inst = hard_instance(cliques, delta, 5);
         auto opt = scaled_options(delta);
-        opt.engine = ctx.engine();
+        opt.engine = engine;
         Row row;
-        row.res = delta_color_dense(inst->graph, opt);
-        row.n = inst->graph.num_nodes();
+        row.res = delta_color_dense(inst.graph, opt);
+        row.n = inst.graph.num_nodes();
         return row;
       });
 
@@ -89,9 +89,9 @@ void run_tables() {
 
 void BM_ColoringByDelta(benchmark::State& state) {
   const int delta = static_cast<int>(state.range(0));
-  const auto inst = cached_hard(32, delta, 5);
+  const auto inst = hard_instance(32, delta, 5);
   for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(delta));
+    const auto res = delta_color_dense(inst.graph, scaled_options(delta));
     benchmark::DoNotOptimize(res.color.data());
     state.counters["rounds"] = static_cast<double>(res.ledger.total());
   }

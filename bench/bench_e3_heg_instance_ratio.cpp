@@ -21,31 +21,45 @@ using namespace deltacolor::bench;
 void run_tables() {
   banner("E3", "Lemma 11: delta_H > 1.1 * r_H for the Phase-1 HEG instance");
 
+  struct Instance {
+    int delta;
+    std::uint64_t seed;
+  };
   struct Cell {
     int delta;
     std::uint64_t seed;
     bool paper_k;
+    std::size_t instance;  // index into `instances`
   };
+  std::vector<Instance> keys;
   std::vector<Cell> cells;
   for (const int delta : {16, 32, 63})
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull})
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      keys.push_back({delta, seed});
       for (const bool paper_k : {false, true}) {
         if (paper_k && delta < 56) continue;  // K = 28 needs |C| >= 56
-        cells.push_back({delta, seed, paper_k});
+        cells.push_back({delta, seed, paper_k, keys.size() - 1});
       }
+    }
 
+  // A paper-K cell shares its instance with the scaled cell of the same
+  // (Delta, seed): each instance is built once, concurrently, before the
+  // measured sweep.
   SweepDriver driver;
+  const auto instances = driver.run<CliqueInstance>(
+      keys.size(), [&](std::size_t k, EngineOptions) {
+        return hard_instance(48, keys[k].delta, keys[k].seed);
+      });
   const auto rows = driver.run<DeltaColoringResult>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
+      cells.size(), [&](std::size_t i, EngineOptions engine) {
         const Cell& c = cells[i];
-        const auto inst = cached_hard(48, c.delta, c.seed, &ctx.ledger());
         DeltaColoringOptions opt = scaled_options(c.delta);
         if (c.paper_k) {
           opt = DeltaColoringOptions{};
           opt.hard.scale_for_delta = false;
         }
-        opt.engine = ctx.engine();
-        return delta_color_dense(inst->graph, opt);
+        opt.engine = engine;
+        return delta_color_dense(instances[c.instance].graph, opt);
       });
 
   Table t({"Delta", "K(eff policy)", "seed", "heg_cliques", "delta_H", "r_H",
@@ -65,9 +79,9 @@ void run_tables() {
 }
 
 void BM_PipelinePhase1(benchmark::State& state) {
-  const auto inst = cached_hard(64, 16, 9);
+  const auto inst = hard_instance(64, 16, 9);
   for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
+    const auto res = delta_color_dense(inst.graph, scaled_options(16));
     benchmark::DoNotOptimize(res.hard_stats.heg_ratio);
   }
 }

@@ -30,13 +30,12 @@ void run_tables() {
 
   SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
+      cells.size(), [&](std::size_t i, EngineOptions engine) {
         const Cell& c = cells[i];
-        const auto inst =
-            cached_mixed(48, c.delta, c.easy, c.seed, &ctx.ledger());
+        const auto inst = mixed_instance(48, c.delta, c.easy, c.seed);
         auto opt = scaled_options(c.delta);
-        opt.engine = ctx.engine();
-        return delta_color_dense(inst->graph, opt);
+        opt.engine = engine;
+        return delta_color_dense(inst.graph, opt);
       });
 
   Table t({"Delta", "easy%", "seed", "typeI", "typeII", "minOut(F2)",
@@ -57,9 +56,9 @@ void run_tables() {
 }
 
 void BM_MatchingPhases(benchmark::State& state) {
-  const auto inst = cached_hard(96, 16, 4);
+  const auto inst = hard_instance(96, 16, 4);
   for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
+    const auto res = delta_color_dense(inst.graph, scaled_options(16));
     benchmark::DoNotOptimize(res.hard_stats.f3_edges);
   }
 }

@@ -29,12 +29,12 @@ void run_tables() {
 
   SweepDriver driver;
   const auto rows = driver.run<DeltaColoringResult>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
+      cells.size(), [&](std::size_t i, EngineOptions engine) {
         const Cell& c = cells[i];
-        const auto inst = cached_hard(48, c.delta, c.seed, &ctx.ledger());
+        const auto inst = hard_instance(48, c.delta, c.seed);
         auto opt = scaled_options(c.delta);
-        opt.engine = ctx.engine();
-        return delta_color_dense(inst->graph, opt);
+        opt.engine = engine;
+        return delta_color_dense(inst.graph, opt);
       });
 
   Table t({"Delta", "cliques", "seed", "triads", "dropped",
@@ -58,9 +58,9 @@ void run_tables() {
 }
 
 void BM_TriadFormation(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 6);
+  const auto inst = hard_instance(128, 16, 6);
   for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
+    const auto res = delta_color_dense(inst.graph, scaled_options(16));
     benchmark::DoNotOptimize(res.hard_stats.num_triads);
   }
 }

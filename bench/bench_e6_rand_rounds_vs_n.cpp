@@ -40,17 +40,23 @@ void run_tables() {
     std::int64_t max_comp_rounds = 0;
     RoundLedger ledger;
   };
+  // Both sweeps below run on these instances (the coverage-depth sweep
+  // on three of them, each at three depths): each is built once,
+  // concurrently, before the measured sweep.
   SweepDriver driver;
+  const auto instances = driver.run<CliqueInstance>(
+      clique_grid.size(), [&](std::size_t i, EngineOptions) {
+        return hard_instance(clique_grid[i], 16, 21);
+      });
   const auto rows = driver.run<Row>(
       clique_grid.size(),
-      [&](std::size_t i, CellContext& ctx) {
-        const int cliques = clique_grid[i];
-        const auto inst = cached_hard(cliques, 16, 21, &ctx.ledger());
-        auto opt = scaled_randomized_options(16, 1000 + cliques);
-        opt.engine = ctx.engine();
-        const auto res = randomized_delta_color(inst->graph, opt);
+      [&](std::size_t i, EngineOptions engine) {
+        const Graph& g = instances[i].graph;
+        auto opt = scaled_randomized_options(16, 1000 + clique_grid[i]);
+        opt.engine = engine;
+        const auto res = randomized_delta_color(g, opt);
         Row row;
-        row.n = inst->graph.num_nodes();
+        row.n = g.num_nodes();
         row.valid = res.valid;
         row.tnodes = res.stats.tnodes_placed;
         row.failed = res.stats.failed_cliques;
@@ -89,28 +95,29 @@ void run_tables() {
                "the whole graph):\n";
   struct DepthCell {
     int depth;
-    int cliques;
+    std::size_t instance;  // index into `instances`
   };
   std::vector<DepthCell> depth_cells;
+  // Every other grid size from 128 cliques: 128, 512 and 2048.
   for (const int depth : {1, 2, 3})
-    for (const int cliques : {128, 512, 2048})
-      depth_cells.push_back({depth, cliques});
+    for (std::size_t k = 2; k < clique_grid.size(); k += 2)
+      depth_cells.push_back({depth, k});
   struct DepthRow {
     NodeId n = 0;
     RandomizedResult res;
   };
   SweepDriver depth_driver;
   const auto depth_rows = depth_driver.run<DepthRow>(
-      depth_cells.size(), [&](std::size_t i, CellContext& ctx) {
+      depth_cells.size(), [&](std::size_t i, EngineOptions engine) {
         const DepthCell& c = depth_cells[i];
-        const auto inst = cached_hard(c.cliques, 16, 21, &ctx.ledger());
+        const Graph& g = instances[c.instance].graph;
         RandomizedOptions opt = scaled_randomized_options(16, 777);
         opt.layer_depth = c.depth;
         opt.placement_rounds = 2;  // weaker placement: more failures
-        opt.engine = ctx.engine();
+        opt.engine = engine;
         DepthRow row;
-        row.res = randomized_delta_color(inst->graph, opt);
-        row.n = inst->graph.num_nodes();
+        row.res = randomized_delta_color(g, opt);
+        row.n = g.num_nodes();
         return row;
       });
   Table t2({"layer_depth", "n", "components", "maxCompSize",
@@ -134,8 +141,8 @@ void run_engine_tables(bool quick = false) {
                 "workload)");
   // --quick (CI perf-smoke): a quarter-size workload and single reps keep
   // the job under a minute while exercising every engine configuration.
-  const auto inst = cached_hard(quick ? 512 : 2048, 16, 21);
-  const Graph& g = inst->graph;
+  const auto inst = hard_instance(quick ? 512 : 2048, 16, 21);
+  const Graph& g = inst.graph;
   std::cout << "n = " << g.num_nodes() << ", Delta = " << g.max_degree()
             << "\n";
   Table t({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
@@ -230,15 +237,15 @@ void run_engine_tables(bool quick = false) {
 
 void BM_RandomizedColoring(benchmark::State& state) {
   const int cliques = static_cast<int>(state.range(0));
-  const auto inst = cached_hard(cliques, 16, 21);
+  const auto inst = hard_instance(cliques, 16, 21);
   std::uint64_t seed = 0;
   for (auto _ : state) {
     const auto res = randomized_delta_color(
-        inst->graph, scaled_randomized_options(16, ++seed));
+        inst.graph, scaled_randomized_options(16, ++seed));
     benchmark::DoNotOptimize(res.color.data());
     state.counters["rounds"] = static_cast<double>(res.ledger.total());
   }
-  state.counters["n"] = inst->graph.num_nodes();
+  state.counters["n"] = inst.graph.num_nodes();
 }
 BENCHMARK(BM_RandomizedColoring)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);

@@ -10,9 +10,9 @@
 //  * the randomized algorithm does the same in fewer n-dependent rounds;
 //  * Brooks (centralized) is the sequential reference.
 //
-// Every algorithm row is one SweepDriver cell; all five share the cached
-// instance, so the blow-up / ring is generated once per kind instead of
-// once per algorithm.
+// Every algorithm row is one SweepDriver cell; all five share one
+// instance, so the blow-up / ring is generated once per kind, before the
+// sweep, instead of once per algorithm.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -60,20 +60,20 @@ void run_tables() {
     NodeId n = 0;
     RoundLedger ledger;
   };
+  const CliqueInstance hard_blowup = hard_instance(128, 16, 17);
+  const CliqueInstance ring = clique_ring(128, 8, 17);
   SweepDriver driver;
   const auto rows = driver.run<Row>(cells.size(), [&](std::size_t i,
-                                                      CellContext& ctx) {
+                                                      EngineOptions engine) {
     const Cell& c = cells[i];
     const bool hard = std::string(c.kind) == "hard";
     const int delta = hard ? 16 : 8;
-    const auto inst = hard ? cached_hard(128, delta, 17, &ctx.ledger())
-                           : cached_ring(128, delta, 17, &ctx.ledger());
-    const Graph& g = inst->graph;
+    const Graph& g = hard ? hard_blowup.graph : ring.graph;
     Row row;
     row.n = g.num_nodes();
     switch (c.algorithm) {
       case 0: {  // greedy Delta+1
-        LocalContext lctx(row.ledger, ctx.engine());
+        LocalContext lctx(row.ledger, engine);
         const auto t0 = std::chrono::steady_clock::now();
         const auto color = greedy_delta_plus_one(g, lctx);
         row.ms = ms_since(t0);
@@ -89,7 +89,7 @@ void run_tables() {
         RoundLedger tmp;
         const Acd acd = compute_acd(g, tmp, p);
         const auto lps = find_loopholes_dense(g, acd, tmp);
-        LocalContext lctx(row.ledger, ctx.engine());
+        LocalContext lctx(row.ledger, engine);
         const auto t0 = std::chrono::steady_clock::now();
         const auto res = layered_loophole_coloring(g, lps, lctx);
         row.ms = ms_since(t0);
@@ -103,7 +103,7 @@ void run_tables() {
       }
       case 2: {  // deterministic (Theorem 1)
         auto opt = scaled_options(delta);
-        opt.engine = ctx.engine();
+        opt.engine = engine;
         const auto t0 = std::chrono::steady_clock::now();
         const auto res = delta_color_dense(g, opt);
         row.ms = ms_since(t0);
@@ -116,7 +116,7 @@ void run_tables() {
       }
       case 3: {  // randomized (Theorem 2)
         auto opt = scaled_randomized_options(delta, 7);
-        opt.engine = ctx.engine();
+        opt.engine = engine;
         const auto t0 = std::chrono::steady_clock::now();
         const auto res = randomized_delta_color(g, opt);
         row.ms = ms_since(t0);
@@ -181,8 +181,8 @@ void run_tables() {
   banner("E7b", "round engine by worker count (color trials, hard "
                 "blow-up)");
   {
-    const auto inst = cached_hard(512, 16, 17);
-    const Graph& g = inst->graph;
+    const auto inst = hard_instance(512, 16, 17);
+    const Graph& g = inst.graph;
     Table t({"engine", "rounds", "wall(ms)", "valid"});
     const std::pair<const char*, EngineOptions> configs[] = {
         {"serial", {1}}, {"4 workers", {4}}};
@@ -208,30 +208,30 @@ void run_tables() {
 }
 
 void BM_Greedy(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
+  const auto inst = hard_instance(128, 16, 17);
   for (auto _ : state) {
     RoundLedger ledger;
     LocalContext lctx(ledger);
-    benchmark::DoNotOptimize(greedy_delta_plus_one(inst->graph, lctx).data());
+    benchmark::DoNotOptimize(greedy_delta_plus_one(inst.graph, lctx).data());
   }
 }
 BENCHMARK(BM_Greedy)->Unit(benchmark::kMillisecond);
 
 void BM_Deterministic(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
+  const auto inst = hard_instance(128, 16, 17);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        delta_color_dense(inst->graph, scaled_options(16)).color.data());
+        delta_color_dense(inst.graph, scaled_options(16)).color.data());
   }
 }
 BENCHMARK(BM_Deterministic)->Unit(benchmark::kMillisecond);
 
 void BM_Randomized(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
+  const auto inst = hard_instance(128, 16, 17);
   std::uint64_t seed = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        randomized_delta_color(inst->graph,
+        randomized_delta_color(inst.graph,
                                scaled_randomized_options(16, ++seed))
             .color.data());
   }
@@ -239,9 +239,9 @@ void BM_Randomized(benchmark::State& state) {
 BENCHMARK(BM_Randomized)->Unit(benchmark::kMillisecond);
 
 void BM_Brooks(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
+  const auto inst = hard_instance(128, 16, 17);
   for (auto _ : state)
-    benchmark::DoNotOptimize(brooks_coloring(inst->graph).color.data());
+    benchmark::DoNotOptimize(brooks_coloring(inst.graph).color.data());
 }
 BENCHMARK(BM_Brooks)->Unit(benchmark::kMillisecond);
 

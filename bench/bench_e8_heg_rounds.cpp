@@ -38,18 +38,18 @@ void run_tables() {
   };
   SweepDriver driver;
   const auto rows = driver.run<Row>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
+      cells.size(), [&](std::size_t i, EngineOptions) {
         const Cell& c = cells[i];
-        const auto h = cached_hypergraph(c.n, c.delta, c.rank, 100 + c.n,
-                                         &ctx.ledger());
+        const Hypergraph h =
+            random_hypergraph(c.n, c.delta, c.rank, 100 + c.n);
         RoundLedger ledger;
         LocalContext lctx(ledger);
-        const HegResult res = solve_heg(*h, lctx);
+        const HegResult res = solve_heg(h, lctx);
         Row row;
-        row.min_degree = h->min_degree();
-        row.rank = h->rank();
+        row.min_degree = h.min_degree();
+        row.rank = h.rank();
         row.rounds = res.rounds;
-        row.ok = res.complete && is_valid_heg(*h, res);
+        row.ok = res.complete && is_valid_heg(h, res);
         return row;
       });
 
@@ -79,11 +79,11 @@ void run_tables() {
 
 void BM_HegSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const auto h = cached_hypergraph(n, 8, 4, 42);
+  const Hypergraph h = random_hypergraph(n, 8, 4, 42);
   for (auto _ : state) {
     RoundLedger ledger;
     LocalContext lctx(ledger);
-    const auto res = solve_heg(*h, lctx);
+    const auto res = solve_heg(h, lctx);
     benchmark::DoNotOptimize(res.grabbed_edge.data());
     state.counters["rounds"] = res.rounds;
   }

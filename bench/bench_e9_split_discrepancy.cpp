@@ -21,35 +21,42 @@ using namespace deltacolor::bench;
 void run_tables() {
   banner("E9", "Corollary 22: per-node degree discrepancy of the splitter");
 
+  const std::vector<int> degrees = {16, 32, 64};
   struct Cell {
     int degree;
     int levels;
     int segment;
+    std::size_t graph;  // index into `graphs`
   };
   std::vector<Cell> cells;
-  for (const int degree : {16, 32, 64})
+  for (std::size_t k = 0; k < degrees.size(); ++k)
     for (const int levels : {1, 2, 3})
       for (const int segment : {16, 64, 100, 256})
-        cells.push_back({degree, levels, segment});
+        cells.push_back({degrees[k], levels, segment, k});
 
   struct Row {
     int rounds = 0;
     double max_disc = 0;
   };
+  // The twelve cells of a degree share its graph: each graph is built
+  // once, concurrently, before the measured sweep.
   SweepDriver driver;
+  const auto graphs = driver.run<Graph>(
+      degrees.size(), [&](std::size_t k, EngineOptions) {
+        return random_regular(2048, degrees[k], 7 + degrees[k]);
+      });
   const auto rows = driver.run<Row>(
-      cells.size(), [&](std::size_t i, CellContext& ctx) {
+      cells.size(), [&](std::size_t i, EngineOptions) {
         const Cell& c = cells[i];
-        const auto g =
-            cached_regular(2048, c.degree, 7 + c.degree, &ctx.ledger());
+        const Graph& g = graphs[c.graph];
         RoundLedger ledger;
         LocalContext lctx(ledger, {}, 3);
-        const auto split = degree_split(*g, c.levels, c.segment, lctx);
+        const auto split = degree_split(g, c.levels, c.segment, lctx);
         Row row;
         row.rounds = split.rounds;
         for (int p = 0; p < split.num_parts; ++p) {
-          const auto deg = part_degrees(*g, split, p);
-          for (NodeId v = 0; v < g->num_nodes(); ++v)
+          const auto deg = part_degrees(g, split, p);
+          for (NodeId v = 0; v < g.num_nodes(); ++v)
             row.max_disc = std::max(
                 row.max_disc,
                 std::abs(deg[v] - static_cast<double>(c.degree) /
@@ -74,11 +81,11 @@ void run_tables() {
 }
 
 void BM_DegreeSplit(benchmark::State& state) {
-  const auto g = cached_regular(4096, 32, 11);
+  const Graph g = random_regular(4096, 32, 11);
   for (auto _ : state) {
     RoundLedger ledger;
     LocalContext lctx(ledger, {}, 5);
-    const auto split = degree_split(*g, 2, 100, lctx);
+    const auto split = degree_split(g, 2, 100, lctx);
     benchmark::DoNotOptimize(split.part.data());
   }
 }

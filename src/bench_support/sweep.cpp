@@ -14,9 +14,7 @@ double SweepDriver::steady_ms() {
 std::string SweepDriver::report() const {
   std::ostringstream out;
   out << "SWEEP cells=" << cells_ << " workers=" << workers_used_
-      << " wall_ms=" << wall_ms_ << " cache_hits=" << cache_hits_
-      << " cache_misses=" << cache_misses_
-      << " graph_build_ms=" << ledger_.phase_time("graph-build");
+      << " wall_ms=" << wall_ms_;
   return out.str();
 }
 

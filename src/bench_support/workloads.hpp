@@ -4,10 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
-#include "bench_support/instance_cache.hpp"
 #include "graph/generators.hpp"
 #include "primitives/hypergraph.hpp"
 #include "registry/registry.hpp"
@@ -48,54 +46,5 @@ inline CliqueInstance mixed_instance(int cliques, int delta, double easy,
 /// (the Lemma 5 workload for bench E8).
 Hypergraph random_hypergraph(int num_vertices, int delta, int rank,
                              std::uint64_t seed);
-
-// --- cached variants ---------------------------------------------------------
-//
-// Same workloads routed through the process-wide InstanceCache: the first
-// request with a given parameter tuple generates (charging its wall-clock
-// to `ledger`'s "graph-build" phase); every later request — another table
-// column, another algorithm in a head-to-head, another sweep cell — shares
-// the immutable instance. Use these in benches; the eager builders above
-// remain for tests that need to own and mutate an instance.
-
-inline std::shared_ptr<const CliqueInstance> cached_hard(
-    int cliques, int delta, std::uint64_t seed, RoundLedger* ledger = nullptr) {
-  CliqueInstanceOptions opt;
-  opt.num_cliques = cliques;
-  opt.delta = delta;
-  opt.clique_size = delta;
-  opt.seed = seed;
-  return InstanceCache::global().blowup(opt, ledger);
-}
-
-inline std::shared_ptr<const CliqueInstance> cached_mixed(
-    int cliques, int delta, double easy, std::uint64_t seed,
-    RoundLedger* ledger = nullptr) {
-  CliqueInstanceOptions opt;
-  opt.num_cliques = cliques;
-  opt.delta = delta;
-  opt.clique_size = delta;
-  opt.easy_fraction = easy;
-  opt.seed = seed;
-  return InstanceCache::global().blowup(opt, ledger);
-}
-
-inline std::shared_ptr<const CliqueInstance> cached_ring(
-    int num_cliques, int clique_size, std::uint64_t seed,
-    RoundLedger* ledger = nullptr) {
-  return InstanceCache::global().ring(num_cliques, clique_size, seed, ledger);
-}
-
-inline std::shared_ptr<const Graph> cached_regular(
-    NodeId n, int d, std::uint64_t seed, RoundLedger* ledger = nullptr) {
-  return InstanceCache::global().regular(n, d, seed, ledger);
-}
-
-inline std::shared_ptr<const Hypergraph> cached_hypergraph(
-    int num_vertices, int delta, int rank, std::uint64_t seed,
-    RoundLedger* ledger = nullptr) {
-  return InstanceCache::global().hypergraph(num_vertices, delta, rank, seed,
-                                            ledger);
-}
 
 }  // namespace deltacolor::bench

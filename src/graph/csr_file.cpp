@@ -136,7 +136,10 @@ std::array<std::uint64_t, kNumSections> section_checksums(
   return sums;
 }
 
+/// An explicit kAlways or kNever stands; DELTACOLOR_CSR_VERIFY resolves
+/// only the default kAuto.
 CsrVerify verify_policy(CsrVerify requested) {
+  if (requested != CsrVerify::kAuto) return requested;
   const char* env = std::getenv("DELTACOLOR_CSR_VERIFY");
   if (env == nullptr) return requested;
   const std::string v(env);

@@ -32,7 +32,8 @@
 // verifying a section faults in all of its pages, which would defeat the
 // point of mapping a 20 GB file, so kAuto verifies sections only when the
 // file is at most kAutoVerifyLimit bytes. The header is always verified.
-// DELTACOLOR_CSR_VERIFY=always|never|auto overrides the caller's choice.
+// DELTACOLOR_CSR_VERIFY=always|never|auto resolves kAuto, the default; a
+// caller's explicit kAlways or kNever stands whatever the variable says.
 //
 // FNV-1a is one serial xor-multiply chain per section, bound by the
 // multiply's latency rather than by memory bandwidth. The five sections'
@@ -152,10 +153,10 @@ CsrFileInfo peek_csr_file(const std::string& path);
 bool is_csr_file(const std::string& path);
 
 /// Zero-copy load: validates the header (always) and section checksums
-/// (per options/DELTACOLOR_CSR_VERIFY), checks that the ids section holds
-/// distinct values (always; find_duplicate_id, one bitmap pass for dense
-/// ids), then adopts the mapped sections. The returned Graph keeps the
-/// mapping alive; copies share it.
+/// (per options.verify; kAuto per DELTACOLOR_CSR_VERIFY), checks that the
+/// ids section holds distinct values (always; find_duplicate_id, one
+/// bitmap pass for dense ids), then adopts the mapped sections. The
+/// returned Graph keeps the mapping alive; copies share it.
 Graph load_csr_file(const std::string& path,
                     const CsrLoadOptions& options = {});
 

@@ -77,11 +77,6 @@ double RoundLedger::phase_time(std::string_view phase) const {
   return it == time_index_.end() ? 0.0 : times_[it->second].second;
 }
 
-void RoundLedger::merge(const RoundLedger& other) {
-  for (const auto& [phase, rounds] : other.phases_) charge(phase, rounds);
-  for (const auto& [phase, ms] : other.times_) charge_time(phase, ms);
-}
-
 std::string RoundLedger::report() const {
   std::ostringstream os;
   for (const auto& [phase, rounds] : phases_) {
@@ -114,15 +109,6 @@ std::string RoundLedger::json() const {
     if (phase_index_.find(phase) == phase_index_.end()) emit(phase);
   os << "}}";
   return os.str();
-}
-
-void RoundLedger::clear() {
-  phases_.clear();
-  times_.clear();
-  phase_index_.clear();
-  time_index_.clear();
-  total_ = 0;
-  time_total_ = 0.0;
 }
 
 ScopedPhaseTimer::ScopedPhaseTimer(RoundLedger& ledger,

@@ -78,17 +78,12 @@ class RoundLedger {
     return times_;
   }
 
-  /// Adds every phase (rounds and wall-clock) of `other` into this ledger.
-  void merge(const RoundLedger& other);
-
   /// Human-readable multi-line breakdown (rounds, plus ms when charged).
   std::string report() const;
 
   /// One-line JSON object with both dimensions:
   /// {"rounds":N,"ms":X,"phases":{"p":{"rounds":N,"ms":X},...}}
   std::string json() const;
-
-  void clear();
 
  private:
   std::vector<std::pair<std::string, std::int64_t>> phases_;

@@ -300,17 +300,10 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // same-colored pair grants permanent slack); then easy cliques and
   // loopholes (Algorithm 3).
   const auto full_lists = uniform_lists(g, delta);
-  for (int l = options.layer_depth; l >= 1; --l) {
+  for (int l = options.layer_depth; l >= 0; --l) {
     NodeMask active(g.num_nodes(), 0);
     for (NodeId v = 0; v < g.num_nodes(); ++v)
       active[v] = layer[v] == l && res.color[v] == kNoColor;
-    ScopedPhase phase(lctx, "rand-postprocessing");
-    deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
-  }
-  {
-    NodeMask active(g.num_nodes(), 0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v)
-      active[v] = layer[v] == 0 && res.color[v] == kNoColor;
     ScopedPhase phase(lctx, "rand-postprocessing");
     deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
   }

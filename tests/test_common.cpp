@@ -160,19 +160,6 @@ TEST(Ledger, ChargesAccumulatePerPhase) {
   EXPECT_NE(l.report().find("TOTAL: 14"), std::string::npos);
 }
 
-TEST(Ledger, MergeAndClear) {
-  RoundLedger a, b;
-  a.charge("x", 2);
-  b.charge("x", 3);
-  b.charge("y", 1);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 6);
-  EXPECT_EQ(a.phase_total("x"), 5);
-  a.clear();
-  EXPECT_EQ(a.total(), 0);
-  EXPECT_TRUE(a.phases().empty());
-}
-
 TEST(Ledger, RejectsNegativeCharges) {
   RoundLedger l;
   EXPECT_THROW(l.charge("a", -1), std::logic_error);

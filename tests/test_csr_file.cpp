@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <unistd.h>
@@ -414,6 +416,47 @@ TEST(CsrFileHostile, PayloadChecksumMismatch) {
       std::remove(path.c_str());
     }
   }
+}
+
+// Sets an environment variable for one scope, then restores it (or
+// unsets it again) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      setenv(name_, old_->c_str(), 1);
+    else
+      unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(CsrFileHostile, ExplicitVerifyBeatsEnvironment) {
+  // DELTACOLOR_CSR_VERIFY resolves only the default kAuto: `dcolor-import
+  // verify` asks for kAlways and must check the payload whatever the
+  // variable says, and an explicit kNever stays lazy.
+  const std::string path = write_valid_file("env.dcsr");
+  corrupt_byte(path, peek_csr_file(path).header.sections[1].offset);
+  {
+    const ScopedEnv env("DELTACOLOR_CSR_VERIFY", "never");
+    EXPECT_EQ(load_kind(path, CsrVerify::kAlways), CsrErrorKind::kChecksum);
+    EXPECT_NO_THROW((void)load_csr_file(path));
+  }
+  {
+    const ScopedEnv env("DELTACOLOR_CSR_VERIFY", "always");
+    EXPECT_NO_THROW((void)load_csr_file(path, {CsrVerify::kNever}));
+    EXPECT_EQ(load_kind(path, CsrVerify::kAuto), CsrErrorKind::kChecksum);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CsrFile, LoaderRejectsDuplicateIds) {

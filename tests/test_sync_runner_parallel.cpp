@@ -11,7 +11,7 @@
 //      on an odd cycle, a clique blow-up and a hub-first skewed graph, from
 //      inputs with done nodes and under a max_rounds cut-off; each round
 //      steps exactly the nodes not done at its start, never a done one;
-//  (c) RoundLedger wall-clock totals are monotone and merge per phase;
+//  (c) RoundLedger wall-clock totals are monotone and sum per phase;
 //  (d) keyed sparse rounds (run_keyed) equal run_rounds for schedule-driven
 //      steps, evaluate the key once per candidate, and over a node list
 //      equal the all-nodes form keyed -1 off the list; the keyed primitives
@@ -847,18 +847,6 @@ TEST(LedgerTime, TotalsAreMonotoneAndPhaseMerged) {
   }
   EXPECT_DOUBLE_EQ(l.time_total(), l.phase_time("a") + l.phase_time("b"));
   EXPECT_DOUBLE_EQ(l.phase_time("missing"), 0.0);
-
-  RoundLedger other;
-  other.charge("a", 3);
-  other.charge_time("a", 2.0);
-  other.charge_time("c", 1.0);
-  const double before = l.time_total();
-  l.merge(other);
-  EXPECT_DOUBLE_EQ(l.time_total(), before + 3.0);
-  EXPECT_DOUBLE_EQ(l.phase_time("a"),
-                   2.0 + 0.5 * (0 + 2 + 4 + 6 + 8));
-  EXPECT_DOUBLE_EQ(l.phase_time("c"), 1.0);
-  EXPECT_EQ(l.phase_total("a"), 3);
 
   // Engine algorithms charge both dimensions under the same phase label.
   RoundLedger run;

@@ -87,6 +87,31 @@ function(expect_info file text)
   expect_exit(0 verify ${file})
 endfunction()
 
+# The malformed dc-format edge lists that `dcolor-import edges` and `dcolor
+# color` both reject through the one text reader (graph/io): pairs of a
+# file name and the "<path>:<line>:" line it must exit 3 with.
+# write_bad_edge_lists() writes the files.
+set(BAD_EDGE_LISTS
+    wide-n.txt "wide-n.txt:1: node count 4294967297 does not fit"
+    negative.txt "negative.txt:3: node id 18446744073709551615 does not fit"
+    range.txt "range.txt:3: edge (1, 9) has an endpoint >= n=4"
+    loop.txt "loop.txt:2: self loop at node 2"
+    junk.txt "junk.txt:3: 'x' is not a number"
+    dangling.txt "dangling.txt:3: node 2 has no partner"
+    short.txt "short.txt:1: header declares m=3 but the file has 2 pairs"
+    long.txt "long.txt:1: header declares m=1 but the file has 2 pairs")
+
+function(write_bad_edge_lists)
+  file(WRITE "${WORK_DIR}/wide-n.txt" "4294967297 1\n0 1\n")
+  file(WRITE "${WORK_DIR}/negative.txt" "3 2\n0 1\n1 -1\n")
+  file(WRITE "${WORK_DIR}/range.txt" "4 2\n0 1\n1 9\n")
+  file(WRITE "${WORK_DIR}/loop.txt" "3 1\n2 2\n")
+  file(WRITE "${WORK_DIR}/junk.txt" "3 2\n0 1\n1 x\n")
+  file(WRITE "${WORK_DIR}/dangling.txt" "3 2\n0\n1 2\n")
+  file(WRITE "${WORK_DIR}/short.txt" "3 3\n0 1\n1 2\n")
+  file(WRITE "${WORK_DIR}/long.txt" "3 1\n0 1\n1 2\n")
+endfunction()
+
 if(CHECK STREQUAL "unknown-flag")
   expect_exit(0 gen blowup 32 16 16 0 1 g.txt)
   expect_exit(0 --load=g.txt color trial 7 ok.txt)
@@ -220,13 +245,27 @@ elseif(CHECK STREQUAL "color-edge-list-extra-pairs")
   # never a graph that silently lost the later edges.
   file(WRITE "${WORK_DIR}/e.txt" "3 1\n0 1\n1 2\n")
   expect_exit(3 color e.txt greedy 7 out.txt)
-  expect_stderr("more pairs than the header's m = 1")
+  expect_stderr("e.txt:1: header declares m=1 but the file has 2 pairs")
   expect_no_file(out.txt)
   file(WRITE "${WORK_DIR}/c.txt" "3\n0 0\n1 1\n2 1\n")
   expect_exit(3 check e.txt c.txt)
-  expect_stderr("more pairs than the header's m = 1")
+  expect_stderr("e.txt:1: header declares m=1 but the file has 2 pairs")
   file(WRITE "${WORK_DIR}/e.txt" "3 2\n0 1\n1 2\n\n")
   expect_exit(0 color e.txt greedy 7 out.txt)
+elseif(CHECK STREQUAL "color-edge-list-bad-input")
+  # color reads text edge lists with the reader dcolor-import uses: every
+  # malformed dc file of import-edges-bad-input exits 3 with the same
+  # "<path>:<line>:" line, never the library's DC_CHECK text, and writes
+  # nothing.
+  write_bad_edge_lists()
+  set(pairs ${BAD_EDGE_LISTS})
+  while(pairs)
+    list(POP_FRONT pairs name text)
+    expect_exit(3 color ${name} greedy 7 out.txt)
+    expect_stderr("dcolor: ${text}")
+    expect_stderr_lacks("DC_CHECK")
+    expect_no_file(out.txt)
+  endwhile()
 elseif(CHECK STREQUAL "env-junk")
   # A set DELTACOLOR_* number must be a whole number in range: junk exits 2
   # naming the variable, instead of being ignored or truncated.
@@ -459,41 +498,25 @@ elseif(CHECK STREQUAL "import-edges-bad-input")
   file(WRITE "${WORK_DIR}/wide.txt" "# SNAP\n0 1\n0 4294967297\n")
   expect_exit(3 edges wide.txt w.dcsr)
   expect_stderr("wide.txt:3: node id 4294967297 does not fit a 32-bit node id")
-  file(WRITE "${WORK_DIR}/wide-n.txt" "4294967297 1\n0 1\n")
-  expect_exit(3 edges wide-n.txt w.dcsr)
-  expect_stderr("wide-n.txt:1: node count 4294967297 does not fit")
-  file(WRITE "${WORK_DIR}/negative.txt" "3 2\n0 1\n1 -1\n")
-  expect_exit(3 edges negative.txt w.dcsr)
-  expect_stderr("negative.txt:3: node id 18446744073709551615 does not fit")
-  file(WRITE "${WORK_DIR}/range.txt" "4 2\n0 1\n1 9\n")
-  expect_exit(3 edges range.txt w.dcsr)
-  expect_stderr("range.txt:3: edge (1, 9) has an endpoint >= n=4")
-  file(WRITE "${WORK_DIR}/loop.txt" "3 1\n2 2\n")
-  expect_exit(3 edges loop.txt w.dcsr)
-  expect_stderr("loop.txt:2: self loop at node 2")
   file(WRITE "${WORK_DIR}/snap.txt" "# SNAP\n0 1\n1 5\n")
   expect_exit(3 edges snap.txt w.dcsr --nodes=4)
   expect_stderr("snap.txt:3: edge (1, 5) has an endpoint >= n=4")
-  # A dc file holds exactly the header's m pairs of numbers: a token that
-  # is not a number, a dangling last number and a pair count either way
-  # off each exit 3 too.
-  file(WRITE "${WORK_DIR}/junk.txt" "3 2\n0 1\n1 x\n")
-  expect_exit(3 edges junk.txt w.dcsr)
-  expect_stderr("junk.txt:3: 'x' is not a number")
-  file(WRITE "${WORK_DIR}/dangling.txt" "3 2\n0\n1 2\n")
-  expect_exit(3 edges dangling.txt w.dcsr)
-  expect_stderr("dangling.txt:3: node 2 has no partner")
-  file(WRITE "${WORK_DIR}/short.txt" "3 3\n0 1\n1 2\n")
-  expect_exit(3 edges short.txt w.dcsr)
-  expect_stderr("short.txt:1: header declares m=3 but the file has 2 pairs")
-  file(WRITE "${WORK_DIR}/long.txt" "3 1\n0 1\n1 2\n")
-  expect_exit(3 edges long.txt w.dcsr)
-  expect_stderr("long.txt:1: header declares m=1 but the file has 2 pairs")
-  string(FIND "${LAST_STDERR}" "DC_CHECK" at)
-  if(NOT at EQUAL -1)
-    message(FATAL_ERROR "library check text leaked:\n${LAST_STDERR}")
-  endif()
+  # A dc file holds exactly the header's m pairs of numbers below n: an
+  # oversized node count or id, an endpoint >= n, a self loop, a token that
+  # is not a number, a dangling last number and a pair count either way off
+  # each exit 3 too.
+  write_bad_edge_lists()
+  set(pairs ${BAD_EDGE_LISTS})
+  while(pairs)
+    list(POP_FRONT pairs name text)
+    expect_exit(3 edges ${name} w.dcsr)
+    expect_stderr("${text}")
+    expect_stderr_lacks("DC_CHECK")
+  endwhile()
   expect_no_file(w.dcsr)
+  # --nodes bounds a dc file's endpoints as it does a SNAP file's.
+  expect_exit(3 edges range.txt w.dcsr --nodes=2)
+  expect_stderr("range.txt:3: edge (1, 9) has an endpoint >= n=2")
   # Without --nodes the same SNAP file imports, n = max id + 1.
   expect_exit(0 edges snap.txt w.dcsr)
   expect_stdout("n=6 m=2")

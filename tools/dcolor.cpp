@@ -181,14 +181,9 @@ std::optional<Graph> try_load_graph(const std::string& path, bool apply_ids) {
       return std::nullopt;
     }
     try {
-      g = read_edge_list(is);
-    } catch (const std::runtime_error& e) {  // the reader names the fault
-      std::cerr << "dcolor: malformed edge list in '" << path << "' ("
-                << e.what() << ")\n";
-      return std::nullopt;
-    } catch (const std::exception&) {  // e.g. an endpoint the Graph rejects
-      std::cerr << "dcolor: malformed edge list in '" << path
-                << "' (expected \"n m\" header then m \"u v\" lines)\n";
+      g = read_edge_list(is, path);
+    } catch (const std::runtime_error& e) {  // "<path>:<line>: <fault>"
+      std::cerr << "dcolor: " << e.what() << "\n";
       return std::nullopt;
     }
   }
@@ -422,10 +417,10 @@ int cmd_color(int argc, char** argv) {
     bench::SweepDriver driver({.cell_engine = g_engine});
     const auto rows = driver.run<RepeatRow>(
         static_cast<std::size_t>(g_repeat),
-        [&](std::size_t i, bench::CellContext& ctx) {
+        [&](std::size_t i, EngineOptions engine) {
           AlgorithmRequest cell_req;
           cell_req.seed = req.seed + i;
-          cell_req.engine = ctx.engine();
+          cell_req.engine = engine;
           cell_req.validate = g_validate;
           const auto t0 = std::chrono::steady_clock::now();
           const AlgorithmResult res = entry->run(g, cell_req);

@@ -13,7 +13,8 @@
 // builder (which normalizes, sorts and deduplicates the pairs) and
 // serialize it with write_csr_file, so RAM grows with the graph. `edges`
 // input formats:
-//   dc    the repo's own "n m" header + "u v" lines (io.hpp)
+//   dc    the repo's own "n m" header + "u v" lines, read by io.hpp's
+//         read_edge_pairs (the reader `dcolor color` and `check` use)
 //   snap  SNAP-style: '#' comment lines, whitespace-separated pairs,
 //         duplicates and both orientations tolerated, self loops skipped.
 //         Node count is max id + 1 unless --nodes=N says otherwise.
@@ -38,7 +39,6 @@
 // out-of-range number); 3 unreadable or malformed input, or failed
 // verification.
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -48,13 +48,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/io.hpp"
 #include "parse_number.hpp"
 
 const char deltacolor::cli::kProgramName[] = "dcolor-import";
@@ -96,104 +96,6 @@ int usage() {
   throw std::runtime_error(path + ":" + std::to_string(line) + ": " + what);
 }
 
-/// Node ids are 32-bit and kNoNode is reserved, so an id fits below it. A
-/// negative or 64-bit-overflowing token reads as a huge value and fails
-/// here too.
-void check_id(std::uint64_t id, const std::string& path, std::size_t line) {
-  if (id >= kNoNode)
-    bad_line(path, line,
-             "node id " + std::to_string(id) +
-                 " does not fit a 32-bit node id (max " +
-                 std::to_string(kNoNode - 1) + ")");
-}
-
-/// Both endpoints of (u, v) must be node ids below n.
-void check_endpoints(std::uint64_t u, std::uint64_t v, std::uint64_t n,
-                     const std::string& path, std::size_t line) {
-  if (u >= n || v >= n)
-    bad_line(path, line,
-             "edge (" + std::to_string(u) + ", " + std::to_string(v) +
-                 ") has an endpoint >= n=" + std::to_string(n));
-}
-
-/// Whitespace-separated unsigned numbers across lines, each with the line
-/// it came from. As with strtoull, a leading '-' wraps the value modulo
-/// 2^64 and a number past 64 bits reads as the largest value; check_id
-/// rejects both. Any other token that is not a number stops the import.
-class NumberTokens {
- public:
-  NumberTokens(std::istream& in, const std::string& path)
-      : in_(in), path_(path) {}
-
-  /// Reads the next number; false at the end of the input.
-  bool next(std::uint64_t* value) {
-    std::string token;
-    while (!(tokens_ >> token)) {
-      std::string text;
-      if (!std::getline(in_, text)) return false;
-      ++line_;
-      tokens_.clear();
-      tokens_.str(text);
-    }
-    const bool negative = token[0] == '-';
-    const char* end = token.data() + token.size();
-    const auto [ptr, ec] =
-        std::from_chars(token.data() + (negative ? 1 : 0), end, *value);
-    if (ec == std::errc::invalid_argument || ptr != end)
-      bad_line(path_, line_, "'" + token + "' is not a number");
-    if (ec == std::errc::result_out_of_range)
-      *value = std::numeric_limits<std::uint64_t>::max();
-    else if (negative)
-      *value = 0 - *value;
-    return true;
-  }
-
-  /// The line of the last number read (1-based).
-  std::size_t line() const { return line_; }
-
- private:
-  std::istream& in_;
-  const std::string& path_;
-  std::istringstream tokens_;
-  std::size_t line_ = 0;
-};
-
-/// "n m" header, then exactly m "u v" pairs (the io.hpp format). Every
-/// pair is checked against n (or `nodes` when given) as it is read.
-/// Returns the header's n.
-NodeId read_dc(std::istream& in, const std::string& path,
-               std::optional<NodeId> nodes, EdgeList* edges) {
-  NumberTokens tokens(in, path);
-  std::uint64_t n = 0, m = 0;
-  if (!tokens.next(&n) || !tokens.next(&m))
-    throw std::runtime_error("malformed edge list in '" + path +
-                             "' (expected \"n m\" header)");
-  const std::size_t header_line = tokens.line();
-  if (n > kNoNode)
-    bad_line(path, header_line,
-             "node count " + std::to_string(n) +
-                 " does not fit a 32-bit node id (max " +
-                 std::to_string(kNoNode) + ")");
-  const std::uint64_t limit = nodes.value_or(static_cast<NodeId>(n));
-  std::uint64_t pairs = 0;
-  for (std::uint64_t u = 0, v = 0; tokens.next(&u); ++pairs) {
-    const std::size_t u_line = tokens.line();
-    if (!tokens.next(&v))
-      bad_line(path, u_line, "node " + std::to_string(u) + " has no partner");
-    check_id(u, path, tokens.line());
-    check_id(v, path, tokens.line());
-    if (u == v) bad_line(path, tokens.line(), "self loop at node " +
-                                                  std::to_string(u));
-    check_endpoints(u, v, limit, path, tokens.line());
-    edges->emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
-  }
-  if (pairs != m)
-    bad_line(path, header_line,
-             "header declares m=" + std::to_string(m) + " but the file has " +
-                 std::to_string(pairs) + " pairs");
-  return static_cast<NodeId>(n);
-}
-
 /// SNAP-style: '#' comments and blank lines anywhere, whitespace-separated
 /// pairs, self loops silently skipped (SNAP dumps contain them routinely).
 /// Every kept pair is checked against `nodes` when given. Returns max id +
@@ -210,10 +112,13 @@ NodeId read_snap(std::istream& in, const std::string& path,
     std::uint64_t u = 0, v = 0;
     if (!(ls >> u >> v))
       bad_line(path, number, "malformed snap line: " + line);
-    check_id(u, path, number);
-    check_id(v, path, number);
+    check_node_id(u, path, number);
+    check_node_id(v, path, number);
     if (u == v) continue;
-    if (nodes) check_endpoints(u, v, *nodes, path, number);
+    if (nodes && (u >= *nodes || v >= *nodes))
+      bad_line(path, number,
+               "edge (" + std::to_string(u) + ", " + std::to_string(v) +
+                   ") has an endpoint >= n=" + std::to_string(*nodes));
     edges->emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
     max_id = std::max({max_id, u, v});
     any = true;
@@ -272,13 +177,16 @@ int cmd_edges(int argc, char** argv) {
   }
 
   try {
-    EdgeList edges;
-    const NodeId found = format == "dc"
-                             ? read_dc(in, in_path, nodes, &edges)
-                             : read_snap(in, in_path, nodes, &edges);
-    const NodeId n = nodes.value_or(found);
-    const std::uint64_t input_edges = edges.size();
-    write_graph(out_path, Graph(n, std::move(edges)), input_edges);
+    EdgePairs read;
+    if (format == "dc") {
+      read = read_edge_pairs(in, in_path, nodes);
+    } else {
+      const NodeId found = read_snap(in, in_path, nodes, &read.pairs);
+      read.num_nodes = nodes.value_or(found);
+    }
+    const std::uint64_t input_edges = read.pairs.size();
+    write_graph(out_path, Graph(read.num_nodes, std::move(read.pairs)),
+                input_edges);
   } catch (const std::exception& e) {
     std::cerr << "dcolor-import: " << e.what() << "\n";
     return kExitBadFile;
